@@ -12,8 +12,13 @@ a ``type`` field; the handshake carries protocol version ``v = 1``:
 
 Arm values travel as a name-to-value map so trainers bind
 hyperparameters by name. One step is in flight at a time; interactions
-increase strictly by one and duplicates are rejected. The default step
-timeout is 0 (block forever): real pre-training steps can take hours.
+increase strictly by one and duplicates are rejected. A trainer is
+spawned from an argv list and spoken to over its stdio, or reached at
+``"tcp:HOST:PORT"`` (IPv6: ``"tcp:[::1]:9000"``). Both ends move lines
+through one transport over a read fd and a write fd. The reply timeout
+bounds the wait for a whole line; the default 0 blocks forever, as real
+pre-training steps can take hours. A reply that is not valid UTF-8 is a
+``ProtocolError``.
 
 ``mock_trainer_main`` serves the protocol backed by the synthetic
 pre-training simulator, for tests and offline development.
@@ -23,10 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import select
 import socket
 import subprocess
-import sys
 import time
 
 from .bandit import Arm, LossObservation
@@ -43,94 +48,49 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 
-class _SubprocessTransport:
-    def __init__(self, argv: list[str]):
-        try:
-            self.proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
-            )
-        except OSError as exc:
-            raise BridgeError(f"cannot spawn trainer {argv!r}: {exc}") from exc
+class _LineTransport:
+    """Newline-terminated UTF-8 lines over a read fd and a write fd.
+
+    Bytes read past a newline stay buffered, so a line that arrived with
+    an earlier one is returned without waiting. A positive ``timeout_s``
+    bounds the wait for the whole line; 0 waits forever. ``close`` is the
+    closer passed in by the owner of the fds.
+    """
+
+    def __init__(self, read_fd: int, write_fd: int, closer):
+        self._read_fd = read_fd
+        self._write_fd = write_fd
+        self._buf = bytearray()
+        self.close = closer
 
     def send_line(self, line: str) -> None:
+        data = memoryview((line + "\n").encode("utf-8"))
         try:
-            self.proc.stdin.write(line + "\n")
-            self.proc.stdin.flush()
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise BridgeError(f"trainer pipe closed: {exc}") from exc
+            while data:
+                data = data[os.write(self._write_fd, data):]
+        except OSError as exc:
+            raise BridgeError(f"bridge connection closed: {exc}") from exc
 
     def recv_line(self, timeout_s: float) -> str:
-        if timeout_s > 0:
-            ready, _, _ = select.select([self.proc.stdout], [], [], timeout_s)
-            if not ready:
-                raise BridgeError(f"trainer reply timed out after {timeout_s}s")
-        line = self.proc.stdout.readline()
-        if line == "":
-            raise BridgeError("trainer process closed the connection")
-        return line
-
-    def close(self) -> None:
-        try:
-            self.proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            self.proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-
-
-class _TcpTransport:
-    def __init__(self, host: str, port: int, connect_timeout_s: float = 10.0):
-        deadline = time.monotonic() + connect_timeout_s
-        last_exc: Exception | None = None
-        while time.monotonic() < deadline:
+        deadline = time.monotonic() + timeout_s
+        while (end := self._buf.find(b"\n")) < 0:
+            if timeout_s > 0:
+                left = max(deadline - time.monotonic(), 0.0)
+                if not select.select([self._read_fd], [], [], left)[0]:
+                    raise BridgeError(f"trainer reply timed out after {timeout_s}s")
             try:
-                self.sock = socket.create_connection((host, port), timeout=2.0)
-                break
+                chunk = os.read(self._read_fd, 65536)
             except OSError as exc:
-                last_exc = exc
-                time.sleep(0.05)
-        else:
-            raise BridgeError(f"cannot connect to trainer at {host}:{port}: {last_exc}")
-        self.sock.settimeout(None)
-        self._rfile = self.sock.makefile("r", encoding="utf-8", newline="\n")
-        self._wfile = self.sock.makefile("w", encoding="utf-8", newline="\n")
-
-    def send_line(self, line: str) -> None:
+                raise BridgeError(f"bridge connection error: {exc}") from exc
+            if not chunk:
+                raise BridgeError("bridge peer closed the connection")
+            self._buf += chunk
+        line = bytes(self._buf[: end + 1])
+        del self._buf[: end + 1]
         try:
-            self._wfile.write(line + "\n")
-            self._wfile.flush()
-        except OSError as exc:
-            raise BridgeError(f"trainer socket closed: {exc}") from exc
-
-    def recv_line(self, timeout_s: float) -> str:
-        self.sock.settimeout(timeout_s if timeout_s > 0 else None)
-        try:
-            line = self._rfile.readline()
-        except socket.timeout:
-            raise BridgeError(f"trainer reply timed out after {timeout_s}s") from None
-        except OSError as exc:
-            raise BridgeError(f"trainer socket error: {exc}") from exc
-        if line == "":
-            raise BridgeError("trainer closed the connection")
-        return line
-
-    def close(self) -> None:
-        for f in (self._wfile, self._rfile):
-            try:
-                f.close()
-            except OSError:
-                pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+            return line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"line is not valid UTF-8: {line[:200]!r}") from exc
 
 
 class BridgeEnvironment:
@@ -218,20 +178,49 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
     """Open a bridge to a trainer.
 
     ``transport`` is either an argv list (the trainer is spawned and
-    spoken to over stdio) or a string ``"tcp:HOST:PORT"``. The Init
-    handshake is performed lazily by the returned environment's
-    ``init()``.
+    spoken to over stdio) or a string ``"tcp:HOST:PORT"``, with an IPv6
+    host in brackets (``"tcp:[::1]:9000"``); anything else raises
+    ``InvalidArgumentError``. The Init handshake is performed lazily by
+    the returned environment's ``init()``.
     """
-    if isinstance(transport, str):
-        if not transport.startswith("tcp:"):
-            raise InvalidArgumentError(f"unknown transport spec: {transport!r}")
-        _, host, port = transport.split(":")
-        t = _TcpTransport(host, int(port))
-    elif isinstance(transport, (list, tuple)):
-        t = _SubprocessTransport(list(transport))
+    if isinstance(transport, list) and transport and all(isinstance(a, str) for a in transport):
+        try:
+            proc = subprocess.Popen(transport, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        except OSError as exc:
+            raise BridgeError(f"cannot spawn trainer {transport!r}: {exc}") from exc
+
+        def close() -> None:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+        channel = _LineTransport(proc.stdout.fileno(), proc.stdin.fileno(), close)
+    elif isinstance(transport, str) and transport.startswith("tcp:"):
+        host, _, port = transport[len("tcp:"):].rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]
+        if not host or not port.isdecimal() or int(port) > 65535:
+            raise InvalidArgumentError(f"transport spec {transport!r} is not tcp:HOST:PORT")
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                sock = socket.create_connection((host, int(port)), timeout=2.0)
+                break
+            except OSError as exc:
+                if time.monotonic() >= deadline:
+                    raise BridgeError(f"cannot connect to trainer at {transport}: {exc}") from exc
+                time.sleep(0.05)
+        sock.settimeout(None)
+        channel = _LineTransport(sock.fileno(), sock.fileno(), sock.close)
     else:
-        t = transport
-    return BridgeEnvironment(t, arm_names, config=config, timeout_s=timeout_s)
+        raise InvalidArgumentError(
+            f"transport must be an argv list or 'tcp:HOST:PORT', got {transport!r}"
+        )
+    return BridgeEnvironment(channel, arm_names, config=config, timeout_s=timeout_s)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +241,25 @@ def _spec_from_config(base: SyntheticPretrainSpec, config: dict) -> SyntheticPre
     return dataclasses.replace(base, **overrides)
 
 
-def _serve(lines, reply, spec: SyntheticPretrainSpec, default_seed: int) -> int:
+def _serve(channel: _LineTransport, spec: SyntheticPretrainSpec, default_seed: int) -> int:
     env: SyntheticPretrainEnv | None = None
     arm_names: tuple[str, ...] = ()
     last_t = 0
 
-    def error(code: str, detail: str) -> None:
-        reply({"type": "error", "v": PROTOCOL_VERSION, "code": code, "detail": detail})
+    def send(msg: dict) -> None:
+        channel.send_line(json.dumps(msg))
 
-    for line in lines:
-        line = line.strip()
+    def error(code: str, detail: str) -> None:
+        send({"type": "error", "v": PROTOCOL_VERSION, "code": code, "detail": detail})
+
+    while True:
+        try:
+            line = channel.recv_line(0).strip()
+        except ProtocolError as exc:
+            error("malformed", str(exc))
+            continue
+        except BridgeError:
+            return 0
         if not line:
             continue
         try:
@@ -288,7 +286,7 @@ def _serve(lines, reply, spec: SyntheticPretrainSpec, default_seed: int) -> int:
             env = SyntheticPretrainEnv(env_spec, seed=int(config.get("seed", default_seed)))
             obs = env.init()
             last_t = 0
-            reply(
+            send(
                 {
                     "type": "init_ack",
                     "v": PROTOCOL_VERSION,
@@ -317,7 +315,7 @@ def _serve(lines, reply, spec: SyntheticPretrainSpec, default_seed: int) -> int:
                 continue
             obs = env.step(arm, updates)
             last_t = t
-            reply(
+            send(
                 {
                     "type": "step_ack",
                     "v": PROTOCOL_VERSION,
@@ -328,7 +326,6 @@ def _serve(lines, reply, spec: SyntheticPretrainSpec, default_seed: int) -> int:
             continue
 
         error("unknown_type", f"unknown message type {mtype!r}")
-    return 0
 
 
 def mock_trainer_main(
@@ -343,26 +340,15 @@ def mock_trainer_main(
     """
     spec = spec or SyntheticPretrainSpec()
     if transport == "stdio":
-        out = sys.stdout
-
-        def reply(msg: dict) -> None:
-            out.write(json.dumps(msg) + "\n")
-            out.flush()
-
-        return _serve(sys.stdin, reply, spec, seed)
-
-    if transport.startswith("tcp:"):
+        channel = _LineTransport(0, 1, lambda: None)
+    elif transport.startswith("tcp:"):
         port = int(transport.split(":", 1)[1])
         with socket.create_server(("127.0.0.1", port)) as server:
             conn, _ = server.accept()
-            with conn:
-                rfile = conn.makefile("r", encoding="utf-8", newline="\n")
-                wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-
-                def reply(msg: dict) -> None:
-                    wfile.write(json.dumps(msg) + "\n")
-                    wfile.flush()
-
-                return _serve(rfile, reply, spec, seed)
-
-    raise InvalidArgumentError(f"unknown transport: {transport!r}")
+        channel = _LineTransport(conn.fileno(), conn.fileno(), conn.close)
+    else:
+        raise InvalidArgumentError(f"unknown transport: {transport!r}")
+    try:
+        return _serve(channel, spec, seed)
+    finally:
+        channel.close()

@@ -45,6 +45,9 @@ def run(config_path, seed_override, out_dir):
         sys.exit(EXIT_CONFIG)
     try:
         result = harness.run_experiment(cfg, out_dir=out_dir, seeds=seeds)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
@@ -97,7 +100,7 @@ def mock_trainer(transport, seed, initial_loss, floor, optimum, width, rate, noi
     except (ConfigError, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except OSError as exc:
+    except (OSError, BridgeError) as exc:
         click.echo(f"transport failure: {exc}", err=True)
         sys.exit(EXIT_ENVIRONMENT)
     sys.exit(code)

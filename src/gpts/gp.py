@@ -159,7 +159,6 @@ class FitBudget:
     restarts: int = 4
     max_evals: int = 100
     seed: int = 0
-    perturb_scale: float = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +399,7 @@ def fit_type2_mle(
 
     Multi-start gradient-free (Nelder-Mead) search in log-parameter
     space: the warm start at ``init``, a moment-matched heuristic start,
-    and seeded perturbations of the heuristic. Never returns
+    and seeded unit-normal perturbations of the heuristic. Never returns
     hyperparameters with a lower marginal likelihood than ``init``; for
     fewer than two observations ``init`` is returned unchanged. A
     candidate replaces the incumbent only on strict improvement, so ties
@@ -422,7 +421,7 @@ def fit_type2_mle(
     rng = np.random.default_rng(budget.seed)
     starts = [x_init, x_heur][: max(budget.restarts, 1)]
     starts += [
-        x_heur + rng.normal(0.0, budget.perturb_scale, size=x_heur.shape)
+        x_heur + rng.normal(0.0, 1.0, size=x_heur.shape)
         for _ in range(budget.restarts - len(starts))
     ]
     for x0 in starts:

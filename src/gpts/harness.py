@@ -184,33 +184,35 @@ def _gp_init_from_config(gp_cfg: dict, ndim: int) -> gp.GpHyperparams:
 
 
 def _make_environment(env_cfg: dict, space: bandit.ArmSpace, env_seed: int):
+    """Build the environment for one run; bad settings raise ``ConfigError``."""
     kind = env_cfg["kind"]
-    if kind == "synthetic":
-        raw = dict(env_cfg.get("synthetic", {}))
-        for key in ("optimum", "width"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        spec = environments.SyntheticPretrainSpec(**raw)
-        return environments.SyntheticPretrainEnv(spec, seed=env_seed)
-    if kind == "test_function":
-        noise_sd = float(env_cfg.get("test_function", {}).get("noise_sd", 0.1))
-        return environments.NoisyTestFunctionEnv(noise_sd=noise_sd, seed=env_seed)
-    if kind == "replay":
-        spec = environments.load_replay_csv(env_cfg["replay"]["path"])
-        return environments.ReplayEnv(spec, space)
-    if kind == "bridge":
-        bcfg = dict(env_cfg.get("bridge", {}))
-        transport = bcfg.get("transport") or bcfg.get("command")
-        if transport is None:
-            raise ConfigError("bridge environment needs 'transport' or 'command'")
-        init_config = dict(bcfg.get("config", {}))
-        init_config.setdefault("seed", env_seed)
-        return bridge.bridge_connect(
-            transport,
-            arm_names=space.names,
-            config=init_config,
-            timeout_s=float(bcfg.get("timeout_s", 0.0)),
-        )
+    try:
+        if kind == "synthetic":
+            raw = dict(env_cfg.get("synthetic", {}))
+            for key in ("optimum", "width"):
+                if key in raw:
+                    raw[key] = tuple(raw[key])
+            spec = environments.SyntheticPretrainSpec(**raw)
+            return environments.SyntheticPretrainEnv(spec, seed=env_seed)
+        if kind == "test_function":
+            noise_sd = float(env_cfg.get("test_function", {}).get("noise_sd", 0.1))
+            return environments.NoisyTestFunctionEnv(noise_sd=noise_sd, seed=env_seed)
+        if kind == "replay":
+            spec = environments.load_replay_csv(env_cfg["replay"]["path"])
+            return environments.ReplayEnv(spec, space)
+        if kind == "bridge":
+            bcfg = dict(env_cfg.get("bridge", {}))
+            transport = bcfg.get("transport") or bcfg.get("command")
+            init_config = dict(bcfg.get("config", {}))
+            init_config.setdefault("seed", env_seed)
+            return bridge.bridge_connect(
+                transport,
+                arm_names=space.names,
+                config=init_config,
+                timeout_s=float(bcfg.get("timeout_s", 0.0)),
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {kind} environment: {exc}") from exc
     raise ConfigError(f"unknown environment kind: {kind!r}")
 
 
@@ -310,9 +312,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
             path = out / f"{RUN_CSV_PREFIX}{label}_seed{seed}.csv"
             try:
                 env = _make_environment(cfg.environment, space, cfg.env_seed_offset + seed)
-                hist = bandit.run_policy(space, pc, env, cfg.T, cfg.u)
-                if hasattr(env, "close"):
-                    env.close()
+                try:
+                    hist = bandit.run_policy(space, pc, env, cfg.T, cfg.u)
+                finally:
+                    if hasattr(env, "close"):
+                        env.close()
             except (EnvironmentFailure, BridgeError, DataError) as exc:
                 failures.append({"policy": label, "seed": seed, "error": str(exc)})
                 continue

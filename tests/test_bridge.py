@@ -1,18 +1,26 @@
-"""Wire-protocol tests: handshake, interaction matching, error replies,
+"""Wire-protocol tests: the line transport and transport specs,
+handshake, interaction matching, error replies, misbehaving trainers,
 and in-process vs out-of-process equivalence over both transports."""
 
 import dataclasses
 import json
+import os
 import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from gpts import bandit, bridge, environments as envs
-from gpts.errors import BridgeError, ProtocolError
+from gpts.errors import BridgeError, InvalidArgumentError, ProtocolError
 
 MOCK_CMD = [sys.executable, "-m", "gpts.cli", "mock-trainer", "--transport", "stdio"]
+
+INIT_ACK = (json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0}) + "\n").encode()
+STEP_ACK = (json.dumps({"type": "step_ack", "v": 1, "interaction": 1, "val_loss": 9.0}) + "\n").encode()
+NOT_UTF8 = b"\xff\xfe not utf-8\n"
 
 
 def spec_config(spec, seed):
@@ -23,6 +31,18 @@ def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+def fake_trainer(body):
+    """argv of a trainer running ``body`` with ``recv()`` (one stdin line)
+    and ``send(data)`` (raw bytes to stdout); it exits within 5 s."""
+    prelude = (
+        "import signal, sys, time\n"
+        "signal.alarm(5)\n"
+        "def recv(): return sys.stdin.buffer.readline()\n"
+        "def send(data): sys.stdout.buffer.write(data); sys.stdout.buffer.flush()\n"
+    )
+    return [sys.executable, "-c", prelude + body]
 
 
 class ScriptedTransport:
@@ -95,6 +115,127 @@ class TestClientProtocol:
         }
 
 
+class TestLineTransport:
+    @pytest.mark.parametrize("kind", ["pipe", "socketpair"])
+    def test_lines_partial_lines_bad_bytes_and_eof(self, kind):
+        # The transport reads back what it writes: the write fd feeds the read fd.
+        if kind == "pipe":
+            read_fd, write_fd = os.pipe()
+            close_read, close_write = (lambda: os.close(read_fd)), (lambda: os.close(write_fd))
+        else:
+            reader, writer = socket.socketpair()
+            read_fd, write_fd = reader.fileno(), writer.fileno()
+            close_read, close_write = reader.close, writer.close
+        closed = []
+
+        def closer():
+            closed.append(True)
+            close_read()
+
+        t = bridge._LineTransport(read_fd, write_fd, closer)
+        t.send_line('{"rho": "\u00fc"}')
+        os.write(write_fd, b"one\ntwo\npar")
+        assert t.recv_line(0) == '{"rho": "\u00fc"}\n'
+        assert t.recv_line(0.5) == "one\n"
+        assert t.recv_line(0.5) == "two\n"
+        with pytest.raises(BridgeError, match="timed out"):
+            t.recv_line(0.2)
+        os.write(write_fd, b"tial\n" + NOT_UTF8 + b"after\n")
+        assert t.recv_line(0.5) == "partial\n"
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            t.recv_line(0.5)
+        assert t.recv_line(0.5) == "after\n"
+        close_write()
+        with pytest.raises(BridgeError, match="closed"):
+            t.recv_line(0)
+        t.close()
+        assert closed == [True]
+
+    def test_timeout_covers_the_whole_line(self):
+        read_fd, write_fd = os.pipe()
+        t = bridge._LineTransport(read_fd, write_fd, lambda: None)
+
+        def trickle():
+            for _ in range(20):
+                os.write(write_fd, b"x")
+                time.sleep(0.05)
+
+        writer = threading.Thread(target=trickle)
+        writer.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(BridgeError, match="timed out"):
+                t.recv_line(0.3)
+            elapsed = time.monotonic() - start
+        finally:
+            writer.join(timeout=5)
+            os.close(read_fd)
+            os.close(write_fd)
+        assert not writer.is_alive()
+        assert elapsed < 0.8
+
+
+class TestSpawnedTrainerReplies:
+    def test_second_line_of_one_write_needs_no_wait(self):
+        argv = fake_trainer(f"recv(); send({INIT_ACK + STEP_ACK!r}); recv(); recv()")
+        env = bridge.bridge_connect(argv, ["rho"], timeout_s=0.5)
+        try:
+            env.init()
+            start = time.monotonic()
+            assert env.step((0.2,), 10).validation_loss == 9.0
+            assert time.monotonic() - start < 0.4
+        finally:
+            env.close()
+
+    def test_partial_line_then_stall_times_out(self):
+        argv = fake_trainer("recv(); send(b'{\"type\": \"init_ack\"'); time.sleep(3)")
+        env = bridge.bridge_connect(argv, ["rho"], timeout_s=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(BridgeError, match="timed out"):
+                env.init()
+            assert time.monotonic() - start < 2.0
+        finally:
+            env.close()
+
+    def test_non_utf8_reply_gives_partial_history(self):
+        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        argv = fake_trainer(f"recv(); send({INIT_ACK!r}); recv(); send({NOT_UTF8!r}); recv()")
+        env = bridge.bridge_connect(argv, space.names, timeout_s=5.0)
+        cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=0)
+        try:
+            hist = bandit.run_policy(space, cfg, env, T=3, u=10)
+        finally:
+            env.close()
+        assert len(hist) == 0
+        assert "UTF-8" in hist.error
+
+
+class TestTransportSpec:
+    @pytest.mark.parametrize("spec", ["tcp:[::1]:9000", "tcp:::1:9000"])
+    def test_ipv6_host(self, monkeypatch, spec):
+        ours, theirs = socket.socketpair()
+        addresses = []
+
+        def fake_connect(address, timeout):
+            addresses.append(address)
+            return ours
+
+        monkeypatch.setattr(bridge.socket, "create_connection", fake_connect)
+        env = bridge.bridge_connect(spec, ["rho"])
+        env.close()
+        with theirs:
+            assert theirs.recv(1024) == b'{"type": "shutdown", "v": 1}\n'
+        assert addresses == [("::1", 9000)]
+
+    @pytest.mark.parametrize(
+        "spec", ["tcp:9000", "tcp:[::1]", "tcp:host:port", "tcp:host:70000", [], 9000, None]
+    )
+    def test_bad_spec_is_invalid_argument(self, spec):
+        with pytest.raises(InvalidArgumentError):
+            bridge.bridge_connect(spec, ["rho"])
+
+
 class TestMockTrainerOverStdio:
     def talk(self, messages, timeout=30):
         proc = subprocess.run(
@@ -154,6 +295,19 @@ class TestMockTrainerOverStdio:
         assert proc.returncode == 0
         reply = json.loads(proc.stdout.splitlines()[0])
         assert reply["type"] == "error" and reply["code"] == "malformed"
+
+    def test_non_utf8_line_gets_error_then_continues(self):
+        init = {"type": "init", "v": 1, "arm_names": ["rho"], "config": {}}
+        proc = subprocess.run(
+            MOCK_CMD,
+            input=NOT_UTF8 + (json.dumps(init) + '\n{"type": "shutdown", "v": 1}\n').encode(),
+            capture_output=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0
+        replies = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert replies[0]["type"] == "error" and replies[0]["code"] == "malformed"
+        assert replies[1]["type"] == "init_ack"
 
     def test_version_mismatch_rejected(self):
         code, replies = self.talk(

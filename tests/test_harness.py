@@ -11,7 +11,7 @@ import yaml
 from click.testing import CliRunner
 
 from gpts import bandit, cli, environments as envs, harness
-from gpts.errors import ConfigError, DataError
+from gpts.errors import ConfigError, DataError, InvalidArgumentError
 
 
 def small_config(tmp_path, **overrides):
@@ -191,6 +191,26 @@ class TestRunExperiment:
         result = harness.run_experiment(cfg)
         assert result["failures"]
 
+    def test_environment_closed_when_run_raises(self, tmp_path, monkeypatch):
+        class SpyEnv:
+            closed = False
+
+            def init(self):
+                return bandit.LossObservation(interaction=0, validation_loss=10.0)
+
+            def step(self, arm, u):
+                raise InvalidArgumentError("step rejected")
+
+            def close(self):
+                self.closed = True
+
+        spy = SpyEnv()
+        monkeypatch.setattr(harness, "_make_environment", lambda *args: spy)
+        path, _ = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
+        with pytest.raises(InvalidArgumentError, match="step rejected"):
+            harness.run_experiment(harness.load_config(path))
+        assert spy.closed
+
 
 class TestSummarize:
     def test_report_over_generated_runs(self, tmp_path):
@@ -251,6 +271,21 @@ class TestCli:
     def test_missing_config_file_exits_2(self, tmp_path):
         res = CliRunner().invoke(cli.main, ["run", "--config", str(tmp_path / "nope.yaml")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            {"kind": "bridge", "bridge": {}},
+            {"kind": "bridge", "bridge": {"transport": "udp:1"}},
+            {"kind": "synthetic", "synthetic": {"no_such_field": 1.0}},
+        ],
+    )
+    def test_bad_environment_exits_2(self, tmp_path, environment):
+        path, _ = small_config(
+            tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0], environment=environment
+        )
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
 
     def test_summarize_empty_dir_exits_3(self, tmp_path):
         res = CliRunner().invoke(cli.main, ["summarize", "--dir", str(tmp_path)])
