@@ -9,6 +9,7 @@ uniform-random baselines share the same run loop.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -265,7 +266,10 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
     replace the selection step and maintain no GP.
 
     Environment failures abort the run; the partial history is returned
-    with its ``error`` field set.
+    with its ``error`` field set. A non-finite validation loss means the
+    training diverged: from ``step`` it ends the run the same way, without
+    recording that interaction; from ``init`` it raises
+    ``EnvironmentFailure``.
     """
     if T < 1 or u < 1:
         raise InvalidArgumentError("T and u must be at least 1")
@@ -276,6 +280,8 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
 
     rng = np.random.default_rng(cfg.seed)
     prev = env.init()
+    if not math.isfinite(prev.validation_loss):
+        raise EnvironmentFailure(f"init: diverged (validation loss {prev.validation_loss})")
     hist = History(initial_loss=prev.validation_loss, initial_interaction=prev.interaction)
 
     theta = cfg.gp_init or default_gp_hyperparams(space.ndim)
@@ -293,6 +299,9 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
             obs = env.step(arm, u)
         except (EnvironmentFailure, BridgeError) as exc:
             hist.error = f"interaction {t}: {exc}"
+            return hist
+        if not math.isfinite(obs.validation_loss):
+            hist.error = f"interaction {t}: diverged (validation loss {obs.validation_loss})"
             return hist
 
         _check_consecutive(prev, obs)

@@ -18,7 +18,8 @@ spawned from an argv list and spoken to over its stdio, or reached at
 through one transport over a read fd and a write fd. The reply timeout
 bounds the wait for a whole line; the default 0 blocks forever, as real
 pre-training steps can take hours. A reply that is not valid UTF-8 is a
-``ProtocolError``.
+``ProtocolError``, as is an ack whose loss is missing or not a JSON
+number.
 
 ``mock_trainer_main`` serves the protocol backed by the synthetic
 pre-training simulator, for tests and offline development.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import select
 import socket
@@ -121,6 +123,16 @@ class BridgeEnvironment:
             )
         return msg
 
+    @staticmethod
+    def _loss(msg: dict, key: str) -> float:
+        value = msg.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProtocolError(f"{msg['type']} {key} is not a number: {value!r}")
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the range of a double
+            return math.inf if value > 0 else -math.inf
+
     def init(self) -> LossObservation:
         if self._started:
             raise InvalidArgumentError("init() may be called only once")
@@ -137,7 +149,7 @@ class BridgeEnvironment:
             raise ProtocolError(f"expected init_ack, got {msg['type']!r}")
         self._started = True
         self._t = 0
-        return LossObservation(interaction=0, validation_loss=float(msg["initial_val_loss"]))
+        return LossObservation(interaction=0, validation_loss=self._loss(msg, "initial_val_loss"))
 
     def step(self, arm: Arm, u: int) -> LossObservation:
         if not self._started:
@@ -164,7 +176,7 @@ class BridgeEnvironment:
                 f"step_ack interaction {msg.get('interaction')} does not match request {t}"
             )
         self._t = t
-        return LossObservation(interaction=t, validation_loss=float(msg["val_loss"]))
+        return LossObservation(interaction=t, validation_loss=self._loss(msg, "val_loss"))
 
     def close(self) -> None:
         try:

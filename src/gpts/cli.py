@@ -1,8 +1,8 @@
 """Command-line entry points: run experiments, summarize results, and
 serve the mock trainer.
 
-Exit codes: 0 success, 2 config error, 3 environment/bridge failure,
-4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 environment/bridge failure or a
+diverged run, 4 numerical failure.
 """
 
 from __future__ import annotations

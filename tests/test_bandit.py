@@ -156,6 +156,22 @@ class SkippingEnv(FailingEnv):
         return LossObservation(self._t, 10.0 - 0.1 * self._t)
 
 
+class DivergingEnv(FailingEnv):
+    """Reports ``bad`` as the validation loss at interaction ``at`` (0 is init)."""
+
+    def __init__(self, at, bad):
+        super().__init__(fail_at=99)
+        self.at = at
+        self.bad = bad
+
+    def init(self):
+        return LossObservation(0, self.bad if self.at == 0 else 10.0)
+
+    def step(self, arm, u):
+        obs = super().step(arm, u)
+        return LossObservation(obs.interaction, self.bad) if self._t == self.at else obs
+
+
 class TestRunPolicy:
     def test_fixed_arm_bit_exact_repeatable(self):
         space = grid_1d()
@@ -250,3 +266,18 @@ class TestRunPolicy:
         cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=9)
         with pytest.raises(InvalidArgumentError):
             bandit.run_policy(space, cfg, FailingEnv(99), T=1, u=1)
+
+    @pytest.mark.parametrize("kind", [bandit.GP_TS, bandit.UNIFORM_RANDOM])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_loss_is_diverged_run(self, kind, bad):
+        space = grid_1d()
+        cfg = bandit.PolicyConfig(kind=kind, seed=0)
+        h = bandit.run_policy(space, cfg, DivergingEnv(at=3, bad=bad), T=10, u=1)
+        assert h.error == f"interaction 3: diverged (validation loss {bad})"
+        assert len(h) == 2 and h.losses_after == [9.9, 9.8]
+        assert len(h.gp_trace) == (2 if kind == bandit.GP_TS else 0)
+
+    def test_non_finite_initial_loss_raises_environment_failure(self):
+        cfg = bandit.PolicyConfig(kind=bandit.UNIFORM_RANDOM, seed=0)
+        with pytest.raises(EnvironmentFailure, match=r"init: diverged \(validation loss nan\)"):
+            bandit.run_policy(grid_1d(), cfg, DivergingEnv(at=0, bad=float("nan")), T=5, u=1)

@@ -115,6 +115,75 @@ class TestClientProtocol:
         }
 
 
+MISSING = object()
+# ack loss fields that are not JSON numbers
+NOT_A_NUMBER = {
+    "missing": MISSING,
+    "null": None,
+    "string": "abc",
+    "list": [1],
+    "numeric_string": "9.5",
+    "bool": True,
+}
+NOT_A_NUMBER_CASES = pytest.mark.parametrize(
+    "value", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys()
+)
+
+
+def ack(kind, field, value, **fields):
+    msg = {"type": kind, "v": 1, **fields}
+    if value is not MISSING:
+        msg[field] = value
+    return json.dumps(msg)
+
+
+class TestAckLoss:
+    @NOT_A_NUMBER_CASES
+    def test_init_ack_without_number_is_protocol_error(self, value):
+        t = ScriptedTransport([ack("init_ack", "initial_val_loss", value)])
+        env = bridge.BridgeEnvironment(t, ["rho"])
+        with pytest.raises(ProtocolError, match="initial_val_loss is not a number"):
+            env.init()
+
+    @NOT_A_NUMBER_CASES
+    def test_step_ack_without_number_gives_partial_history(self, value):
+        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        t = ScriptedTransport(
+            [
+                json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0}),
+                json.dumps({"type": "step_ack", "v": 1, "interaction": 1, "val_loss": 9.0}),
+                ack("step_ack", "val_loss", value, interaction=2),
+            ]
+        )
+        env = bridge.BridgeEnvironment(t, space.names)
+        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
+        hist = bandit.run_policy(space, cfg, env, T=5, u=10)
+        assert hist.losses_after == [9.0]
+        assert hist.error.startswith("interaction 2: step_ack val_loss is not a number")
+
+    def test_integer_loss_is_a_number(self):
+        t = ScriptedTransport([json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10})])
+        obs = bridge.BridgeEnvironment(t, ["rho"]).init()
+        assert obs.validation_loss == 10.0 and type(obs.validation_loss) is float
+
+    @pytest.mark.parametrize(
+        "loss,shown", [(float("nan"), "nan"), (-(10**400), "-inf")], ids=["nan", "huge_int"]
+    )
+    def test_non_finite_loss_is_diverged_run(self, loss, shown):
+        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        t = ScriptedTransport(
+            [
+                json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0}),
+                json.dumps({"type": "step_ack", "v": 1, "interaction": 1, "val_loss": loss}),
+            ]
+        )
+        env = bridge.BridgeEnvironment(t, space.names)
+        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
+        hist = bandit.run_policy(space, cfg, env, T=5, u=10)
+        assert len(hist) == 0
+        assert hist.error == f"interaction 1: diverged (validation loss {shown})"
+
+
 class TestLineTransport:
     @pytest.mark.parametrize("kind", ["pipe", "socketpair"])
     def test_lines_partial_lines_bad_bytes_and_eof(self, kind):

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
 from gpts import gp
@@ -361,3 +363,139 @@ class TestFit:
         a = gp.fit_type2_mle(data, init, gp.FitBudget(seed=3))
         b = gp.fit_type2_mle(data, init, gp.FitBudget(seed=3))
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of the direct LAPACK solves. The references below are the
+# likelihood, fit objective and posterior written with scipy's
+# solve_triangular and np.clip; the program must give the same bits.
+
+
+def ref_collapsed_lml(L, noise, resid, reps):
+    T, k = reps.n_obs, reps.counts.shape[0]
+    v = solve_triangular(L, resid, lower=True, check_finite=False)
+    return float(
+        -0.5 * (v @ v + reps.within_ss / noise)
+        - np.sum(np.log(np.diag(L)))
+        - 0.5 * (T - k) * math.log(noise)
+        - 0.5 * T * math.log(2.0 * math.pi)
+        - 0.5 * reps.log_count_sum
+    )
+
+
+def ref_fit_objective(data, template):
+    reps = data._replicates
+    U = reps.inputs
+    d = template.kernel.dim
+    diffs = U[:, None, :] - U[None, :, :]
+    sq = diffs * diffs
+    family = template.kernel.family
+    has_mean = template.mean.family == "constant"
+    diag = np.diag_indices(U.shape[0])
+
+    def neg_lml(vec):
+        logs = np.clip(vec[: d + 2], -gp._LOG_PARAM_BOUND, gp._LOG_PARAM_BOUND)
+        K = gp._kernel_from_sqdist(family, math.exp(logs[d]), sq @ np.exp(-2.0 * logs[:d]))
+        noise = max(math.exp(logs[d + 1]), gp.NOISE_VARIANCE_FLOOR)
+        K[diag] += noise / reps.counts
+        try:
+            L = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            return 1e25
+        resid = reps.means - vec[d + 2] if has_mean else reps.means
+        return -ref_collapsed_lml(L, noise, resid, reps)
+
+    return neg_lml
+
+
+def ref_posterior(hp, data, Q):
+    reps = data._replicates
+    L, _ = gp._collapsed_factor(hp, reps)
+    v = solve_triangular(L, reps.means - hp.mean.value(), lower=True)
+    alpha = solve_triangular(L.T, v, lower=False)
+    Ks = gp.kernel_matrix(hp.kernel, reps.inputs, Q)
+    mean = gp.mean_vector(hp.mean, Q) + Ks.T @ alpha
+    V = solve_triangular(L, Ks, lower=True)
+    cov = gp.kernel_matrix(hp.kernel, Q) - V.T @ V
+    cov = 0.5 * (cov + cov.T)
+    diag = np.diag(cov).copy()
+    np.fill_diagonal(cov, np.maximum(diag, 0.0))
+    return alpha, mean, cov
+
+
+def bit_identity_cases(family, mean_family, n, seed):
+    # (data, hp) pairs: k from 1 to 12 distinct inputs in one or two
+    # dimensions, alternately all distinct and replicated
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        d, k = int(rng.integers(1, 3)), int(rng.integers(1, 13))
+        if i % 2:
+            X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 80)))
+        else:
+            X, y = rng.uniform(0, 1, (k, d)), rng.normal(0, 1, k)
+        yield gp.RegressionData(X, y), random_hp(rng, d, family, mean_family)
+
+
+class TestLapackSolvesBitIdentical:
+    @BOTH_KERNELS_AND_MEANS
+    def test_neg_lml(self, family, mean_family):
+        rng = np.random.default_rng(31)
+        for data, hp in bit_identity_cases(family, mean_family, 30, 1):
+            ours, ref = gp._fit_objective(data, hp), ref_fit_objective(data, hp)
+            x0 = gp._pack(hp)
+            # spread wide enough that the log-parameter clamp binds
+            for vec in [x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(20))]:
+                assert ours(vec) == ref(vec)
+
+    @BOTH_KERNELS_AND_MEANS
+    def test_log_marginal_likelihood(self, family, mean_family):
+        for data, hp in bit_identity_cases(family, mean_family, 40, 2):
+            reps = data._replicates
+            L, noise = gp._collapsed_factor(hp, reps)
+            ref = ref_collapsed_lml(L, noise, reps.means - hp.mean.value(), reps)
+            assert gp.log_marginal_likelihood(hp, data) == ref
+
+    @BOTH_KERNELS_AND_MEANS
+    def test_posterior_alpha_and_predict(self, family, mean_family):
+        rng = np.random.default_rng(32)
+        for data, hp in bit_identity_cases(family, mean_family, 40, 3):
+            Q = rng.uniform(0, 1, (int(rng.integers(1, 20)), hp.kernel.dim))
+            alpha, mean, cov = ref_posterior(hp, data, Q)
+            post = gp.PosteriorGp(hp, data)
+            ours_mean, ours_cov = post.predict(Q)
+            assert np.array_equal(post.alpha, alpha)
+            assert np.array_equal(ours_mean, mean)
+            assert np.array_equal(ours_cov, cov)
+
+    @BOTH_KERNELS_AND_MEANS
+    def test_fit_type2_mle(self, family, mean_family, monkeypatch):
+        # Nelder-Mead only compares values, so a last-bit change rarely
+        # moves its result; every point it evaluates and the value there
+        # are compared as well.
+        def fits():
+            evaluations = []
+
+            def recording_minimize(fun, x0, **kwargs):
+                def traced(x):
+                    value = fun(x)
+                    evaluations.append((x.tobytes(), value))
+                    return value
+
+                return minimize(traced, x0, **kwargs)
+
+            monkeypatch.setattr(gp, "minimize", recording_minimize)
+            budget = gp.FitBudget(restarts=2, max_evals=60)
+            cases = bit_identity_cases(family, mean_family, 6, 4)
+            return [gp.fit_type2_mle(data, hp, budget) for data, hp in cases], evaluations
+
+        ours = fits()
+        monkeypatch.setattr(gp, "_collapsed_lml", ref_collapsed_lml)
+        monkeypatch.setattr(gp, "_fit_objective", ref_fit_objective)
+        assert ours == fits()
+
+    def test_singular_factor_raises(self):
+        L = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.3, 2.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="trtrs info 2"):
+            gp._solve_chol(L, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            gp._solve_chol(L, np.ones((3, 4)), transposed=True)

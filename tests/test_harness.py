@@ -2,6 +2,7 @@
 consistency, reproducibility, and exit codes."""
 
 import csv
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,48 @@ class TestRunExperiment:
             harness.run_experiment(harness.load_config(path))
         assert spy.closed
 
+    def test_diverged_run_leaves_sibling_runs_intact(self, tmp_path, monkeypatch):
+        class NanAtThree:
+            def __init__(self, env):
+                self.env = env
+
+            def init(self):
+                return self.env.init()
+
+            def step(self, arm, u):
+                obs = self.env.step(arm, u)
+                if obs.interaction == 3:
+                    return bandit.LossObservation(3, float("nan"))
+                return obs
+
+        make = harness._make_environment
+        made = itertools.count()
+
+        def make_env(*args):
+            # seed 0 of each policy diverges, seed 1 runs to the end
+            env = make(*args)
+            return NanAtThree(env) if next(made) % 2 == 0 else env
+
+        monkeypatch.setattr(harness, "_make_environment", make_env)
+        path, raw = small_config(
+            tmp_path, policies=[{"kind": "gp_ts"}, {"kind": "uniform_random"}], seeds=[0, 1]
+        )
+        result = harness.run_experiment(harness.load_config(path))
+        assert [(f["policy"], f["seed"], f["error"]) for f in result["failures"]] == [
+            (label, 0, "interaction 3: diverged (validation loss nan)")
+            for label in ("gp_ts", "uniform_random")
+        ]
+        assert len(result["runs"]) == 4
+        out = Path(raw["output_dir"])
+        for label in ("gp_ts", "uniform_random"):
+            # the initial-loss row plus one row per recorded interaction
+            partial = (out / f"run_{label}_seed0.csv").read_text()
+            assert len(partial.splitlines()) == 1 + 3 and "nan" not in partial
+            rows = list(csv.DictReader((out / f"run_{label}_seed1.csv").open()))
+            assert len(rows) == 1 + 5
+        summary = list(csv.DictReader((out / "summary.csv").open()))
+        assert {row["n"] for row in summary} == {"1"}
+
 
 class TestSummarize:
     def test_report_over_generated_runs(self, tmp_path):
@@ -302,6 +345,17 @@ class TestCli:
         )
         res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert res.exit_code == 3
+
+    def test_diverged_initial_loss_exits_3(self, tmp_path, monkeypatch):
+        class NanInit:
+            def init(self):
+                return bandit.LossObservation(0, float("nan"))
+
+        monkeypatch.setattr(harness, "_make_environment", lambda *args: NanInit())
+        path, _ = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 3
+        assert "FAILED uniform_random seed 0: init: diverged (validation loss nan)" in res.output
 
     def test_seed_override(self, tmp_path):
         path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}])
