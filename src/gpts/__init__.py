@@ -1,9 +1,13 @@
 """Gaussian-process Thompson sampling for online tuning of training
 hyperparameters: exact GP regression, the loss-delta bandit, desk-scale
 training environments, an external-trainer bridge, and an experiment
-harness."""
+harness.
 
-from . import bandit, bridge, environments, gp, harness
+Submodules load when they are imported (``from gpts import bandit``), not
+with the package, so a trainer process that imports only ``bridge`` and
+``environments`` stays free of scipy and the GP stack.
+"""
+
 from .errors import (
     BridgeError,
     ConfigError,

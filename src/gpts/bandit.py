@@ -3,7 +3,8 @@
 The policy models the per-interaction reward (the decrease in validation
 loss between consecutive interactions) with a GP, draws one joint sample
 of the posterior over all arms, and plays the argmax. Fixed-arm and
-uniform-random baselines share the same run loop.
+uniform-random baselines share the same run loop. The arm-space and
+observation types are defined in ``environments`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gp
-from .errors import BridgeError, EnvironmentFailure, InvalidArgumentError
+from .environments import Arm, ArmSpace, GridDim, LossObservation, make_grid
+from .errors import BridgeError, DataError, EnvironmentFailure, InvalidArgumentError
 
 __all__ = [
     "Arm",
@@ -39,85 +41,9 @@ __all__ = [
     "run_policy",
 ]
 
-Arm = tuple[float, ...]
-
 GP_TS = "gp_ts"
 FIXED_ARM = "fixed_arm"
 UNIFORM_RANDOM = "uniform_random"
-
-
-@dataclass(frozen=True)
-class GridDim:
-    lower: float
-    upper: float
-    step: float
-    name: str = "psi"
-
-
-@dataclass(frozen=True)
-class ArmSpace:
-    """Finite arm set: the Cartesian product of regular per-dimension grids.
-
-    Endpoints are excluded (the search intervals are open); arms are
-    unique and enumerated in lexicographic order.
-    """
-
-    dims: tuple[GridDim, ...]
-    arms: tuple[Arm, ...]
-
-    @property
-    def ndim(self) -> int:
-        return len(self.dims)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dims)
-
-    def __len__(self) -> int:
-        return len(self.arms)
-
-    def index_of(self, arm: Arm) -> int:
-        try:
-            return self.arms.index(tuple(arm))
-        except ValueError:
-            raise InvalidArgumentError(f"arm {arm!r} is not in the arm space") from None
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.arms, dtype=float)
-
-
-def make_grid(dims) -> ArmSpace:
-    """Materialize the arm grid from per-dimension (lower, upper, step) specs."""
-    dims = tuple(d if isinstance(d, GridDim) else GridDim(**d) for d in dims)
-    value_lists: list[list[float]] = []
-    for d in dims:
-        if not (d.step > 0.0):
-            raise InvalidArgumentError(f"dimension {d.name!r}: step must be positive")
-        if not (d.lower < d.upper):
-            raise InvalidArgumentError(f"dimension {d.name!r}: lower must be below upper")
-        eps = 1e-9 * d.step
-        values = []
-        i = 1
-        while True:
-            v = round(d.lower + i * d.step, 12)
-            if v >= d.upper - eps:
-                break
-            values.append(v)
-            i += 1
-        if not values:
-            raise InvalidArgumentError(
-                f"dimension {d.name!r}: step {d.step} leaves no interior grid points in "
-                f"({d.lower}, {d.upper})"
-            )
-        value_lists.append(values)
-    arms = tuple(itertools.product(*value_lists))
-    return ArmSpace(dims=dims, arms=arms)
-
-
-@dataclass(frozen=True)
-class LossObservation:
-    interaction: int
-    validation_loss: float
 
 
 class RewardRecord(NamedTuple):
@@ -265,8 +191,8 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
     fit, which is kept whenever refitting fails or degrades). Baselines
     replace the selection step and maintain no GP.
 
-    Environment failures abort the run; the partial history is returned
-    with its ``error`` field set. A non-finite validation loss means the
+    Environment failures (a replay gap included) abort the run; the
+    partial history is returned with its ``error`` field set. A non-finite validation loss means the
     training diverged: from ``step`` it ends the run the same way, without
     recording that interaction; from ``init`` it raises
     ``EnvironmentFailure``.
@@ -297,7 +223,7 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
 
         try:
             obs = env.step(arm, u)
-        except (EnvironmentFailure, BridgeError) as exc:
+        except (EnvironmentFailure, BridgeError, DataError) as exc:
             hist.error = f"interaction {t}: {exc}"
             return hist
         if not math.isfinite(obs.validation_loss):

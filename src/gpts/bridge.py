@@ -36,8 +36,7 @@ import socket
 import subprocess
 import time
 
-from .bandit import Arm, LossObservation
-from .environments import SyntheticPretrainEnv, SyntheticPretrainSpec
+from .environments import Arm, LossObservation, SyntheticPretrainEnv, SyntheticPretrainSpec
 from .errors import BridgeError, InvalidArgumentError, ProtocolError
 
 __all__ = [

@@ -1,6 +1,9 @@
 """Command-line entry points: run experiments, summarize results, and
 serve the mock trainer.
 
+``harness`` (and with it the GP stack and scipy) and ``yaml`` are imported
+inside the commands that use them, so ``mock-trainer`` starts quickly.
+
 Exit codes: 0 success, 2 config error, 3 environment/bridge failure or a
 diverged run, 4 numerical failure.
 """
@@ -11,9 +14,8 @@ import json
 import sys
 
 import click
-import yaml
 
-from . import bridge, harness
+from . import bridge
 from .environments import SyntheticPretrainSpec
 from .errors import BridgeError, ConfigError, DataError, EnvironmentFailure, NumericalError
 
@@ -33,6 +35,8 @@ def main():
 @click.option("--out", "out_dir", default=None, type=click.Path(), help="Output directory override.")
 def run(config_path, seed_override, out_dir):
     """Run every (policy, seed) pair of an experiment config."""
+    from . import harness
+
     try:
         cfg = harness.load_config(config_path)
         seeds = None
@@ -67,6 +71,8 @@ def run(config_path, seed_override, out_dir):
 @click.option("--dir", "run_dir", required=True, type=click.Path())
 def summarize(run_dir):
     """Summarize the run CSVs in a directory."""
+    from . import harness
+
     try:
         report = harness.summarize(run_dir)
     except DataError as exc:
@@ -109,6 +115,10 @@ def mock_trainer(transport, seed, initial_loss, floor, optimum, width, rate, noi
 @main.command("print-default-config")
 def print_default_config():
     """Print the default experiment configuration (YAML)."""
+    import yaml
+
+    from . import harness
+
     click.echo(yaml.safe_dump(harness.default_config_dict(), sort_keys=False))
 
 

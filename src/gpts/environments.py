@@ -9,6 +9,11 @@ Each environment maps (arm, update budget) to a validation loss:
   Gaussian noise, for regret benchmarking.
 * ``ReplayEnv`` — verbatim playback of logged loss curves from CSV.
 
+The arm space and observation types of the ``Environment`` protocol
+(``Arm``, ``GridDim``, ``ArmSpace``, ``make_grid``, ``LossObservation``)
+live here too, so a trainer process that serves an environment never
+imports the GP stack; ``bandit`` re-exports them.
+
 Environments own their random stream (seeded at construction), keeping
 environment randomness independent of policy randomness. Each instance
 is single-owner and stateful; use distinct instances for parallel runs.
@@ -17,6 +22,7 @@ is single-owner and stateful; use distinct instances for parallel runs.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,10 +30,14 @@ from typing import Protocol
 
 import numpy as np
 
-from .bandit import Arm, ArmSpace, LossObservation
 from .errors import DataError, InvalidArgumentError
 
 __all__ = [
+    "Arm",
+    "GridDim",
+    "ArmSpace",
+    "LossObservation",
+    "make_grid",
     "Environment",
     "SyntheticPretrainSpec",
     "SyntheticPretrainEnv",
@@ -45,6 +55,86 @@ __all__ = [
     "REPLAY_CSV_HEADER",
     "REPLAY_INITIAL_ARM_INDEX",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the Environment protocol and the types it speaks
+
+Arm = tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class GridDim:
+    lower: float
+    upper: float
+    step: float
+    name: str = "psi"
+
+
+@dataclass(frozen=True)
+class ArmSpace:
+    """Finite arm set: the Cartesian product of regular per-dimension grids.
+
+    Endpoints are excluded (the search intervals are open); arms are
+    unique and enumerated in lexicographic order.
+    """
+
+    dims: tuple[GridDim, ...]
+    arms: tuple[Arm, ...]
+
+    @property
+    def ndim(self) -> int:
+        return len(self.dims)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(d.name for d in self.dims)
+
+    def __len__(self) -> int:
+        return len(self.arms)
+
+    def index_of(self, arm: Arm) -> int:
+        try:
+            return self.arms.index(tuple(arm))
+        except ValueError:
+            raise InvalidArgumentError(f"arm {arm!r} is not in the arm space") from None
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self.arms, dtype=float)
+
+
+def make_grid(dims) -> ArmSpace:
+    """Materialize the arm grid from per-dimension (lower, upper, step) specs."""
+    dims = tuple(d if isinstance(d, GridDim) else GridDim(**d) for d in dims)
+    value_lists: list[list[float]] = []
+    for d in dims:
+        if not (d.step > 0.0):
+            raise InvalidArgumentError(f"dimension {d.name!r}: step must be positive")
+        if not (d.lower < d.upper):
+            raise InvalidArgumentError(f"dimension {d.name!r}: lower must be below upper")
+        eps = 1e-9 * d.step
+        values = []
+        i = 1
+        while True:
+            v = round(d.lower + i * d.step, 12)
+            if v >= d.upper - eps:
+                break
+            values.append(v)
+            i += 1
+        if not values:
+            raise InvalidArgumentError(
+                f"dimension {d.name!r}: step {d.step} leaves no interior grid points in "
+                f"({d.lower}, {d.upper})"
+            )
+        value_lists.append(values)
+    arms = tuple(itertools.product(*value_lists))
+    return ArmSpace(dims=dims, arms=arms)
+
+
+@dataclass(frozen=True)
+class LossObservation:
+    interaction: int
+    validation_loss: float
 
 
 class Environment(Protocol):

@@ -387,7 +387,8 @@ def summarize(run_dir) -> dict:
 
     Reports per-policy final-loss and cumulative-reward statistics plus
     arm-selection frequencies, and verifies the telescoping identity
-    (sum of rewards = initial loss - final loss) on every run.
+    (sum of rewards = initial loss - final loss) on every run; a run
+    holding a non-finite value fails the check.
     """
     run_dir = Path(run_dir)
     paths = sorted(run_dir.glob(f"{RUN_CSV_PREFIX}*.csv"))
@@ -403,14 +404,15 @@ def summarize(run_dir) -> dict:
             total = sum(r["reward"] for r in run["records"])
             expected = run["initial_loss"] - run["records"][-1]["val_loss"]
             scale = max(abs(expected), 1.0)
-            if abs(total - expected) > 1e-9 * scale:
+            # written so that a NaN anywhere counts as a violation
+            if not (abs(total - expected) <= 1e-9 * scale):
                 violations.append(
                     {"path": str(path), "sum_rewards": total, "expected": expected}
                 )
             running = 0.0
             for r in run["records"]:
                 running += r["reward"]
-                if abs(r["cumulative_reward"] - running) > 1e-9 * max(abs(running), 1.0):
+                if not (abs(r["cumulative_reward"] - running) <= 1e-9 * max(abs(running), 1.0)):
                     violations.append(
                         {
                             "path": str(path),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gpts import bandit, gp
 from gpts.bandit import LossObservation
-from gpts.environments import SyntheticPretrainEnv, SyntheticPretrainSpec
+from gpts.environments import ReplayEnv, ReplaySpec, SyntheticPretrainEnv, SyntheticPretrainSpec
 from gpts.errors import EnvironmentFailure, InvalidArgumentError
 
 
@@ -277,7 +277,20 @@ class TestRunPolicy:
         assert len(h) == 2 and h.losses_after == [9.9, 9.8]
         assert len(h.gp_trace) == (2 if kind == bandit.GP_TS else 0)
 
+    @pytest.mark.parametrize("kind", [bandit.GP_TS, bandit.FIXED_ARM])
+    def test_replay_gap_returns_partial_history(self, kind):
+        # every arm has interactions 1, 2, 4 and 5 logged, none has 3
+        space = grid_1d()
+        table = {(i, t): 10.0 - t - 0.01 * i for i in range(len(space)) for t in (1, 2, 4, 5)}
+        env = ReplayEnv(ReplaySpec(table=table, initial_loss=10.0), space)
+        cfg = bandit.PolicyConfig(kind=kind, seed=0, fixed_arm_index=4)
+        h = bandit.run_policy(space, cfg, env, T=5, u=1)
+        assert h.error is not None and h.error.startswith("interaction 3: replay table has no")
+        assert len(h) == 2
+        assert h.losses_after == [table[(space.index_of(a), t)] for t, a in enumerate(h.arms, 1)]
+
     def test_non_finite_initial_loss_raises_environment_failure(self):
         cfg = bandit.PolicyConfig(kind=bandit.UNIFORM_RANDOM, seed=0)
         with pytest.raises(EnvironmentFailure, match=r"init: diverged \(validation loss nan\)"):
             bandit.run_policy(grid_1d(), cfg, DivergingEnv(at=0, bad=float("nan")), T=5, u=1)
+

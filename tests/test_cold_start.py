@@ -1,0 +1,89 @@
+"""Fresh-interpreter tests: what the trainer side of the package imports,
+and that every CLI command works when nothing has been imported yet.
+
+In-process tests share one interpreter in which the whole package is
+already loaded, so neither an import that drags in the GP stack nor a
+broken deferred import would show there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import yaml
+
+import gpts
+
+SRC = str(Path(gpts.__file__).resolve().parents[1])
+PATHS = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(PATHS)}
+GP_STACK = ("gpts.gp", "gpts.bandit", "gpts.harness")
+
+
+def python(*args, **kwargs):
+    return subprocess.run(
+        [sys.executable, *args], env=ENV, capture_output=True, text=True, timeout=120, **kwargs
+    )
+
+
+def gp_stack_modules(names):
+    return sorted(m for m in names if m in GP_STACK or m == "scipy" or m.startswith("scipy."))
+
+
+def test_trainer_side_imports_no_gp_stack():
+    proc = python(
+        "-c",
+        "import json, sys\n"
+        "import gpts.cli, gpts.bridge, gpts.environments\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "from gpts import bandit, bridge, environments, gp, harness\n"
+        "for name in ('Arm', 'GridDim', 'ArmSpace', 'LossObservation', 'make_grid'):\n"
+        "    # one definition, re-exported by bandit\n"
+        "    assert getattr(bandit, name) is getattr(environments, name), name\n"
+        "    assert name in bandit.__all__ and name in environments.__all__, name\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert gp_stack_modules(json.loads(proc.stdout)) == []
+
+
+def test_mock_trainer_session_loads_no_scipy():
+    # serve init, one step and shutdown, then report what the process loaded
+    script = (
+        "import atexit, json, runpy, sys\n"
+        "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+        "runpy.run_module('gpts.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    session = [
+        {"type": "init", "v": 1, "arm_names": ["rho"], "config": {}},
+        {"type": "step", "v": 1, "interaction": 1, "arm": {"rho": 0.3}, "updates": 100},
+        {"type": "shutdown", "v": 1},
+    ]
+    proc = python(
+        "-c", script, "mock-trainer", "--transport", "stdio",
+        input="".join(json.dumps(m) + "\n" for m in session),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line)["type"] for line in proc.stdout.splitlines()] == [
+        "init_ack",
+        "step_ack",
+    ]
+    assert gp_stack_modules(json.loads(proc.stderr.splitlines()[-1])) == []
+
+
+def test_cli_commands_from_a_cold_start(tmp_path):
+    printed = python("-m", "gpts.cli", "print-default-config")
+    assert printed.returncode == 0, printed.stderr
+    raw = yaml.safe_load(printed.stdout)
+    raw.update(T=2, seeds=[0], output_dir=str(tmp_path / "runs"))
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+
+    ran = python("-m", "gpts.cli", "run", "--config", str(config))
+    assert ran.returncode == 0, ran.stderr
+    assert len(list((tmp_path / "runs").glob("run_*.csv"))) == 11
+
+    summarized = python("-m", "gpts.cli", "summarize", "--dir", str(tmp_path / "runs"))
+    assert summarized.returncode == 0, summarized.stderr
+    assert "telescoping identity verified on all runs" in summarized.stdout

@@ -192,6 +192,34 @@ class TestRunExperiment:
         result = harness.run_experiment(cfg)
         assert result["failures"]
 
+    def test_replay_gap_keeps_partial_history(self, tmp_path):
+        # arm 2 has no entry at interaction 3; arm 3 is logged throughout
+        rows = ["arm_index,interaction,val_loss", "-1,0,10.0"]
+        rows += [f"2,{t},{10.0 - t}" for t in (1, 2, 4, 5)]
+        rows += [f"3,{t},{10.0 - 0.5 * t}" for t in range(1, 6)]
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join(rows) + "\n")
+        path, raw = small_config(
+            tmp_path,
+            policies=[{"kind": "fixed_arm", "arm_index": 2}, {"kind": "fixed_arm", "arm_index": 3}],
+            seeds=[0, 1],
+            environment={"kind": "replay", "replay": {"path": str(log)}},
+        )
+        result = harness.run_experiment(harness.load_config(path))
+        error = "interaction 3: replay table has no entry for arm 2 at interaction 3"
+        assert [(f["policy"], f["seed"], f["error"]) for f in result["failures"]] == [
+            ("fixed_arm_2", 0, error),
+            ("fixed_arm_2", 1, error),
+        ]
+        assert len(result["runs"]) == 4
+        out = Path(raw["output_dir"])
+        partial = list(csv.DictReader((out / "run_fixed_arm_2_seed0.csv").open()))
+        assert [r["val_loss"] for r in partial] == ["10.0", "9.0", "8.0"]
+        full = list(csv.DictReader((out / "run_fixed_arm_3_seed1.csv").open()))
+        assert len(full) == 1 + 5
+        summary = list(csv.DictReader((out / "summary.csv").open()))
+        assert {(row["policy"], row["n"]) for row in summary} == {("fixed_arm_3", "2")}
+
     def test_environment_closed_when_run_raises(self, tmp_path, monkeypatch):
         class SpyEnv:
             closed = False
@@ -281,6 +309,19 @@ class TestSummarize:
         target.write_text("\n".join(lines) + "\n")
         report = harness.summarize(out)
         assert report["telescoping_violations"]
+
+    def test_nan_in_run_csv_is_telescoping_violation(self, tmp_path):
+        # losses 10, 9, nan, 8: every reward and running sum after the NaN is NaN
+        (tmp_path / "run_fixed_arm_1_seed0.csv").write_text(
+            "seed,policy,interaction,arm_rho,val_loss,reward,cumulative_reward,"
+            "gp_lengthscales,gp_output_scale,gp_noise_variance,gp_mean_constant\n"
+            "0,fixed_arm_1,0,,10.0,,0.0,,,,\n"
+            "0,fixed_arm_1,1,0.1,9.0,1.0,1.0,,,,\n"
+            "0,fixed_arm_1,2,0.1,nan,nan,nan,,,,\n"
+            "0,fixed_arm_1,3,0.1,8.0,nan,nan,,,,\n"
+        )
+        violations = harness.summarize(tmp_path)["telescoping_violations"]
+        assert [v.get("interaction") for v in violations] == [None, 2]
 
     def test_empty_directory_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="no run CSVs"):
