@@ -1,7 +1,7 @@
 """Gaussian-process Thompson sampling for online tuning of training
 hyperparameters: exact GP regression, the loss-delta bandit, desk-scale
-training environments, an external-trainer bridge, and an experiment
-harness.
+training environments, an external-trainer bridge, an experiment
+harness, and the run-CSV report.
 
 Submodules load when they are imported (``from gpts import bandit``), not
 with the package, so a trainer process that imports only ``bridge`` and
@@ -24,6 +24,7 @@ __all__ = [
     "environments",
     "gp",
     "harness",
+    "report",
     "BridgeError",
     "ConfigError",
     "DataError",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gp
 from .environments import Arm, ArmSpace, GridDim, LossObservation, make_grid
-from .errors import BridgeError, DataError, EnvironmentFailure, InvalidArgumentError
+from .errors import BridgeError, DataError, EnvironmentFailure, InvalidArgumentError, NumericalError
 
 __all__ = [
     "Arm",
@@ -32,6 +32,7 @@ __all__ = [
     "GP_TS",
     "FIXED_ARM",
     "UNIFORM_RANDOM",
+    "POLICY_KINDS",
     "make_grid",
     "reward_from_losses",
     "cumulative_reward",
@@ -44,6 +45,7 @@ __all__ = [
 GP_TS = "gp_ts"
 FIXED_ARM = "fixed_arm"
 UNIFORM_RANDOM = "uniform_random"
+POLICY_KINDS = (GP_TS, FIXED_ARM, UNIFORM_RANDOM)
 
 
 class RewardRecord(NamedTuple):
@@ -162,7 +164,7 @@ class PolicyConfig:
     fit_budget: gp.FitBudget = field(default_factory=lambda: gp.FitBudget(restarts=2, max_evals=60))
 
     def __post_init__(self):
-        if self.kind not in (GP_TS, FIXED_ARM, UNIFORM_RANDOM):
+        if self.kind not in POLICY_KINDS:
             raise InvalidArgumentError(f"unknown policy kind: {self.kind!r}")
         if self.kind == FIXED_ARM and self.fixed_arm_index is None:
             raise InvalidArgumentError("fixed_arm policy needs fixed_arm_index")
@@ -191,11 +193,12 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
     fit, which is kept whenever refitting fails or degrades). Baselines
     replace the selection step and maintain no GP.
 
-    Environment failures (a replay gap included) abort the run; the
-    partial history is returned with its ``error`` field set. A non-finite validation loss means the
-    training diverged: from ``step`` it ends the run the same way, without
-    recording that interaction; from ``init`` it raises
-    ``EnvironmentFailure``.
+    Environment failures (a replay gap included) and a GP posterior that
+    cannot be factored for selection (``NumericalError``) abort the run;
+    the partial history is returned with its ``error`` field set. A
+    non-finite validation loss means the training diverged: from ``step``
+    it ends the run the same way, without recording that interaction;
+    from ``init`` it raises ``EnvironmentFailure``.
     """
     if T < 1 or u < 1:
         raise InvalidArgumentError("T and u must be at least 1")
@@ -215,7 +218,11 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
 
     for t in range(1, T + 1):
         if cfg.kind == GP_TS:
-            arm, _ = ts_select_arm(space, gp.posterior(theta, data), rng)
+            try:
+                arm, _ = ts_select_arm(space, gp.PosteriorGp(theta, data), rng)
+            except NumericalError as exc:
+                hist.error = f"interaction {t}: numerical: {exc}"
+                return hist
         elif cfg.kind == FIXED_ARM:
             arm = space.arms[cfg.fixed_arm_index]
         else:

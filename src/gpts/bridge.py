@@ -147,7 +147,6 @@ class BridgeEnvironment:
         if msg["type"] != "init_ack":
             raise ProtocolError(f"expected init_ack, got {msg['type']!r}")
         self._started = True
-        self._t = 0
         return LossObservation(interaction=0, validation_loss=self._loss(msg, "initial_val_loss"))
 
     def step(self, arm: Arm, u: int) -> LossObservation:
@@ -238,20 +237,6 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
 # mock trainer
 
 
-def _spec_from_config(base: SyntheticPretrainSpec, config: dict) -> SyntheticPretrainSpec:
-    overrides = dict(config.get("synthetic", {}))
-    if not overrides:
-        return base
-    fields = {f.name for f in dataclasses.fields(SyntheticPretrainSpec)}
-    unknown = set(overrides) - fields
-    if unknown:
-        raise InvalidArgumentError(f"unknown synthetic spec fields: {sorted(unknown)}")
-    for key in ("optimum", "width"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
-    return dataclasses.replace(base, **overrides)
-
-
 def _serve(channel: _LineTransport, spec: SyntheticPretrainSpec, default_seed: int) -> int:
     env: SyntheticPretrainEnv | None = None
     arm_names: tuple[str, ...] = ()
@@ -289,8 +274,8 @@ def _serve(channel: _LineTransport, spec: SyntheticPretrainSpec, default_seed: i
                 continue
             config = msg.get("config") or {}
             try:
-                env_spec = _spec_from_config(spec, config)
-            except InvalidArgumentError as exc:
+                env_spec = dataclasses.replace(spec, **config.get("synthetic", {}))
+            except (InvalidArgumentError, TypeError) as exc:
                 error("bad_config", str(exc))
                 continue
             arm_names = tuple(msg.get("arm_names") or ())

@@ -2,10 +2,12 @@
 serve the mock trainer.
 
 ``harness`` (and with it the GP stack and scipy) and ``yaml`` are imported
-inside the commands that use them, so ``mock-trainer`` starts quickly.
+inside the commands that use them, so ``mock-trainer`` starts quickly;
+``summarize`` needs only ``report``, which loads neither.
 
-Exit codes: 0 success, 2 config error, 3 environment/bridge failure or a
-diverged run, 4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 a failed run (environment, data
+or bridge failure, a diverged run or a numerical breakdown of the GP) or
+unreadable run CSVs.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import click
 
 from . import bridge
 from .environments import SyntheticPretrainSpec
-from .errors import BridgeError, ConfigError, DataError, EnvironmentFailure, NumericalError
+from .errors import BridgeError, ConfigError, DataError
 
 EXIT_CONFIG = 2
 EXIT_ENVIRONMENT = 3
-EXIT_NUMERICAL = 4
 
 
 @click.group()
@@ -52,12 +53,6 @@ def run(config_path, seed_override, out_dir):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
-    except (EnvironmentFailure, BridgeError, DataError) as exc:
-        click.echo(f"environment failure: {exc}", err=True)
-        sys.exit(EXIT_ENVIRONMENT)
     for r in result["runs"]:
         click.echo(f"wrote {r['path']}")
     click.echo(f"wrote {result['summary']}")
@@ -71,15 +66,15 @@ def run(config_path, seed_override, out_dir):
 @click.option("--dir", "run_dir", required=True, type=click.Path())
 def summarize(run_dir):
     """Summarize the run CSVs in a directory."""
-    from . import harness
+    from . import report
 
     try:
-        report = harness.summarize(run_dir)
+        result = report.summarize(run_dir)
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(EXIT_ENVIRONMENT)
-    click.echo(harness.format_report(report))
-    click.echo(json.dumps(report["policies"], indent=2))
+    click.echo(report.format_report(result))
+    click.echo(json.dumps(result["policies"], indent=2))
 
 
 @main.command("mock-trainer")

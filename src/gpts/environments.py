@@ -163,6 +163,9 @@ class SyntheticPretrainSpec:
     noise_sd: float = 0.05
 
     def __post_init__(self):
+        # YAML and JSON settings give their sequences as lists
+        object.__setattr__(self, "optimum", tuple(self.optimum))
+        object.__setattr__(self, "width", tuple(self.width))
         if len(self.optimum) != len(self.width):
             raise InvalidArgumentError("optimum and width must have equal dimension")
         if any(not (w > 0.0) for w in self.width):
@@ -195,7 +198,6 @@ class SyntheticPretrainEnv:
     def init(self) -> LossObservation:
         if self._loss is not None:
             raise InvalidArgumentError("init() may be called only once")
-        self._t = 0
         self._loss = self.spec.initial_loss
         return LossObservation(interaction=0, validation_loss=self._loss)
 
@@ -254,7 +256,6 @@ class NoisyTestFunctionEnv:
         if self._started:
             raise InvalidArgumentError("init() may be called only once")
         self._started = True
-        self._t = 0
         return LossObservation(interaction=0, validation_loss=TEST_FUNCTION_BASELINE)
 
     def step(self, arm: Arm, u: int) -> LossObservation:
@@ -340,7 +341,6 @@ class ReplayEnv:
         if self._started:
             raise InvalidArgumentError("init() may be called only once")
         self._started = True
-        self._t = 0
         return LossObservation(interaction=0, validation_loss=self.spec.initial_loss)
 
     def step(self, arm: Arm, u: int) -> LossObservation:

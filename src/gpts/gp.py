@@ -16,11 +16,11 @@ observations there are. Inputs count as the same only when they are
 exactly equal, as repeated grid arms are.
 
 All positive hyperparameters are handled in log space during fitting.
-The Cholesky factorizations of the likelihood and the posterior recover
-from near-singular matrices by adding a jitter that escalates from 1e-8
-up to 1e-2 before giving up. The jitter is added as extra noise
-variance, so a jittered likelihood or posterior is the exact one at
-noise variance plus jitter.
+Every Cholesky factorization recovers from a near-singular matrix on one
+jitter ladder, in tenfold steps up to 1e-2: from 1e-8 for the likelihood
+and posterior factor, where the jitter is extra noise variance (so the
+result is the exact one at noise variance plus jitter), and from 1e-12
+times the largest variance for a joint sample.
 
 Triangular solves call LAPACK ``trtrs`` directly, as scipy's
 ``solve_triangular`` does inside its argument checking, so they give the
@@ -51,12 +51,10 @@ __all__ = [
     "RegressionData",
     "FitBudget",
     "PosteriorGp",
-    "kernel_eval",
     "kernel_matrix",
     "mean_vector",
     "log_marginal_likelihood",
     "fit_type2_mle",
-    "posterior",
 ]
 
 SQUARED_EXPONENTIAL = "squared_exponential"
@@ -218,11 +216,6 @@ def kernel_matrix(spec: KernelSpec, X, X2=None) -> np.ndarray:
     return K
 
 
-def kernel_eval(spec: KernelSpec, x, x2) -> float:
-    """Evaluate k(x, x2) for a single pair of points."""
-    return float(kernel_matrix(spec, _as_matrix(x, spec.dim), _as_matrix(x2, spec.dim))[0, 0])
-
-
 def mean_vector(mean: MeanSpec, X) -> np.ndarray:
     X = _as_matrix(X)
     return np.full(X.shape[0], mean.value())
@@ -274,15 +267,25 @@ def _collapsed_factor(hp: GpHyperparams, reps: _Replicates) -> tuple[np.ndarray,
         return np.linalg.cholesky(K), hp.noise_variance
     except np.linalg.LinAlgError:
         pass
-    jitter = _JITTER_START
+    n = K.shape[0]
+    message = f"Cholesky failed for {n}x{n} matrix even with jitter up to {_JITTER_MAX:g}"
+    L, jitter = _jittered_cholesky(K, _JITTER_START, reps.counts, message)
+    return L, hp.noise_variance + jitter
+
+
+def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str):
+    """Lower Cholesky factor of A + diag(jitter / divisor) and the jitter
+    it took: the jitter grows tenfold after each failed factorization, and
+    past _JITTER_MAX ``NumericalError(message)`` is raised. A is not
+    changed."""
     while jitter <= _JITTER_MAX:
+        B = A.copy()
+        B.flat[:: A.shape[0] + 1] += jitter / divisor
         try:
-            return np.linalg.cholesky(K + np.diag(jitter / reps.counts)), hp.noise_variance + jitter
+            return np.linalg.cholesky(B), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
-    raise NumericalError(
-        f"Cholesky failed for {K.shape[0]}x{K.shape[0]} matrix even with jitter up to {_JITTER_MAX:g}"
-    )
+    raise NumericalError(message)
 
 
 def _solve_chol(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
@@ -481,11 +484,10 @@ class PosteriorGp:
     exactly.
     """
 
-    __slots__ = ("hyperparams", "data", "inputs", "chol_factor", "alpha")
+    __slots__ = ("hyperparams", "inputs", "chol_factor", "alpha")
 
     def __init__(self, hyperparams: GpHyperparams, data: RegressionData):
         self.hyperparams = hyperparams
-        self.data = data
         if len(data) == 0:
             self.inputs = None
             self.chol_factor = None
@@ -532,20 +534,6 @@ class PosteriorGp:
         scale = float(np.max(np.diag(cov)))
         if scale < 1e-14:
             return mean.copy()
-        jitter = 1e-12 * max(scale, 1.0)
-        eye = np.eye(cov.shape[0])
-        L = None
-        while jitter <= _JITTER_MAX:
-            try:
-                L = np.linalg.cholesky(cov + jitter * eye)
-                break
-            except np.linalg.LinAlgError:
-                jitter *= 10.0
-        if L is None:
-            raise NumericalError("posterior covariance could not be factorized for sampling")
+        message = "posterior covariance could not be factorized for sampling"
+        L, _ = _jittered_cholesky(cov, 1e-12 * max(scale, 1.0), 1.0, message)
         return mean + L @ rng.standard_normal(mean.shape[0])
-
-
-def posterior(hp: GpHyperparams, data: RegressionData) -> PosteriorGp:
-    """Closed-form GP posterior for the given hyperparameters and data."""
-    return PosteriorGp(hp, data)

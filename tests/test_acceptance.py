@@ -67,7 +67,7 @@ def dense_posterior(hp, data, queries):
     Q = np.asarray(queries)
     m = hp.mean.value()
     K = gp.kernel_matrix(hp.kernel, X) + hp.noise_variance * np.eye(len(X))
-    Kxq = np.array([[gp.kernel_eval(hp.kernel, x, q) for q in Q] for x in X])
+    Kxq = np.array([[gp.kernel_matrix(hp.kernel, [x], [q])[0, 0] for q in Q] for x in X])
     Kqq = gp.kernel_matrix(hp.kernel, Q)
     Kinv = np.linalg.inv(K)
     mu = m + Kxq.T @ Kinv @ (y - m)
@@ -93,7 +93,7 @@ def test_criterion_2_posterior_matches_dense_oracle():
         )
         data = gp.RegressionData(rng.uniform(0, 1, (n, d)), rng.normal(0, 2, n))
         queries = rng.uniform(0, 1, (10, d))
-        mu, cov = gp.posterior(hp, data).predict(queries)
+        mu, cov = gp.PosteriorGp(hp, data).predict(queries)
         mu_o, cov_o = dense_posterior(hp, data, queries)
         worst = max(worst, float(np.max(np.abs(mu - mu_o))), float(np.max(np.abs(cov - cov_o))))
     elapsed = time.monotonic() - start
@@ -155,7 +155,7 @@ def test_criterion_4_prior_thompson_uniformity():
         kernel=gp.KernelSpec(gp.MATERN52, (0.01,), 1.0),
         noise_variance=1e-4,
     )
-    post = gp.posterior(hp, gp.RegressionData.empty(1))
+    post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
     counts = np.zeros(9, int)
     n = 10_000
     for s in range(n):

@@ -102,7 +102,7 @@ class TestTsSelectArm:
         # pin the posterior tightly to a spike at arm index 1
         targets = [0.0, 5.0] + [0.0] * 7
         data = gp.RegressionData(space.as_array(), targets)
-        post = gp.posterior(hp, data)
+        post = gp.PosteriorGp(hp, data)
         for seed in range(20):
             _, idx = bandit.ts_select_arm(space, post, np.random.default_rng(seed))
             assert idx == 1
@@ -124,7 +124,7 @@ class TestTsSelectArm:
             gp.KernelSpec(gp.MATERN52, (0.01,), 1.0),
             noise_variance=1e-4,
         )
-        post = gp.posterior(hp, gp.RegressionData.empty(1))
+        post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
         counts = np.zeros(9, int)
         n = 2000
         for s in range(n):

@@ -389,6 +389,24 @@ class TestMockTrainerOverStdio:
         assert replies[0]["type"] == "error"
         assert replies[0]["code"] == "version_mismatch"
 
+    def test_bad_synthetic_settings_rejected_then_init_served(self):
+        bad = [{"no_such_field": 1.0}, {"optimum": 0.3}, {"width": [-1.0]}]
+        code, replies = self.talk(
+            [
+                {"type": "init", "v": 1, "arm_names": ["rho"], "config": {"synthetic": settings}}
+                for settings in bad
+            ]
+            + [
+                {"type": "init", "v": 1, "arm_names": ["rho"],
+                 "config": {"synthetic": {"optimum": [0.2], "width": [0.1]}}},
+                {"type": "shutdown", "v": 1},
+            ]
+        )
+        assert code == 0
+        assert [(m["type"], m.get("code")) for m in replies] == [
+            ("error", "bad_config")
+        ] * 3 + [("init_ack", None)]
+
 
 class TestEquivalence:
     def run_in_process(self, space, spec, policy_seed, env_seed, T):

@@ -48,20 +48,27 @@ def test_trainer_side_imports_no_gp_stack():
     assert gp_stack_modules(json.loads(proc.stdout)) == []
 
 
+# runs the CLI and prints the modules it loaded as the last line of stderr
+CLI_REPORTING_MODULES = (
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+    "runpy.run_module('gpts.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def loaded_modules(proc):
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
 def test_mock_trainer_session_loads_no_scipy():
     # serve init, one step and shutdown, then report what the process loaded
-    script = (
-        "import atexit, json, runpy, sys\n"
-        "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
-        "runpy.run_module('gpts.cli', run_name='__main__', alter_sys=True)\n"
-    )
     session = [
         {"type": "init", "v": 1, "arm_names": ["rho"], "config": {}},
         {"type": "step", "v": 1, "interaction": 1, "arm": {"rho": 0.3}, "updates": 100},
         {"type": "shutdown", "v": 1},
     ]
     proc = python(
-        "-c", script, "mock-trainer", "--transport", "stdio",
+        "-c", CLI_REPORTING_MODULES, "mock-trainer", "--transport", "stdio",
         input="".join(json.dumps(m) + "\n" for m in session),
     )
     assert proc.returncode == 0, proc.stderr
@@ -69,7 +76,7 @@ def test_mock_trainer_session_loads_no_scipy():
         "init_ack",
         "step_ack",
     ]
-    assert gp_stack_modules(json.loads(proc.stderr.splitlines()[-1])) == []
+    assert gp_stack_modules(loaded_modules(proc)) == []
 
 
 def test_cli_commands_from_a_cold_start(tmp_path):
@@ -84,6 +91,8 @@ def test_cli_commands_from_a_cold_start(tmp_path):
     assert ran.returncode == 0, ran.stderr
     assert len(list((tmp_path / "runs").glob("run_*.csv"))) == 11
 
-    summarized = python("-m", "gpts.cli", "summarize", "--dir", str(tmp_path / "runs"))
+    # reading CSVs needs neither the GP stack nor scipy
+    summarized = python("-c", CLI_REPORTING_MODULES, "summarize", "--dir", str(tmp_path / "runs"))
     assert summarized.returncode == 0, summarized.stderr
     assert "telescoping identity verified on all runs" in summarized.stdout
+    assert gp_stack_modules(loaded_modules(summarized)) == []

@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
 from gpts import gp
-from gpts.errors import InvalidArgumentError
+from gpts.errors import InvalidArgumentError, NumericalError
 
 
 def matern52_scalar(x, x2, ls, out):
@@ -82,26 +82,26 @@ BOTH_KERNELS_AND_MEANS = pytest.mark.parametrize(
 class TestKernels:
     def test_se_at_zero_distance(self):
         spec = gp.KernelSpec(gp.SQUARED_EXPONENTIAL, (1.0,), 1.0)
-        assert gp.kernel_eval(spec, [0.1], [0.1]) == 1.0
+        assert gp.kernel_matrix(spec, [[0.1]], [[0.1]])[0, 0] == 1.0
 
     def test_se_unit_distance(self):
         spec = gp.KernelSpec(gp.SQUARED_EXPONENTIAL, (1.0,), 1.0)
-        assert gp.kernel_eval(spec, [0.0], [1.0]) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert gp.kernel_matrix(spec, [[0.0]], [[1.0]])[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_matern52_against_scalar_formula(self):
         spec = gp.KernelSpec(gp.MATERN52, (0.2,), 2.0)
         expected = matern52_scalar(0.05, 0.45, 0.2, 2.0)
-        assert gp.kernel_eval(spec, [0.05], [0.45]) == pytest.approx(expected, abs=1e-12)
+        assert gp.kernel_matrix(spec, [[0.05]], [[0.45]])[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry_in_arguments(self):
         spec = gp.KernelSpec(gp.MATERN52, (0.2, 0.5), 1.3)
         a, b = [0.1, 0.9], [0.7, 0.2]
-        assert gp.kernel_eval(spec, a, b) == gp.kernel_eval(spec, b, a)
+        assert gp.kernel_matrix(spec, [a], [b])[0, 0] == gp.kernel_matrix(spec, [b], [a])[0, 0]
 
     def test_dimension_mismatch(self):
         spec = gp.KernelSpec(gp.MATERN52, (0.2, 0.5), 1.0)
         with pytest.raises(InvalidArgumentError):
-            gp.kernel_eval(spec, [0.1], [0.2])
+            gp.kernel_matrix(spec, [[0.1]], [[0.2]])[0, 0]
 
     @given(
         st.lists(st.floats(-5, 5), min_size=2, max_size=6),
@@ -192,7 +192,7 @@ class TestLogMarginalLikelihood:
 class TestPosterior:
     def test_empty_data_reproduces_prior(self):
         hp = make_hp(ls=(0.25,), out=1.2, noise=0.05, mean_family="constant", mean_const=0.7)
-        post = gp.posterior(hp, gp.RegressionData.empty(1))
+        post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
         Q = np.array([[0.1], [0.4], [0.9]])
         mean, cov = post.predict(Q)
         assert np.array_equal(mean, np.full(3, 0.7))
@@ -201,7 +201,7 @@ class TestPosterior:
     def test_noiseless_interpolation(self):
         hp = make_hp(noise=gp.NOISE_VARIANCE_FLOOR)
         data = gp.RegressionData([[0.3]], [1.7])
-        post = gp.posterior(hp, data)
+        post = gp.PosteriorGp(hp, data)
         mean, cov = post.predict([[0.3]])
         assert mean[0] == pytest.approx(1.7, abs=1e-4)
         assert cov[0, 0] == pytest.approx(0.0, abs=1e-4)
@@ -216,7 +216,7 @@ class TestPosterior:
             hp = make_hp(ls=rng.uniform(0.1, 0.8, d), out=float(rng.uniform(0.3, 2)),
                          noise=float(rng.uniform(0.01, 0.3)),
                          mean_family="constant", mean_const=float(rng.normal()))
-            post = gp.posterior(hp, gp.RegressionData(X, y))
+            post = gp.PosteriorGp(hp, gp.RegressionData(X, y))
             mean, cov = post.predict(Q)
             emean, ecov = dense_posterior(hp, X, y, Q)
             np.testing.assert_allclose(mean, emean, atol=1e-8)
@@ -230,7 +230,7 @@ class TestPosterior:
             X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 25)))
             Q = np.vstack([X[:2], rng.uniform(0, 1, (3, d))])
             hp = random_hp(rng, d, family, mean_family)
-            mean, cov = gp.posterior(hp, gp.RegressionData(X, y)).predict(Q)
+            mean, cov = gp.PosteriorGp(hp, gp.RegressionData(X, y)).predict(Q)
             emean, ecov = dense_posterior(hp, X, y, Q)
             np.testing.assert_allclose(mean, emean, atol=1e-8)
             np.testing.assert_allclose(cov, ecov, atol=1e-8)
@@ -239,7 +239,7 @@ class TestPosterior:
         hp = make_hp(ls=(0.05,), out=1.3, noise=0.01,
                      mean_family="constant", mean_const=0.4)
         data = gp.RegressionData([[0.0], [0.1]], [2.0, 1.0])
-        post = gp.posterior(hp, data)
+        post = gp.PosteriorGp(hp, data)
         mean, cov = post.predict([[50.0]])
         assert mean[0] == pytest.approx(0.4, abs=1e-6)
         assert cov[0, 0] == pytest.approx(1.3, abs=1e-6)
@@ -247,7 +247,7 @@ class TestPosterior:
     def test_duplicate_queries_identical_rows(self):
         hp = make_hp()
         data = gp.RegressionData([[0.2], [0.5]], [1.0, -1.0])
-        post = gp.posterior(hp, data)
+        post = gp.PosteriorGp(hp, data)
         mean, cov = post.predict([[0.3], [0.3]])
         assert mean[0] == mean[1]
         np.testing.assert_allclose(cov[0], cov[1], atol=1e-12)
@@ -261,7 +261,7 @@ class TestPosterior:
         X = np.linspace(0.1, 0.9, 5)[:, None]
         y = rng.uniform(-0.99, 0.99, 5)
         hp = make_hp(ls=(0.02,), noise=gp.NOISE_VARIANCE_FLOOR)
-        post = gp.posterior(hp, gp.RegressionData(X, y))
+        post = gp.PosteriorGp(hp, gp.RegressionData(X, y))
         mean, _ = post.predict(X)
         np.testing.assert_allclose(mean, y, atol=1e-6)
 
@@ -272,7 +272,7 @@ class TestPosterior:
         X = rng.uniform(0, 1, (6, 2))
         y = rng.normal(0, 1, 6)
         hp = make_hp(ls=(0.2, 0.2), noise=gp.NOISE_VARIANCE_FLOOR)
-        post = gp.posterior(hp, gp.RegressionData(X, y))
+        post = gp.PosteriorGp(hp, gp.RegressionData(X, y))
         _, cov = post.predict(rng.uniform(0, 1, (4, 2)))
         assert np.all(np.diag(cov) >= 0.0)
 
@@ -280,7 +280,7 @@ class TestPosterior:
 class TestSampleJoint:
     def test_deterministic_given_seed(self):
         hp = make_hp()
-        post = gp.posterior(hp, gp.RegressionData([[0.2]], [1.0]))
+        post = gp.PosteriorGp(hp, gp.RegressionData([[0.2]], [1.0]))
         Q = [[0.1], [0.3], [0.8]]
         s1 = post.sample_joint(Q, np.random.default_rng(42))
         s2 = post.sample_joint(Q, np.random.default_rng(42))
@@ -288,21 +288,21 @@ class TestSampleJoint:
 
     def test_degenerate_covariance_returns_mean(self):
         hp = make_hp(out=1e-16, mean_family="constant", mean_const=0.9)
-        post = gp.posterior(hp, gp.RegressionData.empty(1))
+        post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
         sample = post.sample_joint([[0.3], [0.6]], np.random.default_rng(0))
         mean, _ = post.predict([[0.3], [0.6]])
         assert np.array_equal(sample, mean)
 
     def test_near_interpolation_sample_close_to_mean(self):
         hp = make_hp(noise=gp.NOISE_VARIANCE_FLOOR)
-        post = gp.posterior(hp, gp.RegressionData([[0.3]], [1.7]))
+        post = gp.PosteriorGp(hp, gp.RegressionData([[0.3]], [1.7]))
         mean, cov = post.predict([[0.3]])
         sample = post.sample_joint([[0.3]], np.random.default_rng(0))
         assert abs(sample[0] - mean[0]) < 5 * math.sqrt(cov[0, 0]) + 1e-12
 
     def test_monte_carlo_mean(self):
         hp = make_hp(ls=(0.3,), out=1.0, noise=0.1)
-        post = gp.posterior(hp, gp.RegressionData([[0.2], [0.6]], [1.0, -0.5]))
+        post = gp.PosteriorGp(hp, gp.RegressionData([[0.2], [0.6]], [1.0, -0.5]))
         Q = [[0.1], [0.4], [0.9]]
         mean, cov = post.predict(Q)
         rng = np.random.default_rng(5)
@@ -310,6 +310,83 @@ class TestSampleJoint:
         samples = np.array([post.sample_joint(Q, rng) for _ in range(n)])
         se = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(samples.mean(axis=0) - mean) < 3 * se + 1e-12)
+
+
+def parent_sample_joint(mean, cov, rng):
+    # the sampling ladder as it was written before it shared one helper
+    # with the likelihood factor
+    scale = float(np.max(np.diag(cov)))
+    jitter = 1e-12 * max(scale, 1.0)
+    eye = np.eye(cov.shape[0])
+    while jitter <= 1e-2:
+        try:
+            L = np.linalg.cholesky(cov + jitter * eye)
+            break
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    else:
+        raise NumericalError("posterior covariance could not be factorized for sampling")
+    return mean + L @ rng.standard_normal(mean.shape[0]), jitter
+
+
+def indefinite_cov(rng, m, smallest):
+    # a symmetric matrix with eigenvalues in [0.1, 2) and one at ``smallest``
+    Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    cov = (Q * np.append(rng.uniform(0.1, 2.0, m - 1), smallest)) @ Q.T
+    return 0.5 * (cov + cov.T)
+
+
+class TestSamplingJitterLadder:
+    def test_sample_past_first_rung_is_bit_identical(self, monkeypatch):
+        post = gp.PosteriorGp(make_hp(), gp.RegressionData([[0.2]], [1.0]))
+        rng = np.random.default_rng(8)
+        rungs = set()
+        # the first case factors at the first rung, the others only above it
+        for m, smallest in [(6, 1e-3), (5, -3e-10), (12, -4e-9), (30, -2e-7), (8, -5e-4)]:
+            mean = rng.normal(size=m)
+            cov = indefinite_cov(rng, m, smallest)
+            if smallest < 0:
+                with pytest.raises(np.linalg.LinAlgError):
+                    first_rung = 1e-12 * max(float(np.max(np.diag(cov))), 1.0)
+                    np.linalg.cholesky(cov + first_rung * np.eye(m))
+            monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q: (mean, cov))
+            expected, jitter = parent_sample_joint(mean, cov, np.random.default_rng(m))
+            got = post.sample_joint(np.zeros((m, 1)), np.random.default_rng(m))
+            assert np.array_equal(got, expected)
+            rungs.add(jitter)
+        assert len(rungs) == 5  # each case stops at a different rung
+
+    def test_exhausted_ladder_raises(self, monkeypatch):
+        cov = indefinite_cov(np.random.default_rng(9), 6, -0.5)
+        monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q: (np.zeros(6), cov))
+        post = gp.PosteriorGp(make_hp(), gp.RegressionData.empty(1))
+        with pytest.raises(NumericalError, match="could not be factorized for sampling"):
+            post.sample_joint(np.zeros((6, 1)), np.random.default_rng(0))
+
+    def test_likelihood_factor_past_first_rung_is_bit_identical(self):
+        # near-duplicate inputs and no noise: the larger the output scale,
+        # the further up the ladder the collapsed factor has to go
+        X = np.array([[0.3 + o] for o in (0, 1e-12, 2e-12, 3e-9, 1e-6, 2e-6)] * 2)
+        reps = gp.RegressionData(X, np.zeros(len(X)))._replicates
+        noises = set()
+        for out in (1e6, 1e8, 1e10, 1e12):
+            hp = make_hp(ls=(1.0,), out=out, noise=1e-20, family=gp.SQUARED_EXPONENTIAL)
+            # the collapsed factor as it was written before the shared helper
+            K = gp.kernel_matrix(hp.kernel, reps.inputs)
+            K[np.diag_indices_from(K)] += hp.noise_variance / reps.counts
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(K)
+            jitter = 1e-8
+            while True:
+                try:
+                    L = np.linalg.cholesky(K + np.diag(jitter / reps.counts))
+                    break
+                except np.linalg.LinAlgError:
+                    jitter *= 10.0
+            got_L, got_noise = gp._collapsed_factor(hp, reps)
+            assert np.array_equal(got_L, L) and got_noise == hp.noise_variance + jitter
+            noises.add(got_noise)
+        assert len(noises) == 4  # each case stops at a different rung
 
 
 class TestFit:

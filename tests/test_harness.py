@@ -11,8 +11,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from gpts import bandit, cli, environments as envs, harness
-from gpts.errors import ConfigError, DataError, InvalidArgumentError
+from gpts import bandit, cli, environments as envs, gp, harness, report
+from gpts.errors import ConfigError, DataError, InvalidArgumentError, NumericalError
 
 
 def small_config(tmp_path, **overrides):
@@ -282,6 +282,48 @@ class TestRunExperiment:
         summary = list(csv.DictReader((out / "summary.csv").open()))
         assert {row["n"] for row in summary} == {"1"}
 
+    def test_numerical_failure_ends_only_its_run(self, tmp_path, monkeypatch):
+        # GP-TS seed 0 cannot sample its posterior at interaction 3
+        current = {"seed": None, "samples": 0}
+        make, sample = harness._make_environment, gp.PosteriorGp.sample_joint
+
+        def make_env(env_cfg, space, env_seed):
+            current.update(seed=env_seed - harness.DEFAULT_ENV_SEED_OFFSET, samples=0)
+            return make(env_cfg, space, env_seed)
+
+        def sample_joint(post, queries, rng):
+            current["samples"] += 1
+            if current["seed"] == 0 and current["samples"] == 3:
+                raise NumericalError("posterior covariance could not be factorized for sampling")
+            return sample(post, queries, rng)
+
+        monkeypatch.setattr(harness, "_make_environment", make_env)
+        monkeypatch.setattr(gp.PosteriorGp, "sample_joint", sample_joint)
+        path, raw = small_config(
+            tmp_path, policies=[{"kind": "gp_ts"}, {"kind": "uniform_random"}], seeds=[0, 1]
+        )
+        error = "interaction 3: numerical: posterior covariance could not be factorized for sampling"
+        result = harness.run_experiment(harness.load_config(path))
+        assert [(f["policy"], f["seed"], f["error"]) for f in result["failures"]] == [
+            ("gp_ts", 0, error)
+        ]
+        assert len(result["runs"]) == 4
+        out = Path(raw["output_dir"])
+        partial = list(csv.DictReader((out / "run_gp_ts_seed0.csv").open()))
+        assert [r["interaction"] for r in partial] == ["0", "1", "2"]
+        for label, seed in [("gp_ts", 1), ("uniform_random", 0), ("uniform_random", 1)]:
+            rows = list(csv.DictReader((out / f"run_{label}_seed{seed}.csv").open()))
+            assert len(rows) == 1 + 5
+        summary = list(csv.DictReader((out / "summary.csv").open()))
+        assert {(row["policy"], row["n"]) for row in summary} == {
+            ("gp_ts", "1"),
+            ("uniform_random", "2"),
+        }
+
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 3
+        assert f"FAILED gp_ts seed 0: {error}" in res.output
+
 
 class TestSummarize:
     def test_report_over_generated_runs(self, tmp_path):
@@ -331,7 +373,7 @@ class TestSummarize:
         path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}])
         cfg = harness.load_config(path)
         harness.run_experiment(cfg)
-        text = harness.format_report(harness.summarize(raw["output_dir"]))
+        text = report.format_report(harness.summarize(raw["output_dir"]))
         assert "uniform_random" in text
         assert "telescoping identity verified" in text
 
