@@ -27,7 +27,6 @@ pre-training simulator, for tests and offline development.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -237,7 +236,7 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
 # mock trainer
 
 
-def _serve(channel: _LineTransport, spec: SyntheticPretrainSpec, default_seed: int) -> int:
+def _serve(channel: _LineTransport) -> int:
     env: SyntheticPretrainEnv | None = None
     arm_names: tuple[str, ...] = ()
     last_t = 0
@@ -274,12 +273,12 @@ def _serve(channel: _LineTransport, spec: SyntheticPretrainSpec, default_seed: i
                 continue
             config = msg.get("config") or {}
             try:
-                env_spec = dataclasses.replace(spec, **config.get("synthetic", {}))
+                env_spec = SyntheticPretrainSpec(**config.get("synthetic", {}))
             except (InvalidArgumentError, TypeError) as exc:
                 error("bad_config", str(exc))
                 continue
             arm_names = tuple(msg.get("arm_names") or ())
-            env = SyntheticPretrainEnv(env_spec, seed=int(config.get("seed", default_seed)))
+            env = SyntheticPretrainEnv(env_spec, seed=int(config.get("seed", 0)))
             obs = env.init()
             last_t = 0
             send(
@@ -324,17 +323,14 @@ def _serve(channel: _LineTransport, spec: SyntheticPretrainSpec, default_seed: i
         error("unknown_type", f"unknown message type {mtype!r}")
 
 
-def mock_trainer_main(
-    spec: SyntheticPretrainSpec | None = None,
-    transport: str = "stdio",
-    seed: int = 0,
-) -> int:
-    """Serve the wire protocol backed by the synthetic simulator.
+def mock_trainer_main(transport: str = "stdio") -> int:
+    """Serve the wire protocol backed by the synthetic simulator, set up
+    from each Init message's config: its ``synthetic`` section over the
+    ``SyntheticPretrainSpec`` defaults, and its ``seed`` (default 0).
 
     ``transport`` is ``"stdio"`` or ``"tcp:PORT"`` (listen on localhost,
     single connection). Returns the process exit code.
     """
-    spec = spec or SyntheticPretrainSpec()
     if transport == "stdio":
         channel = _LineTransport(0, 1, lambda: None)
     elif transport.startswith("tcp:"):
@@ -345,6 +341,6 @@ def mock_trainer_main(
     else:
         raise InvalidArgumentError(f"unknown transport: {transport!r}")
     try:
-        return _serve(channel, spec, seed)
+        return _serve(channel)
     finally:
         channel.close()

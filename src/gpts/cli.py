@@ -18,7 +18,6 @@ import sys
 import click
 
 from . import bridge
-from .environments import SyntheticPretrainSpec
 from .errors import BridgeError, ConfigError, DataError
 
 EXIT_CONFIG = 2
@@ -79,26 +78,12 @@ def summarize(run_dir):
 
 @main.command("mock-trainer")
 @click.option("--transport", default="stdio", help="stdio or tcp:<port>.")
-@click.option("--seed", default=0, type=int, help="Environment seed unless the Init config sets one.")
-@click.option("--initial-loss", default=10.0, type=float)
-@click.option("--floor", default=1.5, type=float)
-@click.option("--optimum", default="0.3", help="Comma-separated coordinates of the best arm.")
-@click.option("--width", default="0.08", help="Comma-separated efficiency widths per dimension.")
-@click.option("--rate", default=0.3, type=float)
-@click.option("--noise-sd", default=0.05, type=float)
-def mock_trainer(transport, seed, initial_loss, floor, optimum, width, rate, noise_sd):
-    """Serve the trainer wire protocol backed by the synthetic simulator."""
+def mock_trainer(transport):
+    """Serve the trainer wire protocol backed by the synthetic simulator,
+    set up by each Init message's config."""
     try:
-        spec = SyntheticPretrainSpec(
-            initial_loss=initial_loss,
-            floor=floor,
-            optimum=tuple(float(v) for v in optimum.split(",")),
-            width=tuple(float(v) for v in width.split(",")),
-            rate=rate,
-            noise_sd=noise_sd,
-        )
-        code = bridge.mock_trainer_main(spec, transport=transport, seed=seed)
-    except (ConfigError, ValueError) as exc:
+        code = bridge.mock_trainer_main(transport=transport)
+    except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     except (OSError, BridgeError) as exc:

@@ -15,6 +15,11 @@ Ludkovski 2018), and makes each factorization k x k however many
 observations there are. Inputs count as the same only when they are
 exactly equal, as repeated grid arms are.
 
+There is one likelihood path: one distance formula, exactly symmetric;
+one factorization of K_UU + noise * diag(1/n) for the likelihood, the
+fit and the posterior; and a fit objective that is exactly the negative
+log marginal likelihood, so fitted points need no re-scoring.
+
 All positive hyperparameters are handled in log space during fitting.
 Every Cholesky factorization recovers from a near-singular matrix on one
 jitter ladder, in tenfold steps up to 1e-2: from 1e-8 for the likelihood
@@ -66,6 +71,8 @@ NOISE_VARIANCE_FLOOR = 1e-6
 _JITTER_START = 1e-8
 _JITTER_MAX = 1e-2
 _LOG_PARAM_BOUND = 12.0
+# Fit objective of hyperparameters whose matrix does not factor at all.
+_FAILED_FIT_VALUE = 1e25
 
 
 @dataclass(frozen=True)
@@ -179,16 +186,19 @@ def _as_matrix(points, dim: int | None = None) -> np.ndarray:
     return X
 
 
-def _scaled_sqdist(X: np.ndarray, X2: np.ndarray, lengthscales) -> np.ndarray:
-    ls = np.asarray(lengthscales, dtype=float)
-    A = X / ls
-    B = X2 / ls
-    d2 = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    return np.maximum(d2, 0.0)
+def _sqdist(X: np.ndarray, X2: np.ndarray, lengthscales) -> np.ndarray:
+    """Squared scaled distances, ((x_j - x'_j) / l_j)^2 summed one dimension
+    at a time. Each term is the same for (x, x') and (x', x) and zero for
+    equal points: a Gram matrix comes out exactly symmetric."""
+    d2 = 0.0
+    for x, x2, ls in zip(X.T, X2.T, lengthscales):
+        term = x[:, None] - x2
+        term /= ls
+        term *= term
+        # term + d2 == d2 + term exactly; in place it allocates no new array
+        term += d2
+        d2 = term
+    return d2
 
 
 def _kernel_from_sqdist(family: str, output_scale: float, d2: np.ndarray) -> np.ndarray:
@@ -200,20 +210,15 @@ def _kernel_from_sqdist(family: str, output_scale: float, d2: np.ndarray) -> np.
 
 
 def kernel_matrix(spec: KernelSpec, X, X2=None) -> np.ndarray:
-    """Kernel Gram/cross matrix.
+    """Kernel Gram matrix of X (``X2=None``) or cross matrix of X and X2.
 
-    With ``X2=None`` the Gram matrix is mirrored from its lower triangle
-    (bit-exact symmetry) and the diagonal is set exactly to the output
-    scale (the kernels here are stationary).
+    The Gram matrix needs no mirroring: the distances are exactly
+    symmetric, so it is too, and its diagonal is exactly the output scale
+    (the kernels here are stationary).
     """
     X = _as_matrix(X, spec.dim)
-    symmetric = X2 is None
-    X2m = X if symmetric else _as_matrix(X2, spec.dim)
-    K = _kernel_from_sqdist(spec.family, spec.output_scale, _scaled_sqdist(X, X2m, spec.lengthscales))
-    if symmetric:
-        K = np.tril(K) + np.tril(K, -1).T
-        np.fill_diagonal(K, spec.output_scale)
-    return K
+    X2 = X if X2 is None else _as_matrix(X2, spec.dim)
+    return _kernel_from_sqdist(spec.family, spec.output_scale, _sqdist(X, X2, spec.lengthscales))
 
 
 def mean_vector(mean: MeanSpec, X) -> np.ndarray:
@@ -256,21 +261,29 @@ class _Replicates:
 
 def _collapsed_factor(hp: GpHyperparams, reps: _Replicates) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K_UU + noise * diag(1/n) over the distinct
-    inputs, and the noise variance it was factored at.
+    inputs, and the noise variance it was factored at (see ``_factor``)."""
+    k = hp.kernel
+    return _factor(k.family, k.lengthscales, k.output_scale, hp.noise_variance, reps)
+
+
+def _factor(family: str, lengthscales, output_scale: float, noise: float, reps: _Replicates):
+    """The one factorization behind the likelihood, the fit and the
+    posterior: the lower Cholesky factor of K_UU + noise * diag(1/n), and
+    the noise variance it was factored at.
 
     On failure the jitter ladder adds escalating extra noise variance, as
     jitter/n on the diagonal, and the returned noise includes it.
     """
-    K = kernel_matrix(hp.kernel, reps.inputs)
-    K[np.diag_indices_from(K)] += hp.noise_variance / reps.counts
+    K = _kernel_from_sqdist(family, output_scale, _sqdist(reps.inputs, reps.inputs, lengthscales))
+    n = K.shape[0]
+    K.flat[:: n + 1] += noise / reps.counts
     try:
-        return np.linalg.cholesky(K), hp.noise_variance
+        return np.linalg.cholesky(K), noise
     except np.linalg.LinAlgError:
         pass
-    n = K.shape[0]
     message = f"Cholesky failed for {n}x{n} matrix even with jitter up to {_JITTER_MAX:g}"
     L, jitter = _jittered_cholesky(K, _JITTER_START, reps.counts, message)
-    return L, hp.noise_variance + jitter
+    return L, noise + jitter
 
 
 def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str):
@@ -344,50 +357,48 @@ def _pack(hp: GpHyperparams) -> np.ndarray:
     return np.array(vec)
 
 
-def _unpack(vec: np.ndarray, template: GpHyperparams) -> GpHyperparams:
+def _unpacked_values(vec: np.ndarray, template: GpHyperparams):
+    """Lengthscales, output scale, noise variance and mean constant of a
+    packed vector: the log-parameters clamped to +-_LOG_PARAM_BOUND, the
+    noise floored at NOISE_VARIANCE_FLOOR, and a mean of 0.0 for a zero
+    mean. ``_unpack`` and the fit objective both read vectors through this.
+    """
     d = template.kernel.dim
-    logs = np.clip(vec[: d + 2], -_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)
-    lengthscales = tuple(float(v) for v in np.exp(logs[:d]))
-    output_scale = float(math.exp(logs[d]))
-    noise = max(float(math.exp(logs[d + 1])), NOISE_VARIANCE_FLOOR)
-    kernel = replace(template.kernel, lengthscales=lengthscales, output_scale=output_scale)
+    # np.minimum/np.maximum give np.clip's values at a fraction of its call cost
+    logs = np.minimum(np.maximum(vec[: d + 2], -_LOG_PARAM_BOUND), _LOG_PARAM_BOUND)
+    noise = max(math.exp(logs[d + 1]), NOISE_VARIANCE_FLOOR)
+    mean = float(vec[d + 2]) if template.mean.family == "constant" else 0.0
+    return np.exp(logs[:d]), math.exp(logs[d]), noise, mean
+
+
+def _unpack(vec: np.ndarray, template: GpHyperparams) -> GpHyperparams:
+    ls, output_scale, noise, mean_value = _unpacked_values(vec, template)
+    kernel = replace(template.kernel, lengthscales=tuple(ls.tolist()), output_scale=output_scale)
     mean = template.mean
     if mean.family == "constant":
-        mean = replace(mean, constant_value=float(vec[d + 2]))
+        mean = replace(mean, constant_value=mean_value)
     return GpHyperparams(mean=mean, kernel=kernel, noise_variance=noise)
 
 
 def _fit_objective(data: RegressionData, template: GpHyperparams):
     """Negative log marginal likelihood over packed log-parameters.
 
-    Squared differences between the distinct inputs are precomputed per
-    dimension once, so each evaluation only rescales them by the
-    candidate lengthscales and factors a k x k matrix. The likelihood is
-    log_marginal_likelihood's, without its jitter ladder: a matrix that
-    does not factor scores 1e25. Used only to steer the search;
-    candidates are re-scored with log_marginal_likelihood before
-    acceptance.
+    Exactly ``-log_marginal_likelihood(_unpack(vec, template), data)``:
+    the same unpacking, the same factor with its jitter ladder and the
+    same likelihood, so the value a search ends on is the LML of the
+    hyperparameters it returns. Only a matrix that does not factor even
+    at the top of the ladder scores ``_FAILED_FIT_VALUE``.
     """
     reps = data._replicates
-    U = reps.inputs
-    d = template.kernel.dim
-    diffs = U[:, None, :] - U[None, :, :]
-    sq = diffs * diffs  # (k, k, d)
     family = template.kernel.family
-    has_mean = template.mean.family == "constant"
-    diag_step = U.shape[0] + 1
 
     def neg_lml(vec: np.ndarray) -> float:
-        logs = np.minimum(np.maximum(vec[: d + 2], -_LOG_PARAM_BOUND), _LOG_PARAM_BOUND)
-        K = _kernel_from_sqdist(family, math.exp(logs[d]), sq @ np.exp(-2.0 * logs[:d]))
-        noise = max(math.exp(logs[d + 1]), NOISE_VARIANCE_FLOOR)
-        K.flat[::diag_step] += noise / reps.counts
+        lengthscales, output_scale, noise, mean_value = _unpacked_values(vec, template)
         try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            return 1e25
-        resid = reps.means - vec[d + 2] if has_mean else reps.means
-        return -_collapsed_lml(L, noise, resid, reps)
+            L, noise = _factor(family, lengthscales, output_scale, noise, reps)
+        except NumericalError:
+            return _FAILED_FIT_VALUE
+        return -_collapsed_lml(L, noise, reps.means - mean_value, reps)
 
     return neg_lml
 
@@ -457,14 +468,13 @@ def fit_type2_mle(
             )
         except (FloatingPointError, ValueError):
             continue
-        cand = _unpack(np.asarray(res.x), init)
-        try:
-            val = log_marginal_likelihood(cand, data)
-        except NumericalError:
+        if res.fun >= _FAILED_FIT_VALUE:
             continue
+        # the objective is exactly -LML at the point it unpacks to
+        val = -float(res.fun)
         if val > best_val:
             best_val = val
-            best_hp = cand
+            best_hp = _unpack(np.asarray(res.x), init)
     return best_hp
 
 
@@ -506,7 +516,10 @@ class PosteriorGp:
     def predict(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean vector and covariance matrix at the query points.
 
-        The covariance is symmetrized and its diagonal clamped at zero.
+        The covariance is exactly symmetric without symmetrizing: the prior
+        Gram matrix is, and numpy computes ``V.T @ V`` with BLAS ``syrk``,
+        which fills one triangle and mirrors it. Its diagonal is clamped at
+        zero.
         """
         Q = _as_matrix(queries, self.hyperparams.kernel.dim)
         if Q.shape[0] == 0:
@@ -519,9 +532,7 @@ class PosteriorGp:
         mean = prior_mean + Ks.T @ self.alpha
         V = _solve_chol(self.chol_factor, Ks)
         cov = Kqq - V.T @ V
-        cov = 0.5 * (cov + cov.T)
-        diag = np.diag(cov).copy()
-        np.fill_diagonal(cov, np.maximum(diag, 0.0))
+        np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
         return mean, cov
 
     def sample_joint(self, queries, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,8 @@ CSV of its partial history, and the sibling runs still complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -48,14 +49,15 @@ class PolicySpec:
 @dataclass
 class ExperimentConfig:
     arm_dims: list[bandit.GridDim]
+    space: bandit.ArmSpace
     policies: list[PolicySpec]
     environment: dict
     T: int
     u: int
     seeds: list[int]
     output_dir: Path
-    gp_init: dict = field(default_factory=dict)
-    fit: dict = field(default_factory=dict)
+    gp_init: gp.GpHyperparams
+    fit_budget: gp.FitBudget
     env_seed_offset: int = DEFAULT_ENV_SEED_OFFSET
 
     def __post_init__(self):
@@ -101,6 +103,9 @@ def default_config_dict() -> dict:
 
 
 def _parse_config(raw: dict) -> ExperimentConfig:
+    """Parse and validate a config, building the arm grid, the GP's
+    initial hyperparameters and the fit budget, so any invalid value is a
+    ``ConfigError`` before a run starts."""
     try:
         dims = [
             bandit.GridDim(
@@ -115,16 +120,24 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             PolicySpec(kind=str(p["kind"]), arm_index=p.get("arm_index"))
             for p in raw["policies"]
         ]
+        space = bandit.make_grid(dims)
+        fit = dict(raw.get("fit", {}))
         cfg = ExperimentConfig(
             arm_dims=dims,
+            space=space,
             policies=policies,
             environment=dict(raw["environment"]),
             T=int(raw["T"]),
             u=int(raw["u"]),
             seeds=[int(s) for s in raw["seeds"]],
             output_dir=Path(raw.get("output_dir", "runs")),
-            gp_init=dict(raw.get("gp", {})),
-            fit=dict(raw.get("fit", {})),
+            gp_init=_gp_init_from_config(dict(raw.get("gp", {})), space.ndim),
+            # operator.index takes integers only, so 2.5 or "2" is an error
+            fit_budget=gp.FitBudget(
+                restarts=operator.index(fit.get("restarts", 2)),
+                max_evals=operator.index(fit.get("max_evals", 60)),
+                seed=operator.index(fit.get("seed", 0)),
+            ),
             env_seed_offset=int(raw.get("env_seed_offset", DEFAULT_ENV_SEED_OFFSET)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -155,10 +168,10 @@ def load_config(path) -> ExperimentConfig:
 
 def _gp_init_from_config(gp_cfg: dict, ndim: int) -> gp.GpHyperparams:
     base = bandit.default_gp_hyperparams(ndim)
-    if not gp_cfg:
-        return base
     ls = gp_cfg.get("lengthscale", base.kernel.lengthscales[0])
-    lengthscales = tuple(ls) if isinstance(ls, (list, tuple)) else (float(ls),) * ndim
+    lengthscales = tuple(map(float, ls)) if isinstance(ls, (list, tuple)) else (float(ls),) * ndim
+    if len(lengthscales) != ndim:
+        raise ConfigError(f"gp.lengthscale needs one value per arm dimension ({ndim})")
     return gp.GpHyperparams(
         mean=gp.MeanSpec(
             family="constant",
@@ -232,32 +245,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     seeds = list(seeds) if seeds is not None else cfg.seeds
 
-    space = bandit.make_grid(cfg.arm_dims)
-    gp_init = _gp_init_from_config(cfg.gp_init, space.ndim)
-    fit_budget = gp.FitBudget(
-        restarts=int(cfg.fit.get("restarts", 2)),
-        max_evals=int(cfg.fit.get("max_evals", 60)),
-        seed=int(cfg.fit.get("seed", 0)),
-    )
-
     runs = []
     failures = []
     curves: dict[str, list[list[float]]] = {}
-    for policy in _expand_policies(cfg.policies, space):
+    for policy in _expand_policies(cfg.policies, cfg.space):
         label = policy.label()
         for seed in seeds:
             pc = bandit.PolicyConfig(
                 kind=policy.kind,
                 seed=seed,
                 fixed_arm_index=policy.arm_index if policy.kind == bandit.FIXED_ARM else None,
-                gp_init=gp_init,
-                fit_budget=fit_budget,
+                gp_init=cfg.gp_init,
+                fit_budget=cfg.fit_budget,
             )
             path = out / f"{RUN_CSV_PREFIX}{label}_seed{seed}.csv"
             try:
-                env = _make_environment(cfg.environment, space, cfg.env_seed_offset + seed)
+                env = _make_environment(cfg.environment, cfg.space, cfg.env_seed_offset + seed)
                 try:
-                    hist = bandit.run_policy(space, pc, env, cfg.T, cfg.u)
+                    hist = bandit.run_policy(cfg.space, pc, env, cfg.T, cfg.u)
                 finally:
                     if hasattr(env, "close"):
                         env.close()
@@ -266,7 +271,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
                 continue
             if hist.error is not None:
                 failures.append({"policy": label, "seed": seed, "error": hist.error})
-            write_run_csv(path, seed, label, hist, space)
+            write_run_csv(path, seed, label, hist, cfg.space)
             runs.append({"policy": label, "seed": seed, "path": str(path)})
             if hist.error is None:
                 curves.setdefault(label, []).append(hist.losses())

@@ -203,11 +203,12 @@ def summarize(run_dir) -> dict:
 def format_report(report: dict) -> str:
     lines = ["policy                     runs  final_loss(mean±sd)   cum_reward(mean)"]
     for label, st in report["policies"].items():
-        lines.append(
-            f"{label:<26} {st['runs']:>4}  "
-            f"{st['final_loss_mean']:.6f}±{st['final_loss_sd']:.6f}   "
-            f"{st['cumulative_reward_mean']:.6f}"
-        )
+        # a policy whose runs all ended before interaction 1 has no means
+        final, cum = "n/a", "n/a"
+        if st["final_loss_mean"] is not None:
+            final = f"{st['final_loss_mean']:.6f}±{st['final_loss_sd']:.6f}"
+            cum = f"{st['cumulative_reward_mean']:.6f}"
+        lines.append(f"{label:<26} {st['runs']:>4}  {final}   {cum}")
     lines.append(f"best policy by final loss: {report['best_policy']}")
     if report["telescoping_violations"]:
         lines.append("TELESCOPING VIOLATIONS:")

@@ -5,6 +5,7 @@ the tests (scalar kernel formulas, dense inverse-based posterior
 algebra, scipy's multivariate-normal density).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -104,13 +105,15 @@ class TestKernels:
             gp.kernel_matrix(spec, [[0.1]], [[0.2]])[0, 0]
 
     @given(
-        st.lists(st.floats(-5, 5), min_size=2, max_size=6),
+        st.integers(1, 3),
+        st.lists(st.lists(st.floats(-5, 5), min_size=3, max_size=3), min_size=2, max_size=6),
+        st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3),
         st.sampled_from([gp.SQUARED_EXPONENTIAL, gp.MATERN52]),
     )
     @settings(max_examples=50, deadline=None)
-    def test_gram_matrix_bit_exact_symmetry(self, xs, family):
-        spec = gp.KernelSpec(family, (0.37,), 1.4)
-        K = gp.kernel_matrix(spec, np.array(xs)[:, None])
+    def test_gram_matrix_bit_exact_symmetry(self, d, xs, lengthscales, family):
+        spec = gp.KernelSpec(family, tuple(lengthscales[:d]), 1.4)
+        K = gp.kernel_matrix(spec, np.array(xs)[:, :d])
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == spec.output_scale)
 
@@ -275,6 +278,16 @@ class TestPosterior:
         post = gp.PosteriorGp(hp, gp.RegressionData(X, y))
         _, cov = post.predict(rng.uniform(0, 1, (4, 2)))
         assert np.all(np.diag(cov) >= 0.0)
+
+    def test_covariance_exactly_symmetric_on_729_arms(self):
+        # predict does not symmetrize; this holds while V.T @ V goes to syrk
+        rng = np.random.default_rng(12)
+        grid = np.array(list(itertools.product(np.linspace(0.1, 0.9, 9), repeat=3)))
+        X = grid[rng.integers(0, len(grid), 40)]
+        hp = make_hp(ls=(0.3, 0.2, 0.5), noise=0.05, mean_family="constant")
+        _, cov = gp.PosteriorGp(hp, gp.RegressionData(X, rng.normal(size=40))).predict(grid)
+        assert cov.shape == (729, 729)
+        assert np.array_equal(cov, cov.T)
 
 
 class TestSampleJoint:
@@ -442,6 +455,52 @@ class TestFit:
         assert a == b
 
 
+class TestFitObjectiveIsLml:
+    def test_objective_is_exact_negative_lml(self):
+        rng = np.random.default_rng(41)
+        checked = clamped = 0
+        for family in (gp.SQUARED_EXPONENTIAL, gp.MATERN52):
+            for mean_family in ("zero", "constant"):
+                for d in (1, 2, 3):
+                    for replicated in (False, True):
+                        k = int(rng.integers(1, 10))
+                        if replicated:
+                            X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 60)))
+                        else:
+                            X, y = rng.uniform(0, 1, (k, d)), rng.normal(0, 1, k)
+                        data = gp.RegressionData(X, y)
+                        hp = random_hp(rng, d, family, mean_family)
+                        objective = gp._fit_objective(data, hp)
+                        x0 = gp._pack(hp)
+                        # spread wide enough that the log-parameter clamp binds
+                        for vec in [x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(45))]:
+                            lml = gp.log_marginal_likelihood(gp._unpack(vec, hp), data)
+                            assert objective(vec) == -lml
+                            checked += 1
+                            clamped += bool(np.any(np.abs(vec[: d + 2]) > gp._LOG_PARAM_BOUND))
+        assert checked >= 1000 and clamped >= 100
+
+    @pytest.mark.parametrize("family", [gp.SQUARED_EXPONENTIAL, gp.MATERN52])
+    def test_objective_is_exact_negative_lml_past_first_rung(self, family):
+        # twelve inputs 1e-13 apart with 1e5 observations each: at the
+        # largest output scale and the smallest noise the clamp allows,
+        # noise/n is below the rounding in K_UU, so the first factor fails
+        X = np.repeat(0.3 + 1e-13 * np.arange(12)[:, None], 100_000, axis=0)
+        data = gp.RegressionData(X, np.random.default_rng(5).normal(size=len(X)))
+        reps = data._replicates
+        hp = make_hp(ls=(1.0,), family=family, mean_family="constant")
+        vec = np.array([0.0, gp._LOG_PARAM_BOUND, -gp._LOG_PARAM_BOUND, 0.2])
+        unpacked = gp._unpack(vec, hp)
+        K = gp.kernel_matrix(unpacked.kernel, reps.inputs)
+        K[np.diag_indices_from(K)] += unpacked.noise_variance / reps.counts
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(K)
+        assert gp._collapsed_factor(unpacked, reps)[1] > unpacked.noise_variance
+        value = gp._fit_objective(data, hp)(vec)
+        assert value < 1e25
+        assert value == -gp.log_marginal_likelihood(unpacked, data)
+
+
 # ---------------------------------------------------------------------------
 # Bit-identity of the direct LAPACK solves. The references below are the
 # likelihood, fit objective and posterior written with scipy's
@@ -462,22 +521,16 @@ def ref_collapsed_lml(L, noise, resid, reps):
 
 def ref_fit_objective(data, template):
     reps = data._replicates
-    U = reps.inputs
     d = template.kernel.dim
-    diffs = U[:, None, :] - U[None, :, :]
-    sq = diffs * diffs
     family = template.kernel.family
     has_mean = template.mean.family == "constant"
-    diag = np.diag_indices(U.shape[0])
 
     def neg_lml(vec):
         logs = np.clip(vec[: d + 2], -gp._LOG_PARAM_BOUND, gp._LOG_PARAM_BOUND)
-        K = gp._kernel_from_sqdist(family, math.exp(logs[d]), sq @ np.exp(-2.0 * logs[:d]))
         noise = max(math.exp(logs[d + 1]), gp.NOISE_VARIANCE_FLOOR)
-        K[diag] += noise / reps.counts
         try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
+            L, noise = gp._factor(family, np.exp(logs[:d]), math.exp(logs[d]), noise, reps)
+        except NumericalError:
             return 1e25
         resid = reps.means - vec[d + 2] if has_mean else reps.means
         return -ref_collapsed_lml(L, noise, resid, reps)

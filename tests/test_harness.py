@@ -413,6 +413,33 @@ class TestCli:
         res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert res.exit_code == 2, res.output
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"arm_space": [{"name": "rho", "lower": 0.0, "upper": 0.05, "step": 0.05}]},
+            {"gp": {"lengthscale": -0.1}},
+            {"gp": {"kernel": "cubic"}},
+            {"fit": {"restarts": 2.5}},
+        ],
+    )
+    def test_invalid_config_value_exits_2(self, tmp_path, overrides):
+        path, _ = small_config(tmp_path, seeds=[0], **overrides)
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error: invalid experiment config" in res.output
+
+    def test_summarize_policy_without_interactions(self, tmp_path):
+        # what a run that fails at interaction 1 leaves: the initial row only
+        (tmp_path / "run_gp_ts_seed0.csv").write_text(
+            "seed,policy,interaction,arm_rho,val_loss,reward,cumulative_reward,"
+            "gp_lengthscales,gp_output_scale,gp_noise_variance,gp_mean_constant\n"
+            "0,gp_ts,0,,10.0,,0.0,,,,\n"
+        )
+        res = CliRunner().invoke(cli.main, ["summarize", "--dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert f"{'gp_ts':<26}    1  n/a   n/a" in res.output.splitlines()
+
     def test_summarize_empty_dir_exits_3(self, tmp_path):
         res = CliRunner().invoke(cli.main, ["summarize", "--dir", str(tmp_path)])
         assert res.exit_code == 3
