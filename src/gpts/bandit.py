@@ -190,7 +190,9 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
     GP-TS: per interaction, sample the reward posterior jointly over the
     arms, play the argmax, observe the loss, convert it to a reward, and
     refit the GP on the full history (warm-started from the previous
-    fit, which is kept whenever refitting fails or degrades). Baselines
+    fit, which is kept whenever refitting fails or degrades) for the next
+    selection: from the second interaction on, and not after the last, so
+    a run of T interactions fits T - 2 times. Baselines
     replace the selection step and maintain no GP.
 
     Environment failures (a replay gap included) and a GP posterior that
@@ -244,8 +246,10 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
 
         if cfg.kind == GP_TS:
             hist.gp_trace.append(theta)
-            data = gp.RegressionData(hist.arms, hist.rewards())
-            if t >= 2:
-                theta = gp.fit_type2_mle(data, theta, cfg.fit_budget)
+            # after the last interaction no selection reads data or theta
+            if t < T:
+                data = gp.RegressionData(hist.arms, hist.rewards())
+                if t >= 2:
+                    theta = gp.fit_type2_mle(data, theta, cfg.fit_budget)
 
     return hist

@@ -29,10 +29,16 @@ times the largest variance for a joint sample.
 
 Triangular solves call LAPACK ``trtrs`` directly, as scipy's
 ``solve_triangular`` does inside its argument checking, so they give the
-same bits at a fraction of the overhead for these small factors. The
-Cholesky factor stays numpy's: scipy's ``potrf`` links a different BLAS
-build whose factors differ in the last bits, which would move fits and
-the arms they choose.
+same bits at a fraction of the overhead for these small factors. The two
+Cholesky factorizations use different routines. The k x k factor behind
+the likelihood, the fit and the posterior is numpy's: scipy's ``potrf``
+links a different BLAS build whose factors differ in the last bits, and
+on an ill-posed fit (a lengthscale far below the grid step leaves the
+likelihood flat) such bits move the fitted point and the arms it
+chooses. The m x m factor of a joint sample calls scipy's LAPACK
+``potrf`` in place: at 729 arms that takes about 9 ms against about 18 ms
+through ``np.linalg.cholesky`` (one BLAS thread), and a last-bit change
+there only perturbs one random draw.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import minimize
 
 from .errors import InvalidArgumentError, NumericalError
@@ -73,6 +79,9 @@ _JITTER_MAX = 1e-2
 _LOG_PARAM_BOUND = 12.0
 # Fit objective of hyperparameters whose matrix does not factor at all.
 _FAILED_FIT_VALUE = 1e25
+# kernel_matrix fills its output this many entries at a time (a block of
+# whole rows), so each block's elementwise chain runs in cache.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -186,39 +195,72 @@ def _as_matrix(points, dim: int | None = None) -> np.ndarray:
     return X
 
 
-def _sqdist(X: np.ndarray, X2: np.ndarray, lengthscales) -> np.ndarray:
-    """Squared scaled distances, ((x_j - x'_j) / l_j)^2 summed one dimension
-    at a time. Each term is the same for (x, x') and (x', x) and zero for
+def _sqdist(diffs, lengthscales, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared scaled distances from the per-dimension differences
+    ``diffs`` (one array of x_j - x'_j per dimension, left unchanged):
+    ((x_j - x'_j) / l_j)^2 summed one dimension at a time, into ``out``
+    when given. Each term is the same for (x, x') and (x', x) and zero for
     equal points: a Gram matrix comes out exactly symmetric."""
-    d2 = 0.0
-    for x, x2, ls in zip(X.T, X2.T, lengthscales):
-        term = x[:, None] - x2
-        term /= ls
+    terms = zip(diffs, lengthscales)
+    diff, ls = next(terms)
+    d2 = np.divide(diff, ls, out=out)
+    d2 *= d2
+    term = None
+    for diff, ls in terms:
+        term = np.divide(diff, ls, out=term)
         term *= term
-        # term + d2 == d2 + term exactly; in place it allocates no new array
-        term += d2
-        d2 = term
+        d2 += term
     return d2
 
 
 def _kernel_from_sqdist(family: str, output_scale: float, d2: np.ndarray) -> np.ndarray:
-    """Kernel values from squared lengthscale-scaled distances."""
+    """Kernel values from squared lengthscale-scaled distances.
+
+    Consumes ``d2``: the values are computed in place and ``d2`` is
+    returned. The operations are those of the textbook expressions, in
+    their order (``output_scale * exp(-0.5 d2)``, and ``output_scale *
+    (1 + s5r + 5/3 d2) * exp(-s5r)`` with s5r = sqrt(5 d2) taken as
+    sqrt(5) * sqrt(d2)), so the bits are theirs; Matern-5/2 needs two
+    buffers besides ``d2``.
+    """
     if family == SQUARED_EXPONENTIAL:
-        return output_scale * np.exp(-0.5 * d2)
-    s5r = math.sqrt(5.0) * np.sqrt(d2)
-    return output_scale * (1.0 + s5r + (5.0 / 3.0) * d2) * np.exp(-s5r)
+        d2 *= -0.5
+        np.exp(d2, out=d2)
+        d2 *= output_scale
+        return d2
+    s5r = np.sqrt(d2)
+    s5r *= math.sqrt(5.0)
+    decay = np.negative(s5r)
+    np.exp(decay, out=decay)
+    s5r += 1.0
+    d2 *= 5.0 / 3.0
+    d2 += s5r
+    d2 *= output_scale
+    d2 *= decay
+    return d2
 
 
 def kernel_matrix(spec: KernelSpec, X, X2=None) -> np.ndarray:
     """Kernel Gram matrix of X (``X2=None``) or cross matrix of X and X2.
 
-    The Gram matrix needs no mirroring: the distances are exactly
-    symmetric, so it is too, and its diagonal is exactly the output scale
-    (the kernels here are stationary).
+    The matrix is filled a block of rows at a time (about
+    ``_BLOCK_ELEMENTS`` entries), so the distance and kernel chain of a
+    block stays in cache; every entry goes through the same operations
+    whatever the block, so the values do not depend on it. The Gram
+    matrix needs no mirroring: the distances are exactly symmetric, so it
+    is too, and its diagonal is exactly the output scale (the kernels here
+    are stationary).
     """
     X = _as_matrix(X, spec.dim)
     X2 = X if X2 is None else _as_matrix(X2, spec.dim)
-    return _kernel_from_sqdist(spec.family, spec.output_scale, _sqdist(X, X2, spec.lengthscales))
+    out = np.empty((X.shape[0], X2.shape[0]))
+    rows = max(1, _BLOCK_ELEMENTS // max(X2.shape[0], 1))
+    for start in range(0, X.shape[0], rows):
+        block = X[start : start + rows]
+        diffs = (x[:, None] - x2 for x, x2 in zip(block.T, X2.T))
+        d2 = _sqdist(diffs, spec.lengthscales, out=out[start : start + rows])
+        _kernel_from_sqdist(spec.family, spec.output_scale, d2)
+    return out
 
 
 def mean_vector(mean: MeanSpec, X) -> np.ndarray:
@@ -237,9 +279,12 @@ class _Replicates:
     appearance (matched by exact equality); ``counts`` and ``means`` the
     number of observations at each and their mean target; ``within_ss``
     the sum of squared deviations of the targets from their input's mean.
+    ``diffs`` holds the (d, k, k) differences x_j - x'_j of the distinct
+    inputs, one k x k array per dimension, computed once so that each
+    factorization only scales, squares and sums them.
     """
 
-    __slots__ = ("inputs", "counts", "means", "within_ss", "n_obs", "log_count_sum")
+    __slots__ = ("inputs", "diffs", "counts", "means", "within_ss", "n_obs", "log_count_sum")
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         _, first, inverse, counts = np.unique(
@@ -252,6 +297,9 @@ class _Replicates:
         inverse = rank[np.ravel(inverse)]
         self.inputs = X[first[order]]
         self.inputs.setflags(write=False)
+        U = self.inputs.T
+        self.diffs = U[:, :, None] - U[:, None, :]
+        self.diffs.setflags(write=False)
         self.counts = counts[order].astype(float)
         self.means = np.bincount(inverse, weights=y, minlength=order.size) / self.counts
         self.within_ss = float(np.sum((y - self.means[inverse]) ** 2))
@@ -274,7 +322,7 @@ def _factor(family: str, lengthscales, output_scale: float, noise: float, reps: 
     On failure the jitter ladder adds escalating extra noise variance, as
     jitter/n on the diagonal, and the returned noise includes it.
     """
-    K = _kernel_from_sqdist(family, output_scale, _sqdist(reps.inputs, reps.inputs, lengthscales))
+    K = _kernel_from_sqdist(family, output_scale, _sqdist(reps.diffs, lengthscales))
     n = K.shape[0]
     K.flat[:: n + 1] += noise / reps.counts
     try:
@@ -282,23 +330,37 @@ def _factor(family: str, lengthscales, output_scale: float, noise: float, reps: 
     except np.linalg.LinAlgError:
         pass
     message = f"Cholesky failed for {n}x{n} matrix even with jitter up to {_JITTER_MAX:g}"
-    L, jitter = _jittered_cholesky(K, _JITTER_START, reps.counts, message)
+    L, jitter = _jittered_cholesky(K, _JITTER_START, reps.counts, message, np.linalg.cholesky)
     return L, noise + jitter
 
 
-def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str):
+def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str, cholesky):
     """Lower Cholesky factor of A + diag(jitter / divisor) and the jitter
     it took: the jitter grows tenfold after each failed factorization, and
-    past _JITTER_MAX ``NumericalError(message)`` is raised. A is not
-    changed."""
+    past _JITTER_MAX ``NumericalError(message)`` is raised. ``cholesky``
+    factors a fresh copy, which it may overwrite, and raises
+    ``LinAlgError`` on failure; A is not changed."""
     while jitter <= _JITTER_MAX:
         B = A.copy()
         B.flat[:: A.shape[0] + 1] += jitter / divisor
         try:
-            return np.linalg.cholesky(B), jitter
+            return cholesky(B), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(message)
+
+
+def _lapack_cholesky(B: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a C-contiguous symmetric B, in place.
+
+    LAPACK takes Fortran order, in which B's memory is B^T = B. ``potrf``
+    factors that as U^T U, and U in Fortran order is L = U^T in C order,
+    so B becomes L with no copy; ``clean`` zeroes the other triangle.
+    """
+    _, info = dpotrf(B.T, lower=0, clean=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky failed (LAPACK potrf info {info})")
+    return B
 
 
 def _solve_chol(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
@@ -531,7 +593,8 @@ class PosteriorGp:
         Ks = kernel_matrix(self.hyperparams.kernel, self.inputs, Q)
         mean = prior_mean + Ks.T @ self.alpha
         V = _solve_chol(self.chol_factor, Ks)
-        cov = Kqq - V.T @ V
+        cov = Kqq
+        cov -= V.T @ V
         np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
         return mean, cov
 
@@ -546,5 +609,5 @@ class PosteriorGp:
         if scale < 1e-14:
             return mean.copy()
         message = "posterior covariance could not be factorized for sampling"
-        L, _ = _jittered_cholesky(cov, 1e-12 * max(scale, 1.0), 1.0, message)
+        L, _ = _jittered_cholesky(cov, 1e-12 * max(scale, 1.0), 1.0, message, _lapack_cholesky)
         return mean + L @ rng.standard_normal(mean.shape[0])

@@ -127,26 +127,31 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             space=space,
             policies=policies,
             environment=dict(raw["environment"]),
-            T=int(raw["T"]),
-            u=int(raw["u"]),
-            seeds=[int(s) for s in raw["seeds"]],
+            # operator.index takes integers only, so 2.5 or "2" is an error
+            T=operator.index(raw["T"]),
+            u=operator.index(raw["u"]),
+            seeds=[operator.index(s) for s in raw["seeds"]],
             output_dir=Path(raw.get("output_dir", "runs")),
             gp_init=_gp_init_from_config(dict(raw.get("gp", {})), space.ndim),
-            # operator.index takes integers only, so 2.5 or "2" is an error
             fit_budget=gp.FitBudget(
                 restarts=operator.index(fit.get("restarts", 2)),
                 max_evals=operator.index(fit.get("max_evals", 60)),
                 seed=operator.index(fit.get("seed", 0)),
             ),
-            env_seed_offset=int(raw.get("env_seed_offset", DEFAULT_ENV_SEED_OFFSET)),
+            env_seed_offset=operator.index(raw.get("env_seed_offset", DEFAULT_ENV_SEED_OFFSET)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
     for p in cfg.policies:
         if p.kind not in bandit.POLICY_KINDS:
             raise ConfigError(f"unknown policy kind: {p.kind!r}")
-        if p.kind == bandit.FIXED_ARM and p.arm_index is None:
-            raise ConfigError("fixed_arm policy needs arm_index (an index or 'all')")
+        if p.kind == bandit.FIXED_ARM and p.arm_index != "all" and not (
+            isinstance(p.arm_index, int) and 0 <= p.arm_index < len(cfg.space)
+        ):
+            raise ConfigError(
+                f"fixed_arm policy needs arm_index 'all' or an index in [0, {len(cfg.space)}),"
+                f" got {p.arm_index!r}"
+            )
     kind = cfg.environment.get("kind")
     if not isinstance(kind, str) or kind not in _ENVIRONMENTS:
         raise ConfigError(f"unknown environment kind: {kind!r}")

@@ -202,6 +202,18 @@ class TestRunPolicy:
         assert h.records[0].interaction == 1
         assert h.gp_trace[0] == bandit.default_gp_hyperparams(1)  # no refit possible yet
 
+    @pytest.mark.parametrize("T", [2, 3, 6])
+    def test_gp_ts_fits_before_each_selection_from_the_third(self, T, monkeypatch):
+        # fits after interactions 2..T-1 feed selections 3..T; a fit after
+        # the last interaction would feed none
+        calls = []
+        real_fit = gp.fit_type2_mle
+        monkeypatch.setattr(gp, "fit_type2_mle", lambda *a: calls.append(len(a[0])) or real_fit(*a))
+        env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=3)
+        h = bandit.run_policy(grid_1d(), bandit.PolicyConfig(kind=bandit.GP_TS, seed=1), env, T=T, u=10)
+        assert len(h) == T and len(h.gp_trace) == T
+        assert calls == list(range(2, T))
+
     def test_gp_ts_deterministic(self):
         space = grid_1d()
         spec = SyntheticPretrainSpec()

@@ -7,12 +7,14 @@ algebra, scipy's multivariate-normal density).
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
@@ -74,6 +76,22 @@ def random_hp(rng, d, family, mean_family):
                    mean_family=mean_family, mean_const=float(rng.normal()))
 
 
+def unblocked_kernel_matrix(spec, X, X2):
+    # one whole-matrix pass: per-dimension distances summed out of place,
+    # then the textbook kernel expression
+    d2 = 0.0
+    for x, x2, ls in zip(X.T, X2.T, spec.lengthscales):
+        d2 = ((x[:, None] - x2) / ls) ** 2 + d2
+    if spec.family == gp.SQUARED_EXPONENTIAL:
+        return spec.output_scale * np.exp(-0.5 * d2)
+    s5r = math.sqrt(5.0) * np.sqrt(d2)
+    return spec.output_scale * (1.0 + s5r + (5.0 / 3.0) * d2) * np.exp(-s5r)
+
+
+def grid_points(d, per_dim=9):
+    return np.array(list(itertools.product(np.linspace(0.1, 0.9, per_dim), repeat=d)))
+
+
 BOTH_KERNELS_AND_MEANS = pytest.mark.parametrize(
     "family,mean_family",
     [(f, m) for f in (gp.SQUARED_EXPONENTIAL, gp.MATERN52) for m in ("zero", "constant")],
@@ -116,6 +134,19 @@ class TestKernels:
         K = gp.kernel_matrix(spec, np.array(xs)[:, :d])
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == spec.output_scale)
+
+    @pytest.mark.parametrize("family", [gp.SQUARED_EXPONENTIAL, gp.MATERN52])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocked_matrix_bit_identical_to_unblocked(self, family, d):
+        rng = np.random.default_rng(d)
+        grid = grid_points(d)
+        spec = gp.KernelSpec(family, tuple(rng.uniform(0.05, 1.0, d)), 1.7)
+        # against the grid, X fills three whole blocks of rows and a partial one
+        rows = gp._BLOCK_ELEMENTS // len(grid)
+        X = rng.uniform(-0.5, 1.5, (3 * rows + 7, d))
+        for A, B in [(grid, None), (X, grid), (grid, X[:7]), (X[:50], None)]:
+            got = gp.kernel_matrix(spec, A, B)
+            assert np.array_equal(got, unblocked_kernel_matrix(spec, A, A if B is None else B))
 
     def test_invalid_hyperparams_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -190,6 +221,20 @@ class TestLogMarginalLikelihood:
     def test_empty_data_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gp.log_marginal_likelihood(make_hp(), gp.RegressionData.empty(1))
+
+    @BOTH_KERNELS_AND_MEANS
+    def test_factor_from_cached_differences_is_bit_identical(self, family, mean_family):
+        rng = np.random.default_rng(21)
+        for d in (1, 2, 3):
+            X, y = replicated_data(rng, d, 12, 30)
+            reps = gp.RegressionData(X, y)._replicates
+            assert reps.diffs.shape == (d, 12, 12)
+            hp = random_hp(rng, d, family, mean_family)
+            K = gp.kernel_matrix(hp.kernel, reps.inputs)
+            K[np.diag_indices_from(K)] += hp.noise_variance / reps.counts
+            L, noise = gp._collapsed_factor(hp, reps)
+            assert noise == hp.noise_variance
+            assert np.array_equal(L, np.linalg.cholesky(K))
 
 
 class TestPosterior:
@@ -313,6 +358,24 @@ class TestSampleJoint:
         sample = post.sample_joint([[0.3]], np.random.default_rng(0))
         assert abs(sample[0] - mean[0]) < 5 * math.sqrt(cov[0, 0]) + 1e-12
 
+    def test_729_arm_sample_memory_bound(self):
+        # the covariance is built and factored in place: the peak stays
+        # below three m x m arrays (the covariance, its jittered copy and
+        # headroom)
+        rng = np.random.default_rng(4)
+        grid = grid_points(3)
+        X = grid[rng.integers(0, len(grid), 20)]
+        hp = make_hp(ls=(0.3, 0.2, 0.5), noise=0.05, mean_family="constant")
+        post = gp.PosteriorGp(hp, gp.RegressionData(X, rng.normal(size=20)))
+        m = len(grid)
+        tracemalloc.start()
+        try:
+            post.sample_joint(grid, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m * m * 8
+
     def test_monte_carlo_mean(self):
         hp = make_hp(ls=(0.3,), out=1.0, noise=0.1)
         post = gp.PosteriorGp(hp, gp.RegressionData([[0.2], [0.6]], [1.0, -0.5]))
@@ -327,16 +390,17 @@ class TestSampleJoint:
 
 def parent_sample_joint(mean, cov, rng):
     # the sampling ladder as it was written before it shared one helper
-    # with the likelihood factor
+    # with the likelihood factor, factoring with LAPACK potrf as a sample
+    # does: the upper factor of the Fortran view, which is L in C order
     scale = float(np.max(np.diag(cov)))
     jitter = 1e-12 * max(scale, 1.0)
     eye = np.eye(cov.shape[0])
     while jitter <= 1e-2:
-        try:
-            L = np.linalg.cholesky(cov + jitter * eye)
+        U, info = dpotrf((cov + jitter * eye).T, lower=0, clean=1)
+        if info == 0:
+            L = U.T
             break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        jitter *= 10.0
     else:
         raise NumericalError("posterior covariance could not be factorized for sampling")
     return mean + L @ rng.standard_normal(mean.shape[0]), jitter
@@ -359,9 +423,9 @@ class TestSamplingJitterLadder:
             mean = rng.normal(size=m)
             cov = indefinite_cov(rng, m, smallest)
             if smallest < 0:
-                with pytest.raises(np.linalg.LinAlgError):
-                    first_rung = 1e-12 * max(float(np.max(np.diag(cov))), 1.0)
-                    np.linalg.cholesky(cov + first_rung * np.eye(m))
+                first_rung = 1e-12 * max(float(np.max(np.diag(cov))), 1.0)
+                _, info = dpotrf((cov + first_rung * np.eye(m)).T, lower=0)
+                assert info > 0
             monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q: (mean, cov))
             expected, jitter = parent_sample_joint(mean, cov, np.random.default_rng(m))
             got = post.sample_joint(np.zeros((m, 1)), np.random.default_rng(m))

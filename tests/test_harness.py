@@ -429,6 +429,25 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)  # not a traceback
         assert "config error: invalid experiment config" in res.output
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"policies": [{"kind": "fixed_arm", "arm_index": 99}]},
+            {"policies": [{"kind": "fixed_arm", "arm_index": -1}]},
+            {"T": 2.7},
+            {"u": 20.5},
+            {"seeds": [0.5]},
+            {"env_seed_offset": 1.5},
+        ],
+    )
+    def test_out_of_range_or_truncated_value_exits_2(self, tmp_path, overrides):
+        path, _ = small_config(tmp_path, **{"seeds": [0], **overrides})
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output
+        assert not (tmp_path / "runs").exists()
+
     def test_summarize_policy_without_interactions(self, tmp_path):
         # what a run that fails at interaction 1 leaves: the initial row only
         (tmp_path / "run_gp_ts_seed0.csv").write_text(
