@@ -21,6 +21,12 @@ fit and the posterior; and a fit objective that is exactly the negative
 log marginal likelihood, so fitted points need no re-scoring.
 
 All positive hyperparameters are handled in log space during fitting.
+The fit's Nelder-Mead search is this module's own ``_nelder_mead``, a
+port of scipy's that reproduces its iterates bit for bit. It is kept
+here because importing ``scipy.optimize`` would cost every process that
+runs the GP stack about 0.3 s and 20 MB, and its wrapper about 16 us
+per simplex step; of scipy, the GP stack needs only ``scipy.linalg``.
+
 Every Cholesky factorization recovers from a near-singular matrix on one
 jitter ladder, in tenfold steps up to 1e-2: from 1e-8 for the likelihood
 and posterior factor, where the jitter is extra noise variance (so the
@@ -48,7 +54,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.optimize import minimize
 
 from .errors import InvalidArgumentError, NumericalError
 
@@ -79,6 +84,10 @@ _JITTER_MAX = 1e-2
 _LOG_PARAM_BOUND = 12.0
 # Fit objective of hyperparameters whose matrix does not factor at all.
 _FAILED_FIT_VALUE = 1e25
+# Nelder-Mead stops once every vertex is within _NM_XATOL of the best in
+# each coordinate and within _NM_FATOL of its value.
+_NM_XATOL = 1e-3
+_NM_FATOL = 1e-7
 # kernel_matrix fills its output this many entries at a time (a block of
 # whole rows), so each block's elementwise chain runs in cache.
 _BLOCK_ELEMENTS = 1 << 15
@@ -426,10 +435,11 @@ def _unpacked_values(vec: np.ndarray, template: GpHyperparams):
     mean. ``_unpack`` and the fit objective both read vectors through this.
     """
     d = template.kernel.dim
-    # np.minimum/np.maximum give np.clip's values at a fraction of its call cost
-    logs = np.minimum(np.maximum(vec[: d + 2], -_LOG_PARAM_BOUND), _LOG_PARAM_BOUND)
+    values = vec.tolist()
+    # Python floats clamp with np.clip's values at a fraction of its call cost
+    logs = [min(max(v, -_LOG_PARAM_BOUND), _LOG_PARAM_BOUND) for v in values[: d + 2]]
     noise = max(math.exp(logs[d + 1]), NOISE_VARIANCE_FLOOR)
-    mean = float(vec[d + 2]) if template.mean.family == "constant" else 0.0
+    mean = values[d + 2] if template.mean.family == "constant" else 0.0
     return np.exp(logs[:d]), math.exp(logs[d]), noise, mean
 
 
@@ -486,6 +496,87 @@ def _heuristic_start(data: RegressionData, template: GpHyperparams) -> GpHyperpa
     )
 
 
+def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float]:
+    """Minimize ``fun`` by the Nelder-Mead simplex method (Nelder & Mead
+    1965) from ``x0`` with at most ``max_evals`` evaluations. Returns the
+    best vertex of the final simplex and the least value on it.
+
+    Iterate for iterate this is ``scipy.optimize.minimize(fun, x0,
+    method="Nelder-Mead", options={"maxfev": max_evals, "xatol":
+    _NM_XATOL, "fatol": _NM_FATOL})`` (scipy 1.17; non-adaptive, no
+    bounds): the same initial simplex, step coefficients, centroid sum
+    (row after row), vertex order (``np.argsort``, so ties resolve
+    alike), stopping test and budget cut-off, so ``fun`` sees the same
+    points. The vertex arithmetic runs on Python floats, whose + - * /
+    round as numpy's do. An evaluation past the budget is refused, and
+    the step that needed it is dropped as scipy drops it: an expansion
+    or contraction is discarded, even after a better reflection, and a
+    shrink leaves the vertices it already moved with their old values.
+    """
+    n = len(x0)
+    start = x0.tolist()
+    sim = [start]
+    for k in range(n):
+        vertex = list(start)
+        vertex[k] = 1.05 * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [math.inf] * (n + 1)
+    evals = min(n + 1, max_evals)
+    for k in range(evals):
+        fsim[k] = fun(np.array(sim[k]))
+
+    def ordered(sim, fsim):
+        order = np.argsort(fsim).tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    # scipy sorts the initial simplex twice; an unstable argsort need not
+    # leave sorted ties in place
+    sim, fsim = ordered(*ordered(sim, fsim))
+    while evals < max_evals:
+        best, worst = sim[0], sim[-1]
+        if all(abs(a - b) <= _NM_XATOL for v in sim[1:] for a, b in zip(v, best)) and all(
+            abs(fsim[0] - f) <= _NM_FATOL for f in fsim[1:]
+        ):
+            break
+        # np.add.reduce's order, from its identity +0.0 (so -0.0 sums to 0.0)
+        xbar = [0.0] * n
+        for v in sim[:-1]:
+            xbar = [a + b for a, b in zip(xbar, v)]
+        xbar = [a / n for a in xbar]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        fxr = fun(np.array(xr))
+        evals += 1
+        if fxr < fsim[0]:
+            if evals < max_evals:
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+                fxe = fun(np.array(xe))
+                evals += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif evals < max_evals:
+            if fxr < fsim[-1]:
+                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                fxc = fun(np.array(xc))
+                shrink = not fxc <= fxr
+            else:
+                xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                fxc = fun(np.array(xc))
+                shrink = not fxc < fsim[-1]
+            evals += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
+                    if evals == max_evals:
+                        break
+                    fsim[j] = fun(np.array(sim[j]))
+                    evals += 1
+        sim, fsim = ordered(sim, fsim)
+    return np.array(sim[0]), float(np.min(fsim))
+
+
 def fit_type2_mle(
     data: RegressionData,
     init: GpHyperparams,
@@ -495,7 +586,11 @@ def fit_type2_mle(
 
     Multi-start gradient-free (Nelder-Mead) search in log-parameter
     space: the warm start at ``init``, a moment-matched heuristic start,
-    and seeded unit-normal perturbations of the heuristic. Never returns
+    and seeded unit-normal perturbations of the heuristic. Each search
+    runs ``_nelder_mead``, this module's port of scipy's Nelder-Mead
+    with the same iterates, so that the GP stack does not import
+    ``scipy.optimize``; it stops on the simplex spread (_NM_XATOL,
+    _NM_FATOL) or after ``budget.max_evals`` evaluations. Never returns
     hyperparameters with a lower marginal likelihood than ``init``; for
     fewer than two observations ``init`` is returned unchanged. A
     candidate replaces the incumbent only on strict improvement, so ties
@@ -521,22 +616,14 @@ def fit_type2_mle(
         for _ in range(budget.restarts - len(starts))
     ]
     for x0 in starts:
-        try:
-            res = minimize(
-                neg_lml,
-                x0,
-                method="Nelder-Mead",
-                options={"maxfev": budget.max_evals, "xatol": 1e-3, "fatol": 1e-7},
-            )
-        except (FloatingPointError, ValueError):
-            continue
-        if res.fun >= _FAILED_FIT_VALUE:
+        x, value = _nelder_mead(neg_lml, x0, budget.max_evals)
+        if value >= _FAILED_FIT_VALUE:
             continue
         # the objective is exactly -LML at the point it unpacks to
-        val = -float(res.fun)
+        val = -value
         if val > best_val:
             best_val = val
-            best_hp = _unpack(np.asarray(res.x), init)
+            best_hp = _unpack(x, init)
     return best_hp
 
 

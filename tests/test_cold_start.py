@@ -96,3 +96,16 @@ def test_cli_commands_from_a_cold_start(tmp_path):
     assert summarized.returncode == 0, summarized.stderr
     assert "telescoping identity verified on all runs" in summarized.stdout
     assert gp_stack_modules(loaded_modules(summarized)) == []
+
+
+def test_gpts_run_loads_no_scipy_optimize(tmp_path):
+    # the GP stack needs scipy.linalg only; its Nelder-Mead is its own
+    raw = yaml.safe_load(python("-m", "gpts.cli", "print-default-config").stdout)
+    raw.update(T=3, seeds=[0], output_dir=str(tmp_path / "runs"), policies=[{"kind": "gp_ts"}])
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    ran = python("-c", CLI_REPORTING_MODULES, "run", "--config", str(config))
+    assert ran.returncode == 0, ran.stderr
+    modules = loaded_modules(ran)
+    assert "gpts.gp" in modules and "scipy.linalg" in modules
+    assert [m for m in modules if m.startswith("scipy.optimize")] == []

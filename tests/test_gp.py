@@ -666,18 +666,20 @@ class TestLapackSolvesBitIdentical:
         # Nelder-Mead only compares values, so a last-bit change rarely
         # moves its result; every point it evaluates and the value there
         # are compared as well.
+        nelder_mead = gp._nelder_mead
+
         def fits():
             evaluations = []
 
-            def recording_minimize(fun, x0, **kwargs):
+            def recording_nelder_mead(fun, x0, max_evals):
                 def traced(x):
                     value = fun(x)
                     evaluations.append((x.tobytes(), value))
                     return value
 
-                return minimize(traced, x0, **kwargs)
+                return nelder_mead(traced, x0, max_evals)
 
-            monkeypatch.setattr(gp, "minimize", recording_minimize)
+            monkeypatch.setattr(gp, "_nelder_mead", recording_nelder_mead)
             budget = gp.FitBudget(restarts=2, max_evals=60)
             cases = bit_identity_cases(family, mean_family, 6, 4)
             return [gp.fit_type2_mle(data, hp, budget) for data, hp in cases], evaluations
@@ -693,3 +695,161 @@ class TestLapackSolvesBitIdentical:
             gp._solve_chol(L, np.ones(3))
         with pytest.raises(np.linalg.LinAlgError):
             gp._solve_chol(L, np.ones((3, 4)), transposed=True)
+
+
+def ref_unpacked_values(vec, template):
+    # the clamp written with numpy, as reference for the Python-float one
+    d = template.kernel.dim
+    logs = np.minimum(np.maximum(vec[: d + 2], -gp._LOG_PARAM_BOUND), gp._LOG_PARAM_BOUND)
+    noise = max(math.exp(logs[d + 1]), gp.NOISE_VARIANCE_FLOOR)
+    mean = float(vec[d + 2]) if template.mean.family == "constant" else 0.0
+    return np.exp(logs[:d]), math.exp(logs[d]), noise, mean
+
+
+def bits(value):
+    # the float64 bytes of a number or array, so that NaN equals NaN
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@BOTH_KERNELS_AND_MEANS
+def test_unpacked_values_match_numpy_clamp(family, mean_family):
+    rng = np.random.default_rng(43)
+    special = (math.inf, -math.inf, math.nan)
+    for _ in range(500):
+        d = int(rng.integers(1, 4))
+        template = random_hp(rng, d, family, mean_family)
+        # spread wide enough to cross +-_LOG_PARAM_BOUND
+        vec = rng.normal(0, 10, d + 2 + (mean_family == "constant"))
+        for i in rng.choice(vec.size, size=int(rng.integers(0, 3)), replace=False):
+            vec[i] = special[rng.integers(0, 3)]
+        ours, ref = gp._unpacked_values(vec, template), ref_unpacked_values(vec, template)
+        assert [bits(v) for v in ours] == [bits(v) for v in ref]
+        assert all(type(v) is float for v in ours[1:])
+
+
+# ---------------------------------------------------------------------------
+# The fit's Nelder-Mead is a port of scipy's. Against scipy.optimize as
+# the reference it must give the same result bits and evaluate the same
+# points, with the same values, in the same order.
+
+
+def scipy_nelder_mead(fun, x0, max_evals):
+    options = {"maxfev": max_evals, "xatol": gp._NM_XATOL, "fatol": gp._NM_FATOL}
+    res = minimize(fun, x0, method="Nelder-Mead", options=options)
+    return res.x, res.fun
+
+
+def nelder_mead_run(search, fun, x0, max_evals):
+    # the result's bits and every (point, value) evaluated, as bytes
+    evaluations = []
+
+    def traced(x):
+        value = fun(x)
+        evaluations.append((bits(x), bits(value)))
+        return value
+
+    x, value = search(traced, np.array(x0, dtype=float), max_evals)
+    return bits(x), bits(value), evaluations
+
+
+def assert_matches_scipy(fun, x0, max_evals):
+    ours = nelder_mead_run(gp._nelder_mead, fun, x0, max_evals)
+    assert ours == nelder_mead_run(scipy_nelder_mead, fun, x0, max_evals)
+    x, value, evaluations = ours
+    return np.frombuffer(x), float(np.frombuffer(value)[0]), len(evaluations)
+
+
+def fit_objectives(family, mean_family, seed):
+    # (objective, packed hyperparameters) on random data in 1 to 3
+    # dimensions, alternately all distinct and replicated
+    rng = np.random.default_rng(seed)
+    for i, d in enumerate((1, 2, 3) * 2):
+        k = int(rng.integers(2, 9))
+        if i % 2:
+            X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 40)))
+        else:
+            X, y = rng.uniform(0, 1, (k, d)), rng.normal(0, 1, k)
+        hp = random_hp(rng, d, family, mean_family)
+        yield gp._fit_objective(gp.RegressionData(X, y), hp), gp._pack(hp)
+
+
+class TestNelderMeadMatchesScipy:
+    @BOTH_KERNELS_AND_MEANS
+    def test_fit_objective(self, family, mean_family):
+        rng = np.random.default_rng(44)
+        for objective, x_hp in fit_objectives(family, mean_family, 5):
+            n = x_hp.size
+            # from the packed point itself to far from it
+            for spread in (0.0, 0.3, 3.0):
+                x0 = x_hp + rng.normal(0, spread, n)
+                # budgets that run out inside the initial simplex, and the fit's
+                for max_evals in (*range(1, n + 2), 40, 60, 100):
+                    assert_matches_scipy(objective, x0, max_evals)
+
+    def test_expansion_cut_off_discards_the_better_reflection(self):
+        # simplex {1, 1.05}; the reflection 0.95 improves, so an expansion
+        # follows, and the budget refuses it
+        x, value, nfev = assert_matches_scipy(lambda x: float(x[0]), [1.0], 3)
+        assert (x.tolist(), value, nfev) == ([1.0], 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "fun",
+        [
+            # reflection value between the best and the worst: outside
+            lambda x: 2.0 * (x[0] - 1.0) if x[0] >= 1.0 else 1.0 - x[0],
+            # reflection worse than the worst: inside
+            lambda x: (x[0] - 1.02) ** 2,
+        ],
+        ids=["outside", "inside"],
+    )
+    def test_contraction_cut_off_is_discarded(self, fun):
+        x, value, nfev = assert_matches_scipy(fun, [1.0], 3)
+        assert (x.tolist(), value, nfev) == ([1.0], fun([1.0]), 3)
+        # with one more evaluation the contraction is taken
+        assert assert_matches_scipy(fun, [1.0], 4)[2] == 4
+
+    def test_shrink_cut_off(self):
+        # a plateau at 1.0 but for one strip at x = (1, 1.025), where the
+        # first shrink moves the third vertex
+        def fun(x):
+            return 0.0 if x[0] < 1.001 and 1.02 < x[1] < 1.03 else 1.0
+
+        # evaluations: simplex 3, reflection, contraction, then the shrink's
+        # second vertex; the budget refuses the third, so its 0.0 is not seen
+        x, value, nfev = assert_matches_scipy(fun, [1.0, 1.0], 6)
+        assert (x.tolist(), value, nfev) == ([1.0, 1.0], 1.0, 6)
+        x, value, nfev = assert_matches_scipy(fun, [1.0, 1.0], 7)
+        assert (x.tolist(), value, nfev) == ([1.0, 1.025], 0.0, 7)
+
+    def test_plateaus_and_ties(self):
+        objective, x_hp = next(fit_objectives(gp.MATERN52, "constant", 6))
+        bound = x_hp[0] + 0.02
+
+        def failed_above(x):
+            return gp._FAILED_FIT_VALUE if x[0] > bound else objective(x)
+
+        def nan_above(x):
+            return math.nan if x[0] > 1.02 else float(np.floor(3.0 * x.sum()))
+
+        # on these step functions a stable sort of tied values takes other
+        # steps than np.argsort does
+        plateaus = [
+            lambda x: 1.0,
+            lambda x: float(np.floor(10.0 * (x @ [1.0, -4.0, -5.0]))),
+            lambda x: float(np.floor(3.0 * (x @ [5.0, -4.0, -4.0]))),
+            nan_above,
+        ]
+        for max_evals in range(1, 50):
+            assert_matches_scipy(failed_above, x_hp, max_evals)
+            for fun in plateaus:
+                assert_matches_scipy(fun, [1.0, 2.0, 0.5], max_evals)
+
+    def test_zero_entries_in_the_start(self):
+        objective, x_hp = next(fit_objectives(gp.SQUARED_EXPONENTIAL, "constant", 7))
+        starts = [np.zeros_like(x_hp), np.where(np.arange(x_hp.size) % 2, x_hp, 0.0)]
+        for x0 in starts:
+            for max_evals in (*range(1, x_hp.size + 2), 60):
+                assert_matches_scipy(objective, x0, max_evals)
+        # -0.0 counts as zero when the initial simplex is built
+        for max_evals in range(1, 40):
+            assert_matches_scipy(lambda x: float(np.floor(4.0 * x[-1])), [0.0, -0.0, 1.0], max_evals)
