@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gp
 from .environments import Arm, ArmSpace, GridDim, LossObservation, make_grid
-from .errors import BridgeError, DataError, EnvironmentFailure, InvalidArgumentError, NumericalError
+from .errors import RUN_FAILURES, EnvironmentFailure, InvalidArgumentError, NumericalError
 
 __all__ = [
     "Arm",
@@ -187,20 +187,21 @@ def ts_select_arm(
 def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> History:
     """Run one policy for T interactions of u trainer updates each.
 
-    GP-TS: per interaction, sample the reward posterior jointly over the
-    arms, play the argmax, observe the loss, convert it to a reward, and
-    refit the GP on the full history (warm-started from the previous
-    fit, which is kept whenever refitting fails or degrades) for the next
-    selection: from the second interaction on, and not after the last, so
-    a run of T interactions fits T - 2 times. Baselines
-    replace the selection step and maintain no GP.
+    GP-TS: per interaction, refit the GP on the history so far
+    (warm-started from the previous fit, which is kept whenever refitting
+    fails or degrades; from the third interaction on, so a run of T
+    interactions fits T - 2 times), sample the reward posterior jointly
+    over the arms, play the argmax, observe the loss and convert it to a
+    reward. Baselines replace the selection step and maintain no GP.
 
-    Environment failures (a replay gap included) and a GP posterior that
-    cannot be factored for selection (``NumericalError``) abort the run;
-    the partial history is returned with its ``error`` field set. A
-    non-finite validation loss means the training diverged: from ``step``
-    it ends the run the same way, without recording that interaction;
-    from ``init`` it raises ``EnvironmentFailure``.
+    A failure in ``errors.RUN_FAILURES`` during an interaction ends the
+    run: the partial history is returned with its ``error`` field set to
+    ``"interaction t: ..."``, and interaction t is not recorded. A
+    non-finite validation loss from ``step`` means the training diverged
+    and ends the run the same way (``diverged (validation loss nan)``); a
+    GP posterior that cannot be factored reads ``numerical: ...``. A
+    non-finite loss from ``init`` raises ``EnvironmentFailure``. Any other
+    exception is a programming error and propagates.
     """
     if T < 1 or u < 1:
         raise InvalidArgumentError("T and u must be at least 1")
@@ -219,37 +220,30 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
     data = gp.RegressionData.empty(space.ndim)
 
     for t in range(1, T + 1):
-        if cfg.kind == GP_TS:
-            try:
-                arm, _ = ts_select_arm(space, gp.PosteriorGp(theta, data), rng)
-            except NumericalError as exc:
-                hist.error = f"interaction {t}: numerical: {exc}"
-                return hist
-        elif cfg.kind == FIXED_ARM:
-            arm = space.arms[cfg.fixed_arm_index]
-        else:
-            arm = space.arms[int(rng.integers(len(space)))]
-
         try:
+            if cfg.kind == GP_TS:
+                if t >= 2:
+                    data = gp.RegressionData(hist.arms, hist.rewards())
+                if t >= 3:
+                    theta = gp.fit_type2_mle(data, theta, cfg.fit_budget)
+                arm, _ = ts_select_arm(space, gp.PosteriorGp(theta, data), rng)
+            elif cfg.kind == FIXED_ARM:
+                arm = space.arms[cfg.fixed_arm_index]
+            else:
+                arm = space.arms[int(rng.integers(len(space)))]
             obs = env.step(arm, u)
-        except (EnvironmentFailure, BridgeError, DataError) as exc:
-            hist.error = f"interaction {t}: {exc}"
-            return hist
-        if not math.isfinite(obs.validation_loss):
-            hist.error = f"interaction {t}: diverged (validation loss {obs.validation_loss})"
+            if not math.isfinite(obs.validation_loss):
+                raise EnvironmentFailure(f"diverged (validation loss {obs.validation_loss})")
+        except RUN_FAILURES as exc:
+            kind = "numerical: " if isinstance(exc, NumericalError) else ""
+            hist.error = f"interaction {t}: {kind}{exc}"
             return hist
 
         _check_consecutive(prev, obs)
         hist.arms.append(arm)
         hist.losses_after.append(obs.validation_loss)
         prev = obs
-
         if cfg.kind == GP_TS:
             hist.gp_trace.append(theta)
-            # after the last interaction no selection reads data or theta
-            if t < T:
-                data = gp.RegressionData(hist.arms, hist.rewards())
-                if t >= 2:
-                    theta = gp.fit_type2_mle(data, theta, cfg.fit_budget)
 
     return hist

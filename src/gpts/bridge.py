@@ -19,7 +19,8 @@ through one transport over a read fd and a write fd. The reply timeout
 bounds the wait for a whole line; the default 0 blocks forever, as real
 pre-training steps can take hours. A reply that is not valid UTF-8 is a
 ``ProtocolError``, as is an ack whose loss is missing or not a JSON
-number.
+number. Both ends build each line with ``_encode`` and parse it with
+``_decode``.
 
 ``mock_trainer_main`` serves the protocol backed by the synthetic
 pre-training simulator, for tests and offline development.
@@ -46,6 +47,23 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+
+def _encode(mtype: str, **fields) -> str:
+    """One message line (without its newline): type, version, then fields."""
+    return json.dumps({"type": mtype, "v": PROTOCOL_VERSION, **fields})
+
+
+def _decode(line: str) -> dict:
+    """The message on one line; ``ProtocolError`` unless it is a JSON
+    object with a ``type``."""
+    try:
+        msg = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise ProtocolError(f"malformed message: {line[:200]!r}") from exc
+    if not isinstance(msg, dict) or "type" not in msg:
+        raise ProtocolError(f"message has no type: {line[:200]!r}")
+    return msg
 
 
 class _LineTransport:
@@ -104,21 +122,17 @@ class BridgeEnvironment:
         self._t = 0
         self._started = False
 
-    def _send(self, msg: dict) -> None:
-        self._transport.send_line(json.dumps(msg))
+    def _send(self, mtype: str, **fields) -> None:
+        self._transport.send_line(_encode(mtype, **fields))
 
-    def _recv(self) -> dict:
-        line = self._transport.recv_line(self.timeout_s)
-        try:
-            msg = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed trainer message: {line!r}") from exc
-        if not isinstance(msg, dict) or "type" not in msg:
-            raise ProtocolError(f"trainer message has no type: {line!r}")
+    def _recv(self, expected: str) -> dict:
+        msg = _decode(self._transport.recv_line(self.timeout_s))
         if msg["type"] == "error":
             raise BridgeError(
                 f"trainer error {msg.get('code', '?')}: {msg.get('detail', '')}"
             )
+        if msg["type"] != expected:
+            raise ProtocolError(f"expected {expected}, got {msg['type']!r}")
         return msg
 
     @staticmethod
@@ -134,17 +148,8 @@ class BridgeEnvironment:
     def init(self) -> LossObservation:
         if self._started:
             raise InvalidArgumentError("init() may be called only once")
-        self._send(
-            {
-                "type": "init",
-                "v": PROTOCOL_VERSION,
-                "arm_names": list(self.arm_names),
-                "config": self._config,
-            }
-        )
-        msg = self._recv()
-        if msg["type"] != "init_ack":
-            raise ProtocolError(f"expected init_ack, got {msg['type']!r}")
+        self._send("init", arm_names=list(self.arm_names), config=self._config)
+        msg = self._recv("init_ack")
         self._started = True
         return LossObservation(interaction=0, validation_loss=self._loss(msg, "initial_val_loss"))
 
@@ -156,18 +161,8 @@ class BridgeEnvironment:
                 f"arm has {len(arm)} coordinates, expected {len(self.arm_names)}"
             )
         t = self._t + 1
-        self._send(
-            {
-                "type": "step",
-                "v": PROTOCOL_VERSION,
-                "interaction": t,
-                "arm": dict(zip(self.arm_names, arm)),
-                "updates": u,
-            }
-        )
-        msg = self._recv()
-        if msg["type"] != "step_ack":
-            raise ProtocolError(f"expected step_ack, got {msg['type']!r}")
+        self._send("step", interaction=t, arm=dict(zip(self.arm_names, arm)), updates=u)
+        msg = self._recv("step_ack")
         if msg.get("interaction") != t:
             raise ProtocolError(
                 f"step_ack interaction {msg.get('interaction')} does not match request {t}"
@@ -177,7 +172,7 @@ class BridgeEnvironment:
 
     def close(self) -> None:
         try:
-            self._send({"type": "shutdown", "v": PROTOCOL_VERSION})
+            self._send("shutdown")
         except BridgeError:
             pass
         self._transport.close()
@@ -241,28 +236,24 @@ def _serve(channel: _LineTransport) -> int:
     arm_names: tuple[str, ...] = ()
     last_t = 0
 
-    def send(msg: dict) -> None:
-        channel.send_line(json.dumps(msg))
+    def send(mtype: str, **fields) -> None:
+        channel.send_line(_encode(mtype, **fields))
 
     def error(code: str, detail: str) -> None:
-        send({"type": "error", "v": PROTOCOL_VERSION, "code": code, "detail": detail})
+        send("error", code=code, detail=detail)
 
     while True:
         try:
             line = channel.recv_line(0).strip()
+            if not line:
+                continue
+            msg = _decode(line)
         except ProtocolError as exc:
             error("malformed", str(exc))
             continue
         except BridgeError:
             return 0
-        if not line:
-            continue
-        try:
-            msg = json.loads(line)
-            mtype = msg["type"]
-        except (json.JSONDecodeError, TypeError, KeyError):
-            error("malformed", f"unparseable message: {line[:200]!r}")
-            continue
+        mtype = msg["type"]
 
         if mtype == "shutdown":
             return 0
@@ -281,13 +272,7 @@ def _serve(channel: _LineTransport) -> int:
             env = SyntheticPretrainEnv(env_spec, seed=int(config.get("seed", 0)))
             obs = env.init()
             last_t = 0
-            send(
-                {
-                    "type": "init_ack",
-                    "v": PROTOCOL_VERSION,
-                    "initial_val_loss": obs.validation_loss,
-                }
-            )
+            send("init_ack", initial_val_loss=obs.validation_loss)
             continue
 
         if mtype == "step":
@@ -310,14 +295,7 @@ def _serve(channel: _LineTransport) -> int:
                 continue
             obs = env.step(arm, updates)
             last_t = t
-            send(
-                {
-                    "type": "step_ack",
-                    "v": PROTOCOL_VERSION,
-                    "interaction": t,
-                    "val_loss": obs.validation_loss,
-                }
-            )
+            send("step_ack", interaction=t, val_loss=obs.validation_loss)
             continue
 
         error("unknown_type", f"unknown message type {mtype!r}")

@@ -28,3 +28,9 @@ class BridgeError(RuntimeError):
 
 class ProtocolError(BridgeError):
     """The external trainer violated the wire protocol."""
+
+
+# The failures that end one run and no other: ``bandit.run_policy`` records
+# them as the run's error, ``harness.run_experiment`` as the run's failure.
+# Anything else (``InvalidArgumentError`` included) is a programming error.
+RUN_FAILURES = (EnvironmentFailure, BridgeError, DataError, NumericalError)

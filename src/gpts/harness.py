@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from . import bandit, bridge, environments, gp
-from .errors import BridgeError, ConfigError, DataError, EnvironmentFailure
+from .errors import RUN_FAILURES, ConfigError
 
 # perfbench wraps ``harness.write_run_csv`` and ``harness.summarize`` by
 # attribute, so both stay bound here and run_experiment calls the global.
@@ -191,6 +191,19 @@ def _gp_init_from_config(gp_cfg: dict, ndim: int) -> gp.GpHyperparams:
     )
 
 
+def _synthetic_env(settings: dict, space: bandit.ArmSpace, env_seed: int):
+    spec = environments.SyntheticPretrainSpec(**settings)
+    if len(spec.optimum) != space.ndim:
+        raise ConfigError(f"optimum has {len(spec.optimum)} dimensions, the arm grid {space.ndim}")
+    return environments.SyntheticPretrainEnv(spec, seed=env_seed)
+
+
+def _test_function_env(settings: dict, space: bandit.ArmSpace, env_seed: int):
+    if space.ndim != 1:
+        raise ConfigError(f"the test function is 1-D, the arm grid {space.ndim}-D")
+    return environments.NoisyTestFunctionEnv(float(settings.get("noise_sd", 0.1)), seed=env_seed)
+
+
 def _bridge_env(settings: dict, space: bandit.ArmSpace, env_seed: int):
     init_config = dict(settings.get("config", {}))
     init_config.setdefault("seed", env_seed)
@@ -205,12 +218,8 @@ def _bridge_env(settings: dict, space: bandit.ArmSpace, env_seed: int):
 # Environment kind -> builder of one run's environment from the kind's own
 # settings section (``environment[kind]``), the arm space and the seed.
 _ENVIRONMENTS = {
-    "synthetic": lambda settings, space, seed: environments.SyntheticPretrainEnv(
-        environments.SyntheticPretrainSpec(**settings), seed=seed
-    ),
-    "test_function": lambda settings, space, seed: environments.NoisyTestFunctionEnv(
-        noise_sd=float(settings.get("noise_sd", 0.1)), seed=seed
-    ),
+    "synthetic": _synthetic_env,
+    "test_function": _test_function_env,
     "replay": lambda settings, space, seed: environments.ReplayEnv(
         environments.load_replay_csv(settings["path"]), space
     ),
@@ -242,12 +251,15 @@ def _expand_policies(policies, space: bandit.ArmSpace) -> list[PolicySpec]:
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
     """Execute every (policy, seed) run and write per-run plus summary CSVs.
 
-    Environment, bridge and numerical failures are recorded per run
-    without aborting sibling runs. Returns a summary mapping with the
-    list of completed runs, any failures, and the summary CSV path.
+    A run ended by one of ``errors.RUN_FAILURES`` is recorded without
+    aborting sibling runs. Returns a summary mapping with the list of
+    completed runs, any failures, and the summary CSV path.
     """
     out = Path(out_dir) if out_dir is not None else cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     seeds = list(seeds) if seeds is not None else cfg.seeds
 
     runs = []
@@ -271,7 +283,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
                 finally:
                     if hasattr(env, "close"):
                         env.close()
-            except (EnvironmentFailure, BridgeError, DataError) as exc:
+            except RUN_FAILURES as exc:
                 failures.append({"policy": label, "seed": seed, "error": str(exc)})
                 continue
             if hist.error is not None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gpts import bandit, gp
 from gpts.bandit import LossObservation
 from gpts.environments import ReplayEnv, ReplaySpec, SyntheticPretrainEnv, SyntheticPretrainSpec
-from gpts.errors import EnvironmentFailure, InvalidArgumentError
+from gpts.errors import RUN_FAILURES, EnvironmentFailure, InvalidArgumentError
 
 
 def grid_1d():
@@ -134,8 +134,9 @@ class TestTsSelectArm:
 
 
 class FailingEnv:
-    def __init__(self, fail_at):
+    def __init__(self, fail_at, exc=EnvironmentFailure):
         self.fail_at = fail_at
+        self.exc = exc
         self._t = 0
 
     def init(self):
@@ -144,7 +145,7 @@ class FailingEnv:
     def step(self, arm, u):
         self._t += 1
         if self._t >= self.fail_at:
-            raise EnvironmentFailure("trainer crashed")
+            raise self.exc("trainer crashed")
         return LossObservation(self._t, 10.0 - 0.1 * self._t)
 
 
@@ -265,6 +266,17 @@ class TestRunPolicy:
         h = bandit.run_policy(space, cfg, FailingEnv(fail_at=4), T=10, u=1)
         assert h.error is not None and "interaction 4" in h.error
         assert len(h) == 3
+
+    @pytest.mark.parametrize("exc", RUN_FAILURES, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("kind", [bandit.GP_TS, bandit.UNIFORM_RANDOM])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_every_run_failure_ends_the_run_at_its_interaction(self, exc, kind, k):
+        cfg = bandit.PolicyConfig(kind=kind, seed=0)
+        h = bandit.run_policy(grid_1d(), cfg, FailingEnv(fail_at=k, exc=exc), T=6, u=1)
+        assert h.error is not None and h.error.startswith(f"interaction {k}:")
+        assert "trainer crashed" in h.error
+        assert len(h) == k - 1
+        assert len(h.gp_trace) == (k - 1 if kind == bandit.GP_TS else 0)
 
     def test_reward_vs_loss_ordering(self):
         # equal initial losses: larger cumulative reward means smaller final loss

@@ -62,6 +62,48 @@ class ScriptedTransport:
         pass
 
 
+class LineRecorder(ScriptedTransport):
+    """Feeds canned lines and records the lines sent as they are on the
+    wire; runs out like a closed connection."""
+
+    def send_line(self, line):
+        self.sent.append(line)
+
+    def recv_line(self, timeout_s):
+        if not self.replies:
+            raise BridgeError("bridge peer closed the connection")
+        return super().recv_line(timeout_s)
+
+
+GOLDEN_INIT = '{"type": "init", "v": 1, "arm_names": ["rho"], "config": {"seed": 3}}'
+GOLDEN_STEP = '{"type": "step", "v": 1, "interaction": 1, "arm": {"rho": 0.2}, "updates": 100}'
+
+
+class TestWireFormat:
+    """The exact line of each message type, key order included."""
+
+    def test_client_lines(self):
+        t = LineRecorder([INIT_ACK.decode(), STEP_ACK.decode()])
+        env = bridge.BridgeEnvironment(t, ["rho"], config={"seed": 3})
+        env.init()
+        env.step((0.2,), 100)
+        env.close()
+        assert t.sent == [GOLDEN_INIT, GOLDEN_STEP, '{"type": "shutdown", "v": 1}']
+
+    def test_mock_trainer_lines(self):
+        ref = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=3)
+        ref.init()
+        loss = ref.step((0.2,), 100).validation_loss
+        channel = LineRecorder([GOLDEN_INIT + "\n", GOLDEN_STEP + "\n", GOLDEN_STEP + "\n"])
+        assert bridge._serve(channel) == 0
+        assert channel.sent == [
+            '{"type": "init_ack", "v": 1, "initial_val_loss": 10.0}',
+            f'{{"type": "step_ack", "v": 1, "interaction": 1, "val_loss": {loss!r}}}',
+            '{"type": "error", "v": 1, "code": "duplicate_interaction",'
+            ' "detail": "interaction 1 already served"}',
+        ]
+
+
 class TestClientProtocol:
     def test_init_echoes_initial_loss(self):
         t = ScriptedTransport([json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0})])
@@ -91,6 +133,12 @@ class TestClientProtocol:
 
     def test_malformed_reply_is_protocol_error(self):
         t = ScriptedTransport(["this is not json\n"])
+        env = bridge.BridgeEnvironment(t, ["rho"])
+        with pytest.raises(ProtocolError, match="malformed"):
+            env.init()
+
+    def test_deeply_nested_reply_is_protocol_error(self):
+        t = ScriptedTransport(["[" * 100_000 + "\n"])
         env = bridge.BridgeEnvironment(t, ["rho"])
         with pytest.raises(ProtocolError, match="malformed"):
             env.init()
@@ -377,6 +425,18 @@ class TestMockTrainerOverStdio:
         replies = [json.loads(line) for line in proc.stdout.splitlines()]
         assert replies[0]["type"] == "error" and replies[0]["code"] == "malformed"
         assert replies[1]["type"] == "init_ack"
+
+    def test_blank_line_gets_no_reply(self):
+        init = {"type": "init", "v": 1, "arm_names": ["rho"], "config": {}}
+        proc = subprocess.run(
+            MOCK_CMD,
+            input="\n \t\n" + json.dumps(init) + '\n{"type": "shutdown", "v": 1}\n',
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0
+        assert [json.loads(line)["type"] for line in proc.stdout.splitlines()] == ["init_ack"]
 
     def test_version_mismatch_rejected(self):
         code, replies = self.talk(

@@ -432,6 +432,43 @@ class TestCli:
     @pytest.mark.parametrize(
         "overrides",
         [
+            {
+                "environment": {
+                    "kind": "synthetic",
+                    "synthetic": {"optimum": [0.3, 0.3], "width": [0.08, 0.08]},
+                }
+            },
+            {
+                "arm_space": [
+                    {"name": "a", "lower": 0.0, "upper": 0.5, "step": 0.1},
+                    {"name": "b", "lower": 0.0, "upper": 0.5, "step": 0.1},
+                ],
+                "environment": {"kind": "test_function", "test_function": {}},
+            },
+        ],
+        ids=["synthetic_2d_on_1d_grid", "test_function_on_2d_grid"],
+    )
+    def test_environment_not_matching_grid_exits_2(self, tmp_path, overrides):
+        path, raw = small_config(tmp_path, seeds=[0], **overrides)
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert f"config error: invalid {overrides['environment']['kind']} environment" in res.output
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
+    def test_output_directory_that_cannot_be_made_exits_2(self, tmp_path):
+        path, _ = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path), "--out", str(blocker / "sub")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error: cannot create output directory" in res.output
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
             {"policies": [{"kind": "fixed_arm", "arm_index": 99}]},
             {"policies": [{"kind": "fixed_arm", "arm_index": -1}]},
             {"T": 2.7},
