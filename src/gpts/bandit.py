@@ -9,11 +9,9 @@ observation types are defined in ``environments`` and re-exported here.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +24,6 @@ __all__ = [
     "GridDim",
     "ArmSpace",
     "LossObservation",
-    "RewardRecord",
     "History",
     "PolicyConfig",
     "GP_TS",
@@ -34,7 +31,6 @@ __all__ = [
     "UNIFORM_RANDOM",
     "POLICY_KINDS",
     "make_grid",
-    "reward_from_losses",
     "cumulative_reward",
     "history_from_losses",
     "default_gp_hyperparams",
@@ -48,25 +44,17 @@ UNIFORM_RANDOM = "uniform_random"
 POLICY_KINDS = (GP_TS, FIXED_ARM, UNIFORM_RANDOM)
 
 
-class RewardRecord(NamedTuple):
-    # a NamedTuple rather than a dataclass: History.records builds one per
-    # interaction on every read, and tuple construction is cheaper
-    interaction: int
-    arm: Arm
-    reward: float
-    loss_before: float
-    loss_after: float
-
-
 @dataclass
 class History:
     """Interaction log of one run, kept as columns.
 
     ``arms[i]`` is the arm played at interaction ``initial_interaction +
-    i + 1`` and ``losses_after[i]`` the validation loss observed after
-    it; rewards and ``records`` are derived from these on read.
-    ``error`` is set (and the history left partial) when the environment
-    fails mid-run.
+    i + 1`` (``initial_interaction`` is the number the environment's
+    ``init`` reported) and ``losses_after[i]`` the validation loss
+    observed after it; the rewards are derived from these on read.
+    ``gp_trace[i]`` holds the GP hyperparameters that selected
+    ``arms[i]``; it is empty for the baseline policies. ``error`` is set
+    (and the history left partial) when a failure ends the run.
     """
 
     initial_loss: float
@@ -74,8 +62,6 @@ class History:
     losses_after: list[float] = field(default_factory=list)
     initial_interaction: int = 0
     error: str | None = None
-    # One entry per interaction for GP-TS runs (the hyperparameters used
-    # to select that interaction's arm); empty for baseline policies.
     gp_trace: list[gp.GpHyperparams] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -93,38 +79,6 @@ class History:
         """The reward of each interaction, in order: the drop in loss."""
         losses = self.losses()
         return list(map(operator.sub, losses[:-1], losses[1:]))
-
-    @property
-    def records(self) -> list[RewardRecord]:
-        """One RewardRecord per interaction, built from the columns."""
-        losses = self.losses()
-        return [
-            RewardRecord(t, arm, before - after, before, after)
-            for t, arm, before, after in zip(
-                itertools.count(self.initial_interaction + 1), self.arms, losses[:-1], losses[1:]
-            )
-        ]
-
-
-def _check_consecutive(prev: LossObservation, curr: LossObservation) -> None:
-    if curr.interaction != prev.interaction + 1:
-        raise InvalidArgumentError(
-            f"non-consecutive interactions: {prev.interaction} -> {curr.interaction}"
-        )
-
-
-def reward_from_losses(
-    prev: LossObservation, curr: LossObservation, arm: Arm
-) -> RewardRecord:
-    """Reward for one interaction: the drop in validation loss."""
-    _check_consecutive(prev, curr)
-    return RewardRecord(
-        interaction=curr.interaction,
-        arm=tuple(arm),
-        reward=prev.validation_loss - curr.validation_loss,
-        loss_before=prev.validation_loss,
-        loss_after=curr.validation_loss,
-    )
 
 
 def cumulative_reward(h: History) -> float:
@@ -239,7 +193,10 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
             hist.error = f"interaction {t}: {kind}{exc}"
             return hist
 
-        _check_consecutive(prev, obs)
+        if obs.interaction != prev.interaction + 1:
+            raise InvalidArgumentError(
+                f"non-consecutive interactions: {prev.interaction} -> {obs.interaction}"
+            )
         hist.arms.append(arm)
         hist.losses_after.append(obs.validation_loss)
         prev = obs

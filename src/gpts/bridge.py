@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import select
 import socket
@@ -263,13 +264,24 @@ def _serve(channel: _LineTransport) -> int:
                 error("version_mismatch", f"server speaks v{PROTOCOL_VERSION}")
                 continue
             config = msg.get("config") or {}
+            names = msg.get("arm_names")
             try:
+                if not isinstance(config, dict):
+                    raise TypeError(f"config must be an object, got {config!r:.200}")
+                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                    raise TypeError(f"arm_names must be a list of strings, got {names!r:.200}")
                 env_spec = SyntheticPretrainSpec(**config.get("synthetic", {}))
-            except (InvalidArgumentError, TypeError) as exc:
+                if len(names) != len(env_spec.optimum):
+                    raise ValueError(
+                        f"{len(names)} arm names for a {len(env_spec.optimum)}-D simulator"
+                    )
+                # operator.index takes integers only (1.7 or "3" is an error),
+                # and numpy's generator rejects a negative seed
+                new_env = SyntheticPretrainEnv(env_spec, seed=operator.index(config.get("seed", 0)))
+            except (TypeError, ValueError) as exc:
                 error("bad_config", str(exc))
                 continue
-            arm_names = tuple(msg.get("arm_names") or ())
-            env = SyntheticPretrainEnv(env_spec, seed=int(config.get("seed", 0)))
+            env, arm_names = new_env, tuple(names)
             obs = env.init()
             last_t = 0
             send("init_ack", initial_val_loss=obs.validation_loss)
@@ -280,10 +292,12 @@ def _serve(channel: _LineTransport) -> int:
                 error("not_initialized", "step before init")
                 continue
             try:
-                t = int(msg["interaction"])
+                t = operator.index(msg["interaction"])
                 arm_map = msg["arm"]
-                updates = int(msg["updates"])
+                updates = operator.index(msg["updates"])
                 arm = tuple(float(arm_map[name]) for name in arm_names)
+                if updates < 1:
+                    raise ValueError(f"updates must be at least 1, got {updates}")
             except (KeyError, TypeError, ValueError):
                 error("malformed", f"bad step message: {line[:200]!r}")
                 continue
@@ -304,7 +318,11 @@ def _serve(channel: _LineTransport) -> int:
 def mock_trainer_main(transport: str = "stdio") -> int:
     """Serve the wire protocol backed by the synthetic simulator, set up
     from each Init message's config: its ``synthetic`` section over the
-    ``SyntheticPretrainSpec`` defaults, and its ``seed`` (default 0).
+    ``SyntheticPretrainSpec`` defaults, and its ``seed`` (default 0). An
+    Init that cannot set it up, or whose ``arm_names`` is not a list of
+    strings, one per dimension, gets a ``bad_config`` reply; a Step whose
+    ``interaction`` or ``updates`` (at least 1) is not an integer, a
+    ``malformed`` one.
 
     ``transport`` is ``"stdio"`` or ``"tcp:PORT"`` (listen on localhost,
     single connection). Returns the process exit code.

@@ -45,8 +45,6 @@ def run(config_path, seed_override, out_dir):
         seeds = None
         if seed_override:
             seeds = [int(s) for s in seed_override.split(",") if s.strip()]
-            if not seeds:
-                raise ConfigError("--seed-override produced no seeds")
     except (ConfigError, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

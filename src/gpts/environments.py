@@ -322,10 +322,8 @@ def write_replay_csv(path, history, space: ArmSpace) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPLAY_CSV_HEADER)
         writer.writerow([REPLAY_INITIAL_ARM_INDEX, 0, repr(history.initial_loss)])
-        for rec in history.records:
-            writer.writerow(
-                [space.index_of(rec.arm), rec.interaction, repr(rec.loss_after)]
-            )
+        for i, (arm, loss) in enumerate(zip(history.arms, history.losses_after, strict=True)):
+            writer.writerow([space.index_of(arm), history.initial_interaction + i + 1, repr(loss)])
 
 
 class ReplayEnv:

@@ -12,7 +12,7 @@ CSV of its partial history, and the sibling runs still complete.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -65,6 +65,17 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if self.T < 1 or self.u < 1:
             raise ConfigError("T and u must be at least 1")
+        # numpy seeds its generators from non-negative integers only
+        if min(self.seeds) < 0 or self.fit_budget.seed < 0:
+            raise ConfigError(
+                f"seeds and fit.seed must be non-negative,"
+                f" got {self.seeds} and {self.fit_budget.seed}"
+            )
+        if self.env_seed_offset + min(self.seeds) < 0:
+            raise ConfigError(
+                f"env_seed_offset + seed must be non-negative, got {self.env_seed_offset}"
+                f" + {min(self.seeds)}"
+            )
 
 
 def default_config_dict() -> dict:
@@ -251,23 +262,26 @@ def _expand_policies(policies, space: bandit.ArmSpace) -> list[PolicySpec]:
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
     """Execute every (policy, seed) run and write per-run plus summary CSVs.
 
-    A run ended by one of ``errors.RUN_FAILURES`` is recorded without
-    aborting sibling runs. Returns a summary mapping with the list of
-    completed runs, any failures, and the summary CSV path.
+    ``seeds`` replaces the config's seeds and is checked as they are, so
+    an invalid one is a ``ConfigError`` before any run starts. A run
+    ended by one of ``errors.RUN_FAILURES`` is recorded without aborting
+    sibling runs. Returns a summary mapping with the list of completed
+    runs, any failures, and the summary CSV path.
     """
+    if seeds is not None:
+        cfg = replace(cfg, seeds=list(seeds))
     out = Path(out_dir) if out_dir is not None else cfg.output_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    seeds = list(seeds) if seeds is not None else cfg.seeds
 
     runs = []
     failures = []
     curves: dict[str, list[list[float]]] = {}
     for policy in _expand_policies(cfg.policies, cfg.space):
         label = policy.label()
-        for seed in seeds:
+        for seed in cfg.seeds:
             pc = bandit.PolicyConfig(
                 kind=policy.kind,
                 seed=seed,

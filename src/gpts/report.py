@@ -52,9 +52,18 @@ def _run_csv_columns(space) -> list[str]:
 
 
 def write_run_csv(path, seed: int, label: str, hist, space) -> None:
-    """Write one run's CSV from a ``bandit.History`` and its
-    ``environments.ArmSpace`` (read for ``names`` and ``ndim``)."""
+    """Write one run's CSV from the columns of a ``bandit.History`` and
+    its ``environments.ArmSpace`` (read for ``names`` and ``ndim``)."""
     ndim = space.ndim
+    gp_columns = [
+        [
+            json.dumps([float(v) for v in theta.kernel.lengthscales]),
+            _fmt(theta.kernel.output_scale),
+            _fmt(theta.noise_variance),
+            _fmt(theta.mean.value()),
+        ]
+        for theta in hist.gp_trace
+    ] or [["", "", "", ""]] * len(hist)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_run_csv_columns(space))
@@ -62,23 +71,14 @@ def write_run_csv(path, seed: int, label: str, hist, space) -> None:
             [seed, label, 0] + [""] * ndim + [_fmt(hist.initial_loss), "", _fmt(0.0), "", "", "", ""]
         )
         cum = 0.0
-        for i, rec in enumerate(hist.records):
-            cum += rec.reward
-            if hist.gp_trace:
-                theta = hist.gp_trace[i]
-                snapshot = [
-                    json.dumps([float(v) for v in theta.kernel.lengthscales]),
-                    _fmt(theta.kernel.output_scale),
-                    _fmt(theta.noise_variance),
-                    _fmt(theta.mean.value()),
-                ]
-            else:
-                snapshot = ["", "", "", ""]
+        rows = zip(hist.arms, hist.losses_after, hist.rewards(), gp_columns, strict=True)
+        for i, (arm, loss, reward, gp_cols) in enumerate(rows):
+            cum += reward
             writer.writerow(
-                [seed, label, rec.interaction]
-                + [_fmt(c) for c in rec.arm]
-                + [_fmt(rec.loss_after), _fmt(rec.reward), _fmt(cum)]
-                + snapshot
+                [seed, label, hist.initial_interaction + i + 1]
+                + [_fmt(c) for c in arm]
+                + [_fmt(loss), _fmt(reward), _fmt(cum)]
+                + gp_cols
             )
 
 

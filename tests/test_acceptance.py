@@ -241,7 +241,7 @@ def test_criterion_7_stationary_regret_halves_uniform():
     best = min(h_vals.values())
 
     def regret(hist):
-        return sum(h_vals[rec.arm] - best for rec in hist.records)
+        return sum(h_vals[arm] - best for arm in hist.arms)
 
     budget = gp.FitBudget(restarts=2, max_evals=40)
     wins = 0
@@ -313,8 +313,8 @@ def test_criterion_8_bridge_runs_match_in_process_bit_exactly():
             server.kill()
 
     same = (
-        stdio_hist.records == ref.records
-        and tcp_hist.records == ref.records
+        stdio_hist == ref
+        and tcp_hist == ref
         and stdio_hist.initial_loss == ref.initial_loss == tcp_hist.initial_loss
     )
     elapsed = time.monotonic() - start

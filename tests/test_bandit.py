@@ -1,6 +1,8 @@
 """Bandit tests: arm grids, the loss-delta reward, history bookkeeping,
 Thompson selection, and the run loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,27 +51,17 @@ class TestMakeGrid:
 
 class TestRewards:
     def test_loss_drop_is_positive_reward(self):
-        rec = bandit.reward_from_losses(
-            LossObservation(0, 10.0), LossObservation(1, 8.0), (0.1,)
-        )
-        assert rec.reward == 2.0
-        assert rec.loss_before == 10.0 and rec.loss_after == 8.0
+        h = bandit.history_from_losses([10.0, 8.0], [(0.1,)])
+        assert h.rewards() == [2.0]
+        assert h.losses() == [10.0, 8.0]
 
     def test_no_change_zero_reward(self):
-        rec = bandit.reward_from_losses(
-            LossObservation(4, 3.5), LossObservation(5, 3.5), (0.1,)
-        )
-        assert rec.reward == 0.0
+        h = bandit.history_from_losses([3.5, 3.5], [(0.1,)])
+        assert h.rewards() == [0.0]
 
     def test_loss_regression_negative_reward(self):
-        rec = bandit.reward_from_losses(
-            LossObservation(1, 2.0), LossObservation(2, 2.4), (0.1,)
-        )
-        assert rec.reward == pytest.approx(-0.4)
-
-    def test_non_consecutive_interactions_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            bandit.reward_from_losses(LossObservation(1, 2.0), LossObservation(3, 1.0), (0.1,))
+        h = bandit.history_from_losses([2.0, 2.4], [(0.1,)])
+        assert h.rewards() == [pytest.approx(-0.4)]
 
 
 class TestCumulativeReward:
@@ -182,7 +174,7 @@ class TestRunPolicy:
         for _ in range(2):
             env = SyntheticPretrainEnv(spec, seed=7)
             runs.append(bandit.run_policy(space, cfg, env, T=20, u=50))
-        assert runs[0].records == runs[1].records
+        assert runs[0] == runs[1]
 
     def test_policy_seed_does_not_affect_fixed_arm(self):
         space = grid_1d()
@@ -192,7 +184,7 @@ class TestRunPolicy:
             cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=policy_seed, fixed_arm_index=3)
             env = SyntheticPretrainEnv(spec, seed=7)
             histories.append(bandit.run_policy(space, cfg, env, T=10, u=50))
-        assert histories[0].records == histories[1].records
+        assert histories[0] == histories[1]
 
     def test_gp_ts_single_interaction(self):
         space = grid_1d()
@@ -200,7 +192,7 @@ class TestRunPolicy:
         cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
         h = bandit.run_policy(space, cfg, env, T=1, u=10)
         assert len(h) == 1
-        assert h.records[0].interaction == 1
+        assert h.initial_interaction == 0
         assert h.gp_trace[0] == bandit.default_gp_hyperparams(1)  # no refit possible yet
 
     @pytest.mark.parametrize("T", [2, 3, 6])
@@ -223,7 +215,7 @@ class TestRunPolicy:
             env = SyntheticPretrainEnv(spec, seed=3)
             cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=11)
             runs.append(bandit.run_policy(space, cfg, env, T=8, u=50))
-        assert runs[0].records == runs[1].records
+        assert runs[0] == runs[1]
 
     def test_uniform_random_deterministic(self):
         space = grid_1d()
@@ -233,15 +225,15 @@ class TestRunPolicy:
             env = SyntheticPretrainEnv(spec, seed=3)
             cfg = bandit.PolicyConfig(kind=bandit.UNIFORM_RANDOM, seed=11)
             runs.append(bandit.run_policy(space, cfg, env, T=10, u=50))
-        assert runs[0].records == runs[1].records
+        assert runs[0] == runs[1]
 
     def test_arm_membership_and_telescoping(self):
         space = grid_1d()
         env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=5)
         cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=2)
         h = bandit.run_policy(space, cfg, env, T=12, u=50)
-        for rec in h.records:
-            assert rec.arm in space.arms
+        for arm in h.arms:
+            assert arm in space.arms
         total = bandit.cumulative_reward(h)
         expected = h.initial_loss - h.final_loss
         assert abs(total - expected) <= 1e-9 * max(abs(expected), 1.0)
@@ -251,8 +243,8 @@ class TestRunPolicy:
         env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=4)
         cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=3)
         h = bandit.run_policy(space, cfg, env, T=12, u=50)
-        assert h.records == bandit.history_from_losses(h.losses(), h.arms).records
-        assert [r.interaction for r in h.records] == list(range(1, 13))
+        assert bandit.history_from_losses(h.losses(), h.arms) == dataclasses.replace(h, gp_trace=[])
+        assert len(h) == 12
 
     def test_skipped_interaction_rejected(self):
         space = grid_1d()

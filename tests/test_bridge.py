@@ -104,6 +104,49 @@ class TestWireFormat:
         ]
 
 
+class TestMockTrainerRejects:
+    """An init or step the mock trainer cannot serve gets an error reply,
+    and the trainer serves the next message."""
+
+    def serve(self, *messages):
+        channel = LineRecorder([json.dumps(m) + "\n" for m in messages])
+        assert bridge._serve(channel) == 0
+        return [(m["type"], m.get("code")) for m in map(json.loads, channel.sent)]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"config": [1]},
+            {"config": {"seed": "3"}},
+            {"config": {"seed": 1.7}},
+            {"config": {"seed": -1}},
+            {"arm_names": 5},
+            {"arm_names": "rho"},
+            {"arm_names": [1]},
+            {"arm_names": ["rho", "gamma"]},
+            {"arm_names": None},
+        ],
+        ids=["config_list", "seed_str", "seed_float", "seed_negative", "names_int", "names_str",
+             "names_of_int", "names_2d", "names_missing"],
+    )
+    def test_bad_init_is_bad_config(self, fields):
+        init = {**json.loads(GOLDEN_INIT), **fields}
+        replies = self.serve(init, json.loads(GOLDEN_INIT), json.loads(GOLDEN_STEP))
+        assert replies == [("error", "bad_config"), ("init_ack", None), ("step_ack", None)]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"interaction": 1.7}, {"interaction": "1"}, {"updates": 2.9}, {"updates": 0},
+         {"updates": -1}],
+        ids=["interaction_float", "interaction_str", "updates_float", "updates_zero",
+             "updates_negative"],
+    )
+    def test_non_integer_step_field_is_malformed(self, fields):
+        step = json.loads(GOLDEN_STEP)
+        replies = self.serve(json.loads(GOLDEN_INIT), {**step, **fields}, step)
+        assert replies == [("init_ack", None), ("error", "malformed"), ("step_ack", None)]
+
+
 class TestClientProtocol:
     def test_init_echoes_initial_loss(self):
         t = ScriptedTransport([json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0})])
@@ -483,7 +526,7 @@ class TestEquivalence:
         cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=1)
         hist = bandit.run_policy(space, cfg, env, T=10, u=100)
         env.close()
-        assert hist.records == ref.records
+        assert hist == ref
         assert hist.initial_loss == ref.initial_loss
 
     def test_tcp_matches_in_process(self):
@@ -506,7 +549,7 @@ class TestEquivalence:
         finally:
             if server.poll() is None:
                 server.kill()
-        assert hist.records == ref.records
+        assert hist == ref
 
     def test_trainer_crash_surfaces_as_partial_history(self):
         space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])

@@ -150,7 +150,7 @@ class TestReplay:
         envs.write_replay_csv(path, original, space)
         replay_env = envs.ReplayEnv(envs.load_replay_csv(path), space)
         replayed = bandit.run_policy(space, cfg, replay_env, T=15, u=30)
-        assert replayed.records == original.records
+        assert replayed == original
         assert replayed.initial_loss == original.initial_loss
 
 

@@ -325,6 +325,71 @@ class TestRunExperiment:
         assert f"FAILED gp_ts seed 0: {error}" in res.output
 
 
+def hand_history(gp_trace=()):
+    # interactions 4..6 of a run resumed after interaction 3; every value
+    # and every loss drop is exact in binary, so the text is portable
+    return bandit.History(
+        initial_loss=10.0,
+        arms=[(0.25, 0.5), (0.75, 0.5), (0.25, 0.5)],
+        losses_after=[9.5, 9.25, 9.75],
+        initial_interaction=3,
+        gp_trace=list(gp_trace),
+    )
+
+
+class TestCsvText:
+    """The exact text of the run CSV and the replay CSV written from a
+    hand-built History."""
+
+    SPACE = bandit.ArmSpace(
+        dims=(bandit.GridDim(0.0, 1.0, 0.25, "a"), bandit.GridDim(0.0, 1.0, 0.25, "b")),
+        arms=((0.25, 0.5), (0.75, 0.5)),
+    )
+    HEADER = (
+        "seed,policy,interaction,arm_a,arm_b,val_loss,reward,cumulative_reward,"
+        "gp_lengthscales,gp_output_scale,gp_noise_variance,gp_mean_constant\n"
+    )
+
+    def test_baseline_run_has_blank_gp_columns(self, tmp_path):
+        path = tmp_path / "run.csv"
+        report.write_run_csv(path, 7, "uniform_random", hand_history(), self.SPACE)
+        assert path.read_text() == self.HEADER + (
+            "7,uniform_random,0,,,10.0,,0.0,,,,\n"
+            "7,uniform_random,4,0.25,0.5,9.5,0.5,0.5,,,,\n"
+            "7,uniform_random,5,0.75,0.5,9.25,0.25,0.75,,,,\n"
+            "7,uniform_random,6,0.25,0.5,9.75,-0.5,0.25,,,,\n"
+        )
+
+    def test_gp_ts_run_has_one_snapshot_per_row(self, tmp_path):
+        def theta(ls, scale):
+            return gp.GpHyperparams(
+                mean=gp.MeanSpec("constant", -0.125),
+                kernel=gp.KernelSpec(gp.MATERN52, (ls, 0.5), scale),
+                noise_variance=0.0625,
+            )
+
+        hist = hand_history([theta(0.1, 1.0), theta(0.2, 1.5), theta(0.3, 2.0)])
+        path = tmp_path / "run.csv"
+        report.write_run_csv(path, 0, "gp_ts", hist, self.SPACE)
+        assert path.read_text() == self.HEADER + (
+            "0,gp_ts,0,,,10.0,,0.0,,,,\n"
+            '0,gp_ts,4,0.25,0.5,9.5,0.5,0.5,"[0.1, 0.5]",1.0,0.0625,-0.125\n'
+            '0,gp_ts,5,0.75,0.5,9.25,0.25,0.75,"[0.2, 0.5]",1.5,0.0625,-0.125\n'
+            '0,gp_ts,6,0.25,0.5,9.75,-0.5,0.25,"[0.3, 0.5]",2.0,0.0625,-0.125\n'
+        )
+
+    def test_replay_csv(self, tmp_path):
+        path = tmp_path / "log.csv"
+        envs.write_replay_csv(path, hand_history(), self.SPACE)
+        assert path.read_bytes() == (
+            b"arm_index,interaction,val_loss\r\n"
+            b"-1,0,10.0\r\n"
+            b"0,4,9.5\r\n"
+            b"1,5,9.25\r\n"
+            b"0,6,9.75\r\n"
+        )
+
+
 class TestSummarize:
     def test_report_over_generated_runs(self, tmp_path):
         path, raw = small_config(tmp_path)
@@ -475,6 +540,9 @@ class TestCli:
             {"u": 20.5},
             {"seeds": [0.5]},
             {"env_seed_offset": 1.5},
+            {"seeds": [0, -1]},
+            {"fit": {"seed": -1}},
+            {"env_seed_offset": -5, "seeds": [5, 4]},
         ],
     )
     def test_out_of_range_or_truncated_value_exits_2(self, tmp_path, overrides):
@@ -531,6 +599,17 @@ class TestCli:
         assert res.exit_code == 0, res.output
         out = Path(raw["output_dir"])
         assert [p.name for p in out.glob("run_*.csv")] == ["run_uniform_random_seed7.csv"]
+
+    @pytest.mark.parametrize("override", ["0,-1", " , "])
+    def test_negative_or_empty_seed_override_exits_2(self, tmp_path, override):
+        path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}])
+        res = CliRunner().invoke(
+            cli.main, ["run", "--config", str(path), "--seed-override", override]
+        )
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output
+        assert not Path(raw["output_dir"]).exists()
 
     def test_print_default_config_is_loadable(self, tmp_path):
         res = CliRunner().invoke(cli.main, ["print-default-config"])
