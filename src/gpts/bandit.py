@@ -3,8 +3,9 @@
 The policy models the per-interaction reward (the decrease in validation
 loss between consecutive interactions) with a GP, draws one joint sample
 of the posterior over all arms, and plays the argmax. Fixed-arm and
-uniform-random baselines share the same run loop. The arm-space and
-observation types are defined in ``environments`` and re-exported here.
+uniform-random baselines share the same run loop, which alone numbers
+the interactions. The arm-space types are defined in ``environments``
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp
-from .environments import Arm, ArmSpace, GridDim, LossObservation, make_grid
+from .environments import Arm, ArmSpace, GridDim, make_grid
 from .errors import RUN_FAILURES, EnvironmentFailure, InvalidArgumentError, NumericalError
 
 __all__ = [
     "Arm",
     "GridDim",
     "ArmSpace",
-    "LossObservation",
     "History",
     "PolicyConfig",
     "GP_TS",
@@ -34,6 +34,7 @@ __all__ = [
     "cumulative_reward",
     "history_from_losses",
     "default_gp_hyperparams",
+    "DEFAULT_FIT_BUDGET",
     "ts_select_arm",
     "run_policy",
 ]
@@ -48,10 +49,9 @@ POLICY_KINDS = (GP_TS, FIXED_ARM, UNIFORM_RANDOM)
 class History:
     """Interaction log of one run, kept as columns.
 
-    ``arms[i]`` is the arm played at interaction ``initial_interaction +
-    i + 1`` (``initial_interaction`` is the number the environment's
-    ``init`` reported) and ``losses_after[i]`` the validation loss
-    observed after it; the rewards are derived from these on read.
+    ``arms[i]`` is the arm played at interaction ``i + 1`` and
+    ``losses_after[i]`` the validation loss observed after it; the
+    rewards are derived from these on read.
     ``gp_trace[i]`` holds the GP hyperparameters that selected
     ``arms[i]``; it is empty for the baseline policies. ``error`` is set
     (and the history left partial) when a failure ends the run.
@@ -60,7 +60,6 @@ class History:
     initial_loss: float
     arms: list[Arm] = field(default_factory=list)
     losses_after: list[float] = field(default_factory=list)
-    initial_interaction: int = 0
     error: str | None = None
     gp_trace: list[gp.GpHyperparams] = field(default_factory=list)
 
@@ -109,13 +108,17 @@ def default_gp_hyperparams(ndim: int) -> gp.GpHyperparams:
     )
 
 
+# The fit budget of a policy, and of a config without a ``fit`` section.
+DEFAULT_FIT_BUDGET = gp.FitBudget(restarts=2, max_evals=60)
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: str = GP_TS
     seed: int = 0
     fixed_arm_index: int | None = None
     gp_init: gp.GpHyperparams | None = None
-    fit_budget: gp.FitBudget = field(default_factory=lambda: gp.FitBudget(restarts=2, max_evals=60))
+    fit_budget: gp.FitBudget = DEFAULT_FIT_BUDGET
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -139,7 +142,7 @@ def ts_select_arm(
 
 
 def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> History:
-    """Run one policy for T interactions of u trainer updates each.
+    """Run one policy for T interactions (numbered 1..T here) of u updates each.
 
     GP-TS: per interaction, refit the GP on the history so far
     (warm-started from the previous fit, which is kept whenever refitting
@@ -165,10 +168,10 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
         )
 
     rng = np.random.default_rng(cfg.seed)
-    prev = env.init()
-    if not math.isfinite(prev.validation_loss):
-        raise EnvironmentFailure(f"init: diverged (validation loss {prev.validation_loss})")
-    hist = History(initial_loss=prev.validation_loss, initial_interaction=prev.interaction)
+    loss = env.init()
+    if not math.isfinite(loss):
+        raise EnvironmentFailure(f"init: diverged (validation loss {loss})")
+    hist = History(initial_loss=loss)
 
     theta = cfg.gp_init or default_gp_hyperparams(space.ndim)
     data = gp.RegressionData.empty(space.ndim)
@@ -185,21 +188,16 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
                 arm = space.arms[cfg.fixed_arm_index]
             else:
                 arm = space.arms[int(rng.integers(len(space)))]
-            obs = env.step(arm, u)
-            if not math.isfinite(obs.validation_loss):
-                raise EnvironmentFailure(f"diverged (validation loss {obs.validation_loss})")
+            loss = env.step(arm, u)
+            if not math.isfinite(loss):
+                raise EnvironmentFailure(f"diverged (validation loss {loss})")
         except RUN_FAILURES as exc:
             kind = "numerical: " if isinstance(exc, NumericalError) else ""
             hist.error = f"interaction {t}: {kind}{exc}"
             return hist
 
-        if obs.interaction != prev.interaction + 1:
-            raise InvalidArgumentError(
-                f"non-consecutive interactions: {prev.interaction} -> {obs.interaction}"
-            )
         hist.arms.append(arm)
-        hist.losses_after.append(obs.validation_loss)
-        prev = obs
+        hist.losses_after.append(loss)
         if cfg.kind == GP_TS:
             hist.gp_trace.append(theta)
 

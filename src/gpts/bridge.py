@@ -16,11 +16,11 @@ increase strictly by one and duplicates are rejected. A trainer is
 spawned from an argv list and spoken to over its stdio, or reached at
 ``"tcp:HOST:PORT"`` (IPv6: ``"tcp:[::1]:9000"``). Both ends move lines
 through one transport over a read fd and a write fd. The reply timeout
-bounds the wait for a whole line; the default 0 blocks forever, as real
-pre-training steps can take hours. A reply that is not valid UTF-8 is a
-``ProtocolError``, as is an ack whose loss is missing or not a JSON
-number. Both ends build each line with ``_encode`` and parse it with
-``_decode``.
+bounds the wait for a whole line, up to ``threading.TIMEOUT_MAX``; the
+default 0 blocks forever, as real pre-training steps can take hours. A
+reply that is not valid UTF-8 is a ``ProtocolError``, as is an ack whose
+loss is missing or not a JSON number. Both ends build each line with
+``_encode`` and parse it with ``_decode``.
 
 ``mock_trainer_main`` serves the protocol backed by the synthetic
 pre-training simulator, for tests and offline development.
@@ -35,9 +35,10 @@ import os
 import select
 import socket
 import subprocess
+import threading
 import time
 
-from .environments import Arm, LossObservation, SyntheticPretrainEnv, SyntheticPretrainSpec
+from .environments import Arm, SyntheticPretrainEnv, SyntheticPretrainSpec
 from .errors import BridgeError, InvalidArgumentError, ProtocolError
 
 __all__ = [
@@ -146,22 +147,22 @@ class BridgeEnvironment:
         except OverflowError:  # an integer beyond the range of a double
             return math.inf if value > 0 else -math.inf
 
-    def init(self) -> LossObservation:
+    def init(self) -> float:
         if self._started:
             raise InvalidArgumentError("init() may be called only once")
         self._send("init", arm_names=list(self.arm_names), config=self._config)
         msg = self._recv("init_ack")
         self._started = True
-        return LossObservation(interaction=0, validation_loss=self._loss(msg, "initial_val_loss"))
+        return self._loss(msg, "initial_val_loss")
 
-    def step(self, arm: Arm, u: int) -> LossObservation:
+    def step(self, arm: Arm, u: int) -> float:
         if not self._started:
             raise InvalidArgumentError("init() must be called before step()")
         if len(arm) != len(self.arm_names):
             raise InvalidArgumentError(
                 f"arm has {len(arm)} coordinates, expected {len(self.arm_names)}"
             )
-        t = self._t + 1
+        t = self._t + 1  # the wire's interaction number
         self._send("step", interaction=t, arm=dict(zip(self.arm_names, arm)), updates=u)
         msg = self._recv("step_ack")
         if msg.get("interaction") != t:
@@ -169,7 +170,7 @@ class BridgeEnvironment:
                 f"step_ack interaction {msg.get('interaction')} does not match request {t}"
             )
         self._t = t
-        return LossObservation(interaction=t, validation_loss=self._loss(msg, "val_loss"))
+        return self._loss(msg, "val_loss")
 
     def close(self) -> None:
         try:
@@ -179,15 +180,31 @@ class BridgeEnvironment:
         self._transport.close()
 
 
+def _tcp_port(port: str, spec) -> int:
+    """The PORT of a ``tcp:`` transport spec, as both ends read it."""
+    if not port.isdecimal() or int(port) > 65535:
+        raise InvalidArgumentError(f"transport spec {spec!r} has no port in [0, 65535]")
+    return int(port)
+
+
 def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) -> BridgeEnvironment:
     """Open a bridge to a trainer.
 
     ``transport`` is either an argv list (the trainer is spawned and
     spoken to over stdio) or a string ``"tcp:HOST:PORT"``, with an IPv6
-    host in brackets (``"tcp:[::1]:9000"``); anything else raises
+    host in brackets (``"tcp:[::1]:9000"``); anything else, or a
+    ``timeout_s`` outside [0, ``threading.TIMEOUT_MAX``], raises
     ``InvalidArgumentError``. The Init handshake is performed lazily by
     the returned environment's ``init()``.
     """
+    # select() overflows past Python's longest blocking timeout; NaN fails too
+    if isinstance(timeout_s, bool) or not (
+        isinstance(timeout_s, (int, float)) and 0 <= timeout_s <= threading.TIMEOUT_MAX
+    ):
+        raise InvalidArgumentError(
+            f"timeout_s must be a number of seconds in [0, {threading.TIMEOUT_MAX}],"
+            f" got {timeout_s!r}"
+        )
     if isinstance(transport, list) and transport and all(isinstance(a, str) for a in transport):
         try:
             proc = subprocess.Popen(transport, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -208,12 +225,13 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
         host, _, port = transport[len("tcp:"):].rpartition(":")
         if host.startswith("[") and host.endswith("]"):
             host = host[1:-1]
-        if not host or not port.isdecimal() or int(port) > 65535:
+        if not host:
             raise InvalidArgumentError(f"transport spec {transport!r} is not tcp:HOST:PORT")
+        address = (host, _tcp_port(port, transport))
         deadline = time.monotonic() + 10.0
         while True:
             try:
-                sock = socket.create_connection((host, int(port)), timeout=2.0)
+                sock = socket.create_connection(address, timeout=2.0)
                 break
             except OSError as exc:
                 if time.monotonic() >= deadline:
@@ -282,9 +300,8 @@ def _serve(channel: _LineTransport) -> int:
                 error("bad_config", str(exc))
                 continue
             env, arm_names = new_env, tuple(names)
-            obs = env.init()
             last_t = 0
-            send("init_ack", initial_val_loss=obs.validation_loss)
+            send("init_ack", initial_val_loss=env.init())
             continue
 
         if mtype == "step":
@@ -307,9 +324,8 @@ def _serve(channel: _LineTransport) -> int:
             if t != last_t + 1:
                 error("bad_interaction", f"expected interaction {last_t + 1}, got {t}")
                 continue
-            obs = env.step(arm, updates)
+            send("step_ack", interaction=t, val_loss=env.step(arm, updates))
             last_t = t
-            send("step_ack", interaction=t, val_loss=obs.validation_loss)
             continue
 
         error("unknown_type", f"unknown message type {mtype!r}")
@@ -325,12 +341,13 @@ def mock_trainer_main(transport: str = "stdio") -> int:
     ``malformed`` one.
 
     ``transport`` is ``"stdio"`` or ``"tcp:PORT"`` (listen on localhost,
-    single connection). Returns the process exit code.
+    single connection; PORT is read as by ``bridge_connect``). Returns
+    the process exit code.
     """
     if transport == "stdio":
         channel = _LineTransport(0, 1, lambda: None)
     elif transport.startswith("tcp:"):
-        port = int(transport.split(":", 1)[1])
+        port = _tcp_port(transport[len("tcp:"):], transport)
         with socket.create_server(("127.0.0.1", port)) as server:
             conn, _ = server.accept()
         channel = _LineTransport(conn.fileno(), conn.fileno(), conn.close)

@@ -9,10 +9,11 @@ Each environment maps (arm, update budget) to a validation loss:
   Gaussian noise, for regret benchmarking.
 * ``ReplayEnv`` — verbatim playback of logged loss curves from CSV.
 
-The arm space and observation types of the ``Environment`` protocol
-(``Arm``, ``GridDim``, ``ArmSpace``, ``make_grid``, ``LossObservation``)
-live here too, so a trainer process that serves an environment never
-imports the GP stack; ``bandit`` re-exports them.
+``init()`` returns the loss before interaction 1 and ``step`` the loss
+after one more interaction; the run loop numbers the interactions. The
+arm-space types (``Arm``, ``GridDim``, ``ArmSpace``, ``make_grid``)
+live here, so a trainer process never imports the GP stack; ``bandit``
+re-exports them.
 
 Environments own their random stream (seeded at construction), keeping
 environment randomness independent of policy randomness. Each instance
@@ -36,7 +37,6 @@ __all__ = [
     "Arm",
     "GridDim",
     "ArmSpace",
-    "LossObservation",
     "make_grid",
     "Environment",
     "SyntheticPretrainSpec",
@@ -131,16 +131,10 @@ def make_grid(dims) -> ArmSpace:
     return ArmSpace(dims=dims, arms=arms)
 
 
-@dataclass(frozen=True)
-class LossObservation:
-    interaction: int
-    validation_loss: float
-
-
 class Environment(Protocol):
-    def init(self) -> LossObservation: ...
+    def init(self) -> float: ...
 
-    def step(self, arm: Arm, u: int) -> LossObservation: ...
+    def step(self, arm: Arm, u: int) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -192,16 +186,16 @@ class SyntheticPretrainEnv:
     def __init__(self, spec: SyntheticPretrainSpec | None = None, seed: int = 0):
         self.spec = spec or SyntheticPretrainSpec()
         self._rng = np.random.default_rng(seed)
-        self._t = 0
+        self._t = 0  # steps taken, the t of the 1/(u+t) decay
         self._loss: float | None = None
 
-    def init(self) -> LossObservation:
+    def init(self) -> float:
         if self._loss is not None:
             raise InvalidArgumentError("init() may be called only once")
-        self._loss = self.spec.initial_loss
-        return LossObservation(interaction=0, validation_loss=self._loss)
+        self._loss = float(self.spec.initial_loss)  # YAML may give an integer
+        return self._loss
 
-    def step(self, arm: Arm, u: int) -> LossObservation:
+    def step(self, arm: Arm, u: int) -> float:
         if self._loss is None:
             raise InvalidArgumentError("init() must be called before step()")
         s = self.spec
@@ -211,8 +205,8 @@ class SyntheticPretrainEnv:
         loss = s.floor + (self._loss - s.floor) * decay
         if s.noise_sd > 0.0:
             loss += s.noise_sd * float(self._rng.standard_normal())
-        self._loss = max(loss, s.floor)
-        return LossObservation(interaction=self._t, validation_loss=self._loss)
+        self._loss = float(max(loss, s.floor))
+        return self._loss
 
 
 # ---------------------------------------------------------------------------
@@ -249,25 +243,23 @@ class NoisyTestFunctionEnv:
             raise InvalidArgumentError("noise_sd must be nonnegative")
         self.noise_sd = noise_sd
         self._rng = np.random.default_rng(seed)
-        self._t = 0
         self._started = False
 
-    def init(self) -> LossObservation:
+    def init(self) -> float:
         if self._started:
             raise InvalidArgumentError("init() may be called only once")
         self._started = True
-        return LossObservation(interaction=0, validation_loss=TEST_FUNCTION_BASELINE)
+        return TEST_FUNCTION_BASELINE
 
-    def step(self, arm: Arm, u: int) -> LossObservation:
+    def step(self, arm: Arm, u: int) -> float:
         if not self._started:
             raise InvalidArgumentError("init() must be called before step()")
         if len(arm) != 1:
             raise InvalidArgumentError("the test function is one-dimensional")
-        self._t += 1
         loss = test_function(arm[0])
         if self.noise_sd > 0.0:
             loss += self.noise_sd * float(self._rng.standard_normal())
-        return LossObservation(interaction=self._t, validation_loss=loss)
+        return loss
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +314,8 @@ def write_replay_csv(path, history, space: ArmSpace) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPLAY_CSV_HEADER)
         writer.writerow([REPLAY_INITIAL_ARM_INDEX, 0, repr(history.initial_loss)])
-        for i, (arm, loss) in enumerate(zip(history.arms, history.losses_after, strict=True)):
-            writer.writerow([space.index_of(arm), history.initial_interaction + i + 1, repr(loss)])
+        for t, (arm, loss) in enumerate(zip(history.arms, history.losses_after, strict=True), 1):
+            writer.writerow([space.index_of(arm), t, repr(loss)])
 
 
 class ReplayEnv:
@@ -332,16 +324,16 @@ class ReplayEnv:
     def __init__(self, spec: ReplaySpec, space: ArmSpace):
         self.spec = spec
         self.space = space
-        self._t = 0
+        self._t = 0  # steps taken, the interaction of the table key
         self._started = False
 
-    def init(self) -> LossObservation:
+    def init(self) -> float:
         if self._started:
             raise InvalidArgumentError("init() may be called only once")
         self._started = True
-        return LossObservation(interaction=0, validation_loss=self.spec.initial_loss)
+        return self.spec.initial_loss
 
-    def step(self, arm: Arm, u: int) -> LossObservation:
+    def step(self, arm: Arm, u: int) -> float:
         if not self._started:
             raise InvalidArgumentError("init() must be called before step()")
         self._t += 1
@@ -351,7 +343,7 @@ class ReplayEnv:
             raise DataError(
                 f"replay table has no entry for arm {arm_index} at interaction {self._t}"
             )
-        return LossObservation(interaction=self._t, validation_loss=self.spec.table[key])
+        return self.spec.table[key]
 
 
 class PartialArmEnv:
@@ -367,10 +359,10 @@ class PartialArmEnv:
         self.template = tuple(template)
         self._free = sum(1 for v in self.template if v is None)
 
-    def init(self) -> LossObservation:
+    def init(self) -> float:
         return self.inner.init()
 
-    def step(self, arm: Arm, u: int) -> LossObservation:
+    def step(self, arm: Arm, u: int) -> float:
         if len(arm) != self._free:
             raise InvalidArgumentError(
                 f"arm has dimension {len(arm)}, template has {self._free} free slots"

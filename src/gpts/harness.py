@@ -12,7 +12,7 @@ CSV of its partial history, and the sibling runs still complete.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -80,6 +80,7 @@ class ExperimentConfig:
 
 def default_config_dict() -> dict:
     """The documented default configuration (see `print-default-config`)."""
+    theta, budget = bandit.default_gp_hyperparams(1), bandit.DEFAULT_FIT_BUDGET
     return {
         "arm_space": [{"name": "rho", "lower": 0.0, "upper": 0.5, "step": 0.05}],
         "policies": [
@@ -104,12 +105,12 @@ def default_config_dict() -> dict:
         "env_seed_offset": DEFAULT_ENV_SEED_OFFSET,
         "output_dir": "runs",
         "gp": {
-            "lengthscale": 0.1,
-            "output_scale": 1.0,
-            "noise_variance": 0.01,
-            "mean_constant": 0.0,
+            "lengthscale": theta.kernel.lengthscales[0],
+            "output_scale": theta.kernel.output_scale,
+            "noise_variance": theta.noise_variance,
+            "mean_constant": theta.mean.constant_value,
         },
-        "fit": {"restarts": 2, "max_evals": 60},
+        "fit": {"restarts": budget.restarts, "max_evals": budget.max_evals},
     }
 
 
@@ -132,7 +133,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             for p in raw["policies"]
         ]
         space = bandit.make_grid(dims)
-        fit = dict(raw.get("fit", {}))
+        fit = {**asdict(bandit.DEFAULT_FIT_BUDGET), **raw.get("fit", {})}
         cfg = ExperimentConfig(
             arm_dims=dims,
             space=space,
@@ -145,9 +146,9 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             output_dir=Path(raw.get("output_dir", "runs")),
             gp_init=_gp_init_from_config(dict(raw.get("gp", {})), space.ndim),
             fit_budget=gp.FitBudget(
-                restarts=operator.index(fit.get("restarts", 2)),
-                max_evals=operator.index(fit.get("max_evals", 60)),
-                seed=operator.index(fit.get("seed", 0)),
+                restarts=operator.index(fit["restarts"]),
+                max_evals=operator.index(fit["max_evals"]),
+                seed=operator.index(fit["seed"]),
             ),
             env_seed_offset=operator.index(raw.get("env_seed_offset", DEFAULT_ENV_SEED_OFFSET)),
         )
@@ -191,10 +192,10 @@ def _gp_init_from_config(gp_cfg: dict, ndim: int) -> gp.GpHyperparams:
     return gp.GpHyperparams(
         mean=gp.MeanSpec(
             family="constant",
-            constant_value=float(gp_cfg.get("mean_constant", 0.0)),
+            constant_value=float(gp_cfg.get("mean_constant", base.mean.constant_value)),
         ),
         kernel=gp.KernelSpec(
-            family=gp_cfg.get("kernel", gp.MATERN52),
+            family=gp_cfg.get("kernel", base.kernel.family),
             lengthscales=lengthscales,
             output_scale=float(gp_cfg.get("output_scale", base.kernel.output_scale)),
         ),

@@ -72,10 +72,10 @@ def write_run_csv(path, seed: int, label: str, hist, space) -> None:
         )
         cum = 0.0
         rows = zip(hist.arms, hist.losses_after, hist.rewards(), gp_columns, strict=True)
-        for i, (arm, loss, reward, gp_cols) in enumerate(rows):
+        for t, (arm, loss, reward, gp_cols) in enumerate(rows, 1):
             cum += reward
             writer.writerow(
-                [seed, label, hist.initial_interaction + i + 1]
+                [seed, label, t]
                 + [_fmt(c) for c in arm]
                 + [_fmt(loss), _fmt(reward), _fmt(cum)]
                 + gp_cols

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpts import bandit, gp
-from gpts.bandit import LossObservation
 from gpts.environments import ReplayEnv, ReplaySpec, SyntheticPretrainEnv, SyntheticPretrainSpec
 from gpts.errors import RUN_FAILURES, EnvironmentFailure, InvalidArgumentError
 
@@ -132,21 +131,13 @@ class FailingEnv:
         self._t = 0
 
     def init(self):
-        return LossObservation(0, 10.0)
+        return 10.0
 
     def step(self, arm, u):
         self._t += 1
         if self._t >= self.fail_at:
             raise self.exc("trainer crashed")
-        return LossObservation(self._t, 10.0 - 0.1 * self._t)
-
-
-class SkippingEnv(FailingEnv):
-    """Reports interaction 2 as interaction 3."""
-
-    def step(self, arm, u):
-        self._t += 2 if self._t == 1 else 1
-        return LossObservation(self._t, 10.0 - 0.1 * self._t)
+        return 10.0 - 0.1 * self._t
 
 
 class DivergingEnv(FailingEnv):
@@ -158,11 +149,11 @@ class DivergingEnv(FailingEnv):
         self.bad = bad
 
     def init(self):
-        return LossObservation(0, self.bad if self.at == 0 else 10.0)
+        return self.bad if self.at == 0 else 10.0
 
     def step(self, arm, u):
-        obs = super().step(arm, u)
-        return LossObservation(obs.interaction, self.bad) if self._t == self.at else obs
+        loss = super().step(arm, u)
+        return self.bad if self._t == self.at else loss
 
 
 class TestRunPolicy:
@@ -192,7 +183,6 @@ class TestRunPolicy:
         cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
         h = bandit.run_policy(space, cfg, env, T=1, u=10)
         assert len(h) == 1
-        assert h.initial_interaction == 0
         assert h.gp_trace[0] == bandit.default_gp_hyperparams(1)  # no refit possible yet
 
     @pytest.mark.parametrize("T", [2, 3, 6])
@@ -245,12 +235,6 @@ class TestRunPolicy:
         h = bandit.run_policy(space, cfg, env, T=12, u=50)
         assert bandit.history_from_losses(h.losses(), h.arms) == dataclasses.replace(h, gp_trace=[])
         assert len(h) == 12
-
-    def test_skipped_interaction_rejected(self):
-        space = grid_1d()
-        cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=0)
-        with pytest.raises(InvalidArgumentError):
-            bandit.run_policy(space, cfg, SkippingEnv(fail_at=99), T=5, u=1)
 
     def test_environment_failure_returns_partial_history(self):
         space = grid_1d()

@@ -4,6 +4,7 @@ and in-process vs out-of-process equivalence over both transports."""
 
 import dataclasses
 import json
+import math
 import os
 import socket
 import subprocess
@@ -93,7 +94,7 @@ class TestWireFormat:
     def test_mock_trainer_lines(self):
         ref = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=3)
         ref.init()
-        loss = ref.step((0.2,), 100).validation_loss
+        loss = ref.step((0.2,), 100)
         channel = LineRecorder([GOLDEN_INIT + "\n", GOLDEN_STEP + "\n", GOLDEN_STEP + "\n"])
         assert bridge._serve(channel) == 0
         assert channel.sent == [
@@ -151,7 +152,7 @@ class TestClientProtocol:
     def test_init_echoes_initial_loss(self):
         t = ScriptedTransport([json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0})])
         env = bridge.BridgeEnvironment(t, ["rho"])
-        assert env.init().validation_loss == 10.0
+        assert env.init() == 10.0
         assert t.sent[0]["type"] == "init" and t.sent[0]["v"] == 1
 
     def test_mismatched_ack_interaction_is_protocol_error(self):
@@ -254,8 +255,8 @@ class TestAckLoss:
 
     def test_integer_loss_is_a_number(self):
         t = ScriptedTransport([json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10})])
-        obs = bridge.BridgeEnvironment(t, ["rho"]).init()
-        assert obs.validation_loss == 10.0 and type(obs.validation_loss) is float
+        loss = bridge.BridgeEnvironment(t, ["rho"]).init()
+        assert loss == 10.0 and type(loss) is float
 
     @pytest.mark.parametrize(
         "loss,shown", [(float("nan"), "nan"), (-(10**400), "-inf")], ids=["nan", "huge_int"]
@@ -342,7 +343,7 @@ class TestSpawnedTrainerReplies:
         try:
             env.init()
             start = time.monotonic()
-            assert env.step((0.2,), 10).validation_loss == 9.0
+            assert env.step((0.2,), 10) == 9.0
             assert time.monotonic() - start < 0.4
         finally:
             env.close()
@@ -394,6 +395,22 @@ class TestTransportSpec:
     def test_bad_spec_is_invalid_argument(self, spec):
         with pytest.raises(InvalidArgumentError):
             bridge.bridge_connect(spec, ["rho"])
+
+    @pytest.mark.parametrize("timeout_s", [math.inf, -1.0, math.nan, 1e10, "5", True])
+    def test_bad_timeout_is_invalid_argument(self, timeout_s):
+        # checked before the trainer is spawned
+        with pytest.raises(InvalidArgumentError, match="timeout_s"):
+            bridge.bridge_connect(MOCK_CMD, ["rho"], timeout_s=timeout_s)
+
+    def test_longest_timeout_is_accepted_by_select(self):
+        read_fd, write_fd = os.pipe()
+        t = bridge._LineTransport(read_fd, write_fd, lambda: None)
+        try:
+            t.send_line("ready")
+            assert t.recv_line(threading.TIMEOUT_MAX) == "ready\n"
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
 
 
 class TestMockTrainerOverStdio:

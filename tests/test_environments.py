@@ -1,11 +1,16 @@
-"""Environment tests: synthetic pre-training dynamics, the stationary
-test function, and CSV replay."""
+"""Environment tests: the protocol every environment keeps, synthetic
+pre-training dynamics, the stationary test function, and CSV replay."""
+
+import csv
+import sys
 
 import numpy as np
 import pytest
 
-from gpts import bandit, environments as envs
+from gpts import bandit, bridge, environments as envs, report
 from gpts.errors import DataError, InvalidArgumentError
+
+MOCK_CMD = [sys.executable, "-m", "gpts.cli", "mock-trainer", "--transport", "stdio"]
 
 
 def noiseless_spec(**kw):
@@ -18,39 +23,33 @@ class TestSyntheticPretrain:
         # default spec: 1.5 + 8.5 * (1 - 0.3 * 100/101)
         env = envs.SyntheticPretrainEnv(noiseless_spec(), seed=0)
         env.init()
-        obs = env.step((0.3,), 100)
-        assert obs.validation_loss == pytest.approx(7.475247524752475, abs=1e-12)
+        loss = env.step((0.3,), 100)
+        assert loss == pytest.approx(7.475247524752475, abs=1e-12)
 
     def test_loss_decreases_to_floor_at_optimum(self):
         env = envs.SyntheticPretrainEnv(noiseless_spec(), seed=0)
-        prev = env.init().validation_loss
+        prev = env.init()
         for _ in range(300):
-            loss = env.step((0.3,), 100).validation_loss
+            loss = env.step((0.3,), 100)
             assert loss < prev or loss == pytest.approx(1.5, abs=1e-9)
             prev = loss
         assert prev == pytest.approx(1.5, abs=1e-3)
 
     def test_zero_efficiency_leaves_loss_unchanged(self):
         env = envs.SyntheticPretrainEnv(noiseless_spec(), seed=0)
-        y0 = env.init().validation_loss
-        loss = env.step((1e6,), 100).validation_loss
+        y0 = env.init()
+        loss = env.step((1e6,), 100)
         assert loss == pytest.approx(y0, abs=1e-9)
 
     def test_noiseless_monotone(self):
         env = envs.SyntheticPretrainEnv(noiseless_spec(), seed=0)
         rng = np.random.default_rng(0)
-        prev = env.init().validation_loss
+        prev = env.init()
         for _ in range(50):
             arm = (float(rng.uniform(0, 0.5)),)
-            loss = env.step(arm, 20).validation_loss
+            loss = env.step(arm, 20)
             assert loss <= prev
             prev = loss
-
-    def test_interaction_indices_consecutive(self):
-        env = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=0)
-        assert env.init().interaction == 0
-        for t in range(1, 6):
-            assert env.step((0.2,), 10).interaction == t
 
     def test_deterministic_given_seed(self):
         a = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=42)
@@ -58,6 +57,14 @@ class TestSyntheticPretrain:
         a.init(), b.init()
         for _ in range(10):
             assert a.step((0.2,), 10) == b.step((0.2,), 10)
+
+    def test_integer_settings_give_float_losses(self):
+        # rate 2 overshoots, so the first step is clamped to the floor
+        spec = noiseless_spec(initial_loss=10, floor=1, rate=2)
+        env = envs.SyntheticPretrainEnv(spec, seed=0)
+        losses = [env.init(), env.step((0.3,), 100)]
+        assert losses == [10.0, 1.0]
+        assert [type(loss) for loss in losses] == [float, float]
 
     def test_init_only_once(self):
         env = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=0)
@@ -82,8 +89,8 @@ class TestNoisyTestFunction:
     def test_noiseless_env_returns_h(self):
         env = envs.NoisyTestFunctionEnv(noise_sd=0.0, seed=0)
         env.init()
-        obs = env.step((envs.TEST_FUNCTION_MINIMIZER,), 1)
-        assert obs.validation_loss == envs.TEST_FUNCTION_MINIMUM
+        loss = env.step((envs.TEST_FUNCTION_MINIMIZER,), 1)
+        assert loss == envs.TEST_FUNCTION_MINIMUM
 
     def test_expected_ordering_matches_h(self):
         good, bad = (0.35,), (0.2,)
@@ -92,7 +99,7 @@ class TestNoisyTestFunction:
         diffs = []
         for _ in range(10_000):
             diffs.append(
-                env.step(bad, 1).validation_loss - env.step(good, 1).validation_loss
+                env.step(bad, 1) - env.step(good, 1)
             )
         assert np.mean(diffs) > 0  # matches h(0.2) > h(0.35)
 
@@ -101,7 +108,7 @@ class TestNoisyTestFunction:
         for _ in range(2):
             env = envs.NoisyTestFunctionEnv(noise_sd=0.1, seed=9)
             env.init()
-            seqs.append([env.step((0.3,), 1).validation_loss for _ in range(20)])
+            seqs.append([env.step((0.3,), 1) for _ in range(20)])
         assert seqs[0] == seqs[1]
 
 
@@ -116,8 +123,8 @@ class TestReplay:
         )
         spec = envs.load_replay_csv(path)
         env = envs.ReplayEnv(spec, self.space())
-        assert env.init().validation_loss == 10.0
-        assert env.step((0.2,), 5).validation_loss == 2.31
+        assert env.init() == 10.0
+        assert env.step((0.2,), 5) == 2.31
 
     def test_missing_entry_errors(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -160,10 +167,10 @@ class TestPartialArmEnv:
         inner = envs.SyntheticPretrainEnv(spec, seed=0)
         env = envs.PartialArmEnv(inner, (None, 0.1, 0.1))
         env.init()
-        obs = env.step((0.2,), 100)  # equals the optimum after padding
+        loss = env.step((0.2,), 100)  # equals the optimum after padding
         ref = envs.SyntheticPretrainEnv(spec, seed=0)
         ref.init()
-        assert obs == ref.step((0.2, 0.1, 0.1), 100)
+        assert loss == ref.step((0.2, 0.1, 0.1), 100)
 
     def test_wrong_free_dimension_rejected(self):
         inner = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=0)
@@ -171,3 +178,62 @@ class TestPartialArmEnv:
         env.init()
         with pytest.raises(InvalidArgumentError):
             env.step((0.1, 0.2), 1)
+
+
+class Recorder:
+    """Passes calls through to an environment and keeps what it returned."""
+
+    def __init__(self, env):
+        self.env = env
+        self.returned = []
+
+    def init(self):
+        self.returned.append(self.env.init())
+        return self.returned[-1]
+
+    def step(self, arm, u):
+        self.returned.append(self.env.step(arm, u))
+        return self.returned[-1]
+
+
+def contract_env(kind, space, T):
+    if kind == "synthetic":
+        return envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=3)
+    if kind == "test_function":
+        return envs.NoisyTestFunctionEnv(noise_sd=0.1, seed=3)
+    if kind == "replay":
+        table = {(i, t): 10.0 - t - 0.01 * i for i in range(len(space)) for t in range(1, T + 1)}
+        return envs.ReplayEnv(envs.ReplaySpec(table=table, initial_loss=10.0), space)
+    if kind == "bridge":
+        return bridge.bridge_connect(MOCK_CMD, space.names, config={"seed": 3}, timeout_s=60.0)
+    spec = envs.SyntheticPretrainSpec(optimum=(0.2, 0.1, 0.1), width=(0.05,) * 3)
+    return envs.PartialArmEnv(envs.SyntheticPretrainEnv(spec, seed=3), (None, 0.1, 0.1))
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "test_function", "replay", "bridge", "partial_arm"])
+def test_environment_contract(kind, tmp_path):
+    # init and step return bare float losses; the run loop alone numbers
+    # the interactions, so both CSVs of a run read 1..T and its replay
+    # CSV plays the run back
+    T = 4
+    space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+    cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
+    env = contract_env(kind, space, T)
+    try:
+        rec = Recorder(env)
+        hist = bandit.run_policy(space, cfg, rec, T=T, u=10)
+    finally:
+        if hasattr(env, "close"):
+            env.close()
+    assert hist.error is None
+    assert [type(loss) for loss in rec.returned] == [float] * (T + 1)
+
+    run_csv, replay_csv = tmp_path / "run.csv", tmp_path / "replay.csv"
+    report.write_run_csv(run_csv, 0, "gp_ts", hist, space)
+    envs.write_replay_csv(replay_csv, hist, space)
+    for path in (run_csv, replay_csv):
+        with path.open(newline="") as fh:
+            interactions = [row["interaction"] for row in csv.DictReader(fh)]
+        assert interactions == [str(t) for t in range(T + 1)]  # the initial loss, then 1..T
+    replay = envs.ReplayEnv(envs.load_replay_csv(replay_csv), space)
+    assert bandit.run_policy(space, cfg, replay, T=T, u=10) == hist

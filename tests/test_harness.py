@@ -3,6 +3,7 @@ consistency, reproducibility, and exit codes."""
 
 import csv
 import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -225,7 +226,7 @@ class TestRunExperiment:
             closed = False
 
             def init(self):
-                return bandit.LossObservation(interaction=0, validation_loss=10.0)
+                return 10.0
 
             def step(self, arm, u):
                 raise InvalidArgumentError("step rejected")
@@ -244,15 +245,15 @@ class TestRunExperiment:
         class NanAtThree:
             def __init__(self, env):
                 self.env = env
+                self.steps = 0
 
             def init(self):
                 return self.env.init()
 
             def step(self, arm, u):
-                obs = self.env.step(arm, u)
-                if obs.interaction == 3:
-                    return bandit.LossObservation(3, float("nan"))
-                return obs
+                self.steps += 1
+                loss = self.env.step(arm, u)
+                return float("nan") if self.steps == 3 else loss
 
         make = harness._make_environment
         made = itertools.count()
@@ -326,13 +327,11 @@ class TestRunExperiment:
 
 
 def hand_history(gp_trace=()):
-    # interactions 4..6 of a run resumed after interaction 3; every value
-    # and every loss drop is exact in binary, so the text is portable
+    # every value and every loss drop is exact in binary, so the text is portable
     return bandit.History(
         initial_loss=10.0,
         arms=[(0.25, 0.5), (0.75, 0.5), (0.25, 0.5)],
         losses_after=[9.5, 9.25, 9.75],
-        initial_interaction=3,
         gp_trace=list(gp_trace),
     )
 
@@ -355,9 +354,9 @@ class TestCsvText:
         report.write_run_csv(path, 7, "uniform_random", hand_history(), self.SPACE)
         assert path.read_text() == self.HEADER + (
             "7,uniform_random,0,,,10.0,,0.0,,,,\n"
-            "7,uniform_random,4,0.25,0.5,9.5,0.5,0.5,,,,\n"
-            "7,uniform_random,5,0.75,0.5,9.25,0.25,0.75,,,,\n"
-            "7,uniform_random,6,0.25,0.5,9.75,-0.5,0.25,,,,\n"
+            "7,uniform_random,1,0.25,0.5,9.5,0.5,0.5,,,,\n"
+            "7,uniform_random,2,0.75,0.5,9.25,0.25,0.75,,,,\n"
+            "7,uniform_random,3,0.25,0.5,9.75,-0.5,0.25,,,,\n"
         )
 
     def test_gp_ts_run_has_one_snapshot_per_row(self, tmp_path):
@@ -373,9 +372,9 @@ class TestCsvText:
         report.write_run_csv(path, 0, "gp_ts", hist, self.SPACE)
         assert path.read_text() == self.HEADER + (
             "0,gp_ts,0,,,10.0,,0.0,,,,\n"
-            '0,gp_ts,4,0.25,0.5,9.5,0.5,0.5,"[0.1, 0.5]",1.0,0.0625,-0.125\n'
-            '0,gp_ts,5,0.75,0.5,9.25,0.25,0.75,"[0.2, 0.5]",1.5,0.0625,-0.125\n'
-            '0,gp_ts,6,0.25,0.5,9.75,-0.5,0.25,"[0.3, 0.5]",2.0,0.0625,-0.125\n'
+            '0,gp_ts,1,0.25,0.5,9.5,0.5,0.5,"[0.1, 0.5]",1.0,0.0625,-0.125\n'
+            '0,gp_ts,2,0.75,0.5,9.25,0.25,0.75,"[0.2, 0.5]",1.5,0.0625,-0.125\n'
+            '0,gp_ts,3,0.25,0.5,9.75,-0.5,0.25,"[0.3, 0.5]",2.0,0.0625,-0.125\n'
         )
 
     def test_replay_csv(self, tmp_path):
@@ -384,10 +383,12 @@ class TestCsvText:
         assert path.read_bytes() == (
             b"arm_index,interaction,val_loss\r\n"
             b"-1,0,10.0\r\n"
-            b"0,4,9.5\r\n"
-            b"1,5,9.25\r\n"
-            b"0,6,9.75\r\n"
+            b"0,1,9.5\r\n"
+            b"1,2,9.25\r\n"
+            b"0,3,9.75\r\n"
         )
+        # the keys ReplayEnv looks up at interactions 1..3
+        assert envs.load_replay_csv(path).table == {(0, 1): 9.5, (1, 2): 9.25, (0, 3): 9.75}
 
 
 class TestSummarize:
@@ -477,6 +478,26 @@ class TestCli:
         )
         res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert res.exit_code == 2, res.output
+
+    @pytest.mark.parametrize("timeout_s", [math.inf, -1.0, math.nan, 1e10])
+    def test_bad_bridge_timeout_exits_2(self, tmp_path, timeout_s):
+        # each lies outside [0, threading.TIMEOUT_MAX], the waits select() can make
+        trainer = [sys.executable, "-m", "gpts.cli", "mock-trainer"]
+        environment = {"kind": "bridge", "bridge": {"command": trainer, "timeout_s": timeout_s}}
+        path, raw = small_config(
+            tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0], environment=environment
+        )
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert "config error:" in res.output and "timeout_s" in res.output
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
+    @pytest.mark.parametrize("transport", ["tcp:99999", "tcp:-5", "tcp:x"])
+    def test_mock_trainer_bad_port_exits_2(self, transport):
+        res = CliRunner().invoke(cli.main, ["mock-trainer", "--transport", transport])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output and "[0, 65535]" in res.output
 
     @pytest.mark.parametrize(
         "overrides",
@@ -583,7 +604,7 @@ class TestCli:
     def test_diverged_initial_loss_exits_3(self, tmp_path, monkeypatch):
         class NanInit:
             def init(self):
-                return bandit.LossObservation(0, float("nan"))
+                return float("nan")
 
         monkeypatch.setattr(harness, "_make_environment", lambda *args: NanInit())
         path, _ = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
