@@ -34,7 +34,6 @@ __all__ = [
     "cumulative_reward",
     "history_from_losses",
     "default_gp_hyperparams",
-    "DEFAULT_FIT_BUDGET",
     "ts_select_arm",
     "run_policy",
 ]
@@ -108,17 +107,13 @@ def default_gp_hyperparams(ndim: int) -> gp.GpHyperparams:
     )
 
 
-# The fit budget of a policy, and of a config without a ``fit`` section.
-DEFAULT_FIT_BUDGET = gp.FitBudget(restarts=2, max_evals=60)
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: str = GP_TS
     seed: int = 0
     fixed_arm_index: int | None = None
     gp_init: gp.GpHyperparams | None = None
-    fit_budget: gp.FitBudget = DEFAULT_FIT_BUDGET
+    fit_budget: gp.FitBudget = gp.FitBudget()
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:

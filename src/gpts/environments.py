@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -68,7 +68,7 @@ class GridDim:
     lower: float
     upper: float
     step: float
-    name: str = "psi"
+    name: str | None = None  # make_grid names an unnamed i-th dimension "psi<i>"
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,16 @@ class ArmSpace:
 
 
 def make_grid(dims) -> ArmSpace:
-    """Materialize the arm grid from per-dimension (lower, upper, step) specs."""
+    """Materialize the arm grid from per-dimension (lower, upper, step) specs.
+
+    The dimension names, which label the CSV columns and the trainer's
+    arm coordinates, must be distinct strings.
+    """
     dims = tuple(d if isinstance(d, GridDim) else GridDim(**d) for d in dims)
+    dims = tuple(replace(d, name=f"psi{i}") if d.name is None else d for i, d in enumerate(dims))
+    names = [d.name for d in dims]
+    if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
+        raise InvalidArgumentError(f"dimension names must be distinct strings, got {names}")
     value_lists: list[list[float]] = []
     for d in dims:
         if not (d.step > 0.0):
@@ -116,7 +124,7 @@ def make_grid(dims) -> ArmSpace:
         values = []
         i = 1
         while True:
-            v = round(d.lower + i * d.step, 12)
+            v = float(round(d.lower + i * d.step, 12))  # integer bounds give float arms too
             if v >= d.upper - eps:
                 break
             values.append(v)
@@ -162,6 +170,8 @@ class SyntheticPretrainSpec:
         object.__setattr__(self, "width", tuple(self.width))
         if len(self.optimum) != len(self.width):
             raise InvalidArgumentError("optimum and width must have equal dimension")
+        if not all(map(math.isfinite, self.optimum)):
+            raise InvalidArgumentError("optimum must be finite")
         if any(not (w > 0.0) for w in self.width):
             raise InvalidArgumentError("widths must be positive")
         if not (self.rate > 0.0):
@@ -295,7 +305,14 @@ def load_replay_csv(path) -> ReplaySpec:
                 t = int(row["interaction"])
                 loss = float(row["val_loss"])
                 if arm_index == REPLAY_INITIAL_ARM_INDEX and t == 0:
+                    if initial_loss is not None:
+                        raise DataError(f"{path}: line {reader.line_num}: second initial-loss row")
                     initial_loss = loss
+                elif (arm_index, t) in table:
+                    raise DataError(
+                        f"{path}: line {reader.line_num}: second row for arm {arm_index}"
+                        f" at interaction {t}"
+                    )
                 else:
                     table[(arm_index, t)] = loss
     except OSError as exc:

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer test of
+the checks that raise them."""
+
+import numbers
 
 
 class InvalidArgumentError(ValueError):
@@ -34,3 +37,9 @@ class ProtocolError(BridgeError):
 # them as the run's error, ``harness.run_experiment`` as the run's failure.
 # Anything else (``InvalidArgumentError`` included) is a programming error.
 RUN_FAILURES = (EnvironmentFailure, BridgeError, DataError, NumericalError)
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool, which Python counts as an
+    ``int`` (``operator.index(True)`` is 1), is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

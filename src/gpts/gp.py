@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .errors import InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError, NumericalError, is_integer
 
 __all__ = [
     "SQUARED_EXPONENTIAL",
@@ -126,6 +126,9 @@ class MeanSpec:
     def __post_init__(self):
         if self.family not in ("zero", "constant"):
             raise InvalidArgumentError(f"unknown mean family: {self.family!r}")
+        # math.isfinite raises TypeError for a non-number, such as a quoted "0.0"
+        if not math.isfinite(self.constant_value):
+            raise InvalidArgumentError(f"constant_value must be finite, got {self.constant_value}")
 
     def value(self) -> float:
         return self.constant_value if self.family == "constant" else 0.0
@@ -186,9 +189,17 @@ class FitBudget:
     additional starts perturb the initial point in log space.
     """
 
-    restarts: int = 4
-    max_evals: int = 100
+    restarts: int = 2
+    max_evals: int = 60
     seed: int = 0
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not is_integer(value):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+        # numpy seeds its generators from non-negative integers only
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ CSV of its partial history, and the sibling runs still complete.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import yaml
 
 from . import bandit, bridge, environments, gp
-from .errors import RUN_FAILURES, ConfigError
+from .errors import RUN_FAILURES, ConfigError, is_integer
 
 # perfbench wraps ``harness.write_run_csv`` and ``harness.summarize`` by
 # attribute, so both stay bound here and run_experiment calls the global.
@@ -63,14 +62,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        for name, value in [("T", self.T), ("u", self.u), ("env_seed_offset", self.env_seed_offset),
+                            *(("seeds", s) for s in self.seeds)]:
+            if not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.T < 1 or self.u < 1:
             raise ConfigError("T and u must be at least 1")
         # numpy seeds its generators from non-negative integers only
-        if min(self.seeds) < 0 or self.fit_budget.seed < 0:
-            raise ConfigError(
-                f"seeds and fit.seed must be non-negative,"
-                f" got {self.seeds} and {self.fit_budget.seed}"
-            )
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if self.env_seed_offset + min(self.seeds) < 0:
             raise ConfigError(
                 f"env_seed_offset + seed must be non-negative, got {self.env_seed_offset}"
@@ -80,7 +80,7 @@ class ExperimentConfig:
 
 def default_config_dict() -> dict:
     """The documented default configuration (see `print-default-config`)."""
-    theta, budget = bandit.default_gp_hyperparams(1), bandit.DEFAULT_FIT_BUDGET
+    theta, budget = bandit.default_gp_hyperparams(1), gp.FitBudget()
     return {
         "arm_space": [{"name": "rho", "lower": 0.0, "upper": 0.5, "step": 0.05}],
         "policies": [
@@ -90,14 +90,7 @@ def default_config_dict() -> dict:
         ],
         "environment": {
             "kind": "synthetic",
-            "synthetic": {
-                "initial_loss": 10.0,
-                "floor": 1.5,
-                "optimum": [0.3],
-                "width": [0.08],
-                "rate": 0.3,
-                "noise_sd": 0.05,
-            },
+            "synthetic": asdict(environments.SyntheticPretrainSpec()),
         },
         "T": 100,
         "u": 100,
@@ -117,48 +110,35 @@ def default_config_dict() -> dict:
 def _parse_config(raw: dict) -> ExperimentConfig:
     """Parse and validate a config, building the arm grid, the GP's
     initial hyperparameters and the fit budget, so any invalid value is a
-    ``ConfigError`` before a run starts."""
+    ``ConfigError`` before a run starts. Each section is passed as
+    keyword arguments to the constructor that owns its fields, defaults
+    and checks, so an unknown key is an error too."""
+    raw = dict(raw)
     try:
-        dims = [
-            bandit.GridDim(
-                lower=float(d["lower"]),
-                upper=float(d["upper"]),
-                step=float(d["step"]),
-                name=str(d.get("name", f"psi{i}")),
-            )
-            for i, d in enumerate(raw["arm_space"])
-        ]
-        policies = [
-            PolicySpec(kind=str(p["kind"]), arm_index=p.get("arm_index"))
-            for p in raw["policies"]
-        ]
+        dims = [bandit.GridDim(**d) for d in raw.pop("arm_space")]
         space = bandit.make_grid(dims)
-        fit = {**asdict(bandit.DEFAULT_FIT_BUDGET), **raw.get("fit", {})}
         cfg = ExperimentConfig(
             arm_dims=dims,
             space=space,
-            policies=policies,
-            environment=dict(raw["environment"]),
-            # operator.index takes integers only, so 2.5 or "2" is an error
-            T=operator.index(raw["T"]),
-            u=operator.index(raw["u"]),
-            seeds=[operator.index(s) for s in raw["seeds"]],
-            output_dir=Path(raw.get("output_dir", "runs")),
-            gp_init=_gp_init_from_config(dict(raw.get("gp", {})), space.ndim),
-            fit_budget=gp.FitBudget(
-                restarts=operator.index(fit["restarts"]),
-                max_evals=operator.index(fit["max_evals"]),
-                seed=operator.index(fit["seed"]),
-            ),
-            env_seed_offset=operator.index(raw.get("env_seed_offset", DEFAULT_ENV_SEED_OFFSET)),
+            policies=[PolicySpec(**p) for p in raw.pop("policies")],
+            environment=dict(raw.pop("environment")),
+            T=raw.pop("T"),
+            u=raw.pop("u"),
+            seeds=list(raw.pop("seeds")),
+            output_dir=Path(raw.pop("output_dir", "runs")),
+            gp_init=_gp_init_from_config(raw.pop("gp", {}), space.ndim),
+            fit_budget=gp.FitBudget(**raw.pop("fit", {})),
+            env_seed_offset=raw.pop("env_seed_offset", DEFAULT_ENV_SEED_OFFSET),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
+    if raw:
+        raise ConfigError(f"unknown config keys: {sorted(map(str, raw))}")
     for p in cfg.policies:
         if p.kind not in bandit.POLICY_KINDS:
             raise ConfigError(f"unknown policy kind: {p.kind!r}")
         if p.kind == bandit.FIXED_ARM and p.arm_index != "all" and not (
-            isinstance(p.arm_index, int) and 0 <= p.arm_index < len(cfg.space)
+            is_integer(p.arm_index) and 0 <= p.arm_index < len(cfg.space)
         ):
             raise ConfigError(
                 f"fixed_arm policy needs arm_index 'all' or an index in [0, {len(cfg.space)}),"
@@ -184,56 +164,60 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _gp_init_from_config(gp_cfg: dict, ndim: int) -> gp.GpHyperparams:
-    base = bandit.default_gp_hyperparams(ndim)
-    ls = gp_cfg.get("lengthscale", base.kernel.lengthscales[0])
-    lengthscales = tuple(map(float, ls)) if isinstance(ls, (list, tuple)) else (float(ls),) * ndim
+    """The ``gp`` section over ``bandit.default_gp_hyperparams``; its keys
+    span three constructors, so each is read once and a key left over is
+    unknown."""
+    gp_cfg, base = dict(gp_cfg), bandit.default_gp_hyperparams(ndim)
+    ls = gp_cfg.pop("lengthscale", base.kernel.lengthscales[0])
+    lengthscales = tuple(ls) if isinstance(ls, (list, tuple)) else (ls,) * ndim
     if len(lengthscales) != ndim:
         raise ConfigError(f"gp.lengthscale needs one value per arm dimension ({ndim})")
-    return gp.GpHyperparams(
-        mean=gp.MeanSpec(
-            family="constant",
-            constant_value=float(gp_cfg.get("mean_constant", base.mean.constant_value)),
-        ),
+    mean_constant = gp_cfg.pop("mean_constant", base.mean.constant_value)
+    theta = gp.GpHyperparams(
+        mean=replace(base.mean, constant_value=mean_constant),
         kernel=gp.KernelSpec(
-            family=gp_cfg.get("kernel", base.kernel.family),
+            family=gp_cfg.pop("kernel", base.kernel.family),
             lengthscales=lengthscales,
-            output_scale=float(gp_cfg.get("output_scale", base.kernel.output_scale)),
+            output_scale=gp_cfg.pop("output_scale", base.kernel.output_scale),
         ),
-        noise_variance=float(gp_cfg.get("noise_variance", base.noise_variance)),
+        noise_variance=gp_cfg.pop("noise_variance", base.noise_variance),
     )
+    if gp_cfg:
+        raise ConfigError(f"unknown gp keys: {sorted(map(str, gp_cfg))}")
+    return theta
 
 
-def _synthetic_env(settings: dict, space: bandit.ArmSpace, env_seed: int):
+def _synthetic_env(space: bandit.ArmSpace, env_seed: int, **settings):
     spec = environments.SyntheticPretrainSpec(**settings)
     if len(spec.optimum) != space.ndim:
         raise ConfigError(f"optimum has {len(spec.optimum)} dimensions, the arm grid {space.ndim}")
     return environments.SyntheticPretrainEnv(spec, seed=env_seed)
 
 
-def _test_function_env(settings: dict, space: bandit.ArmSpace, env_seed: int):
+def _test_function_env(space: bandit.ArmSpace, env_seed: int, **settings):
     if space.ndim != 1:
         raise ConfigError(f"the test function is 1-D, the arm grid {space.ndim}-D")
-    return environments.NoisyTestFunctionEnv(float(settings.get("noise_sd", 0.1)), seed=env_seed)
+    return environments.NoisyTestFunctionEnv(**settings, seed=env_seed)
 
 
-def _bridge_env(settings: dict, space: bandit.ArmSpace, env_seed: int):
-    init_config = dict(settings.get("config", {}))
+def _bridge_env(space: bandit.ArmSpace, env_seed: int, *, transport=None, command=None,
+                config=None, **connect):
+    # the Init config: the user's keys in their order, then the run's seed unless given
+    init_config = {} if config is None else dict(config)
     init_config.setdefault("seed", env_seed)
     return bridge.bridge_connect(
-        settings.get("transport") or settings.get("command"),
-        arm_names=space.names,
-        config=init_config,
-        timeout_s=float(settings.get("timeout_s", 0.0)),
+        transport or command, arm_names=space.names, config=init_config, **connect
     )
 
 
-# Environment kind -> builder of one run's environment from the kind's own
-# settings section (``environment[kind]``), the arm space and the seed.
+# Environment kind -> builder of one run's environment from the arm space,
+# the seed and the kind's own settings section (``environment[kind]``) as
+# keyword arguments.
 _ENVIRONMENTS = {
     "synthetic": _synthetic_env,
     "test_function": _test_function_env,
-    "replay": lambda settings, space, seed: environments.ReplayEnv(
-        environments.load_replay_csv(settings["path"]), space
+    "replay": lambda space, seed, *, path: environments.ReplayEnv(
+        environments.load_replay_csv(path), space
     ),
     "bridge": _bridge_env,
 }
@@ -243,8 +227,8 @@ def _make_environment(env_cfg: dict, space: bandit.ArmSpace, env_seed: int):
     """Build the environment for one run; bad settings raise ``ConfigError``."""
     kind = env_cfg["kind"]
     try:
-        return _ENVIRONMENTS[kind](env_cfg.get(kind, {}), space, env_seed)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return _ENVIRONMENTS[kind](space, env_seed, **env_cfg.get(kind, {}))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {kind} environment: {exc}") from exc
 
 

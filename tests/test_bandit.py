@@ -43,6 +43,19 @@ class TestMakeGrid:
         space = bandit.make_grid(dims)
         assert space.arms == ((0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.2, 0.2))
 
+    def test_unnamed_dimensions_are_numbered(self):
+        space = bandit.make_grid([dict(lower=0.0, upper=0.3, step=0.1)] * 2)
+        assert space.names == ("psi0", "psi1")
+
+    @pytest.mark.parametrize(
+        "names", [("rho", "rho"), ("psi1", None), ("rho", 3)], ids=["twice", "default", "number"]
+    )
+    def test_names_must_be_distinct_strings(self, names):
+        # names label the CSV columns and the trainer's arm coordinates
+        dims = [dict(lower=0.0, upper=0.3, step=0.1, name=n) for n in names]
+        with pytest.raises(InvalidArgumentError, match="distinct strings"):
+            bandit.make_grid(dims)
+
     def test_arms_unique(self):
         space = grid_1d()
         assert len(set(space.arms)) == len(space.arms)

@@ -140,6 +140,21 @@ class TestReplay:
         with pytest.raises(DataError, match="initial-loss"):
             envs.load_replay_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            ("-1,0,10.0\n3,1,5.0\n-1,0,99.0\n", "line 4: second initial-loss row"),
+            ("-1,0,10.0\n3,1,2.0\n3,1,5.0\n", "line 4: second row for arm 3 at interaction 1"),
+        ],
+        ids=["initial_loss", "arm_and_interaction"],
+    )
+    def test_duplicate_row_errors(self, tmp_path, rows, line):
+        # the last duplicate no longer wins: the log is ambiguous
+        path = tmp_path / "log.csv"
+        path.write_text("arm_index,interaction,val_loss\n" + rows)
+        with pytest.raises(DataError, match=line):
+            envs.load_replay_csv(path)
+
     def test_bad_header_errors(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -482,7 +482,8 @@ class TestFit:
                            noise=float(rng.uniform(1e-4, 1.0)),
                            mean_family="constant", mean_const=float(rng.normal()))
             data = gp.RegressionData(X, y)
-            fitted = gp.fit_type2_mle(data, init, gp.FitBudget(seed=seed))
+            budget = gp.FitBudget(restarts=4, max_evals=100, seed=seed)
+            fitted = gp.fit_type2_mle(data, init, budget)
             assert (
                 gp.log_marginal_likelihood(fitted, data)
                 >= gp.log_marginal_likelihood(init, data) - 1e-9
@@ -495,7 +496,8 @@ class TestFit:
             X, y = replicated_data(rng, d, k, int(rng.integers(k + 2, 60)))
             init = random_hp(rng, d, gp.MATERN52, "constant")
             data = gp.RegressionData(X, y)
-            fitted = gp.fit_type2_mle(data, init, gp.FitBudget(seed=seed))
+            budget = gp.FitBudget(restarts=4, max_evals=100, seed=seed)
+            fitted = gp.fit_type2_mle(data, init, budget)
             assert (
                 gp.log_marginal_likelihood(fitted, data)
                 >= gp.log_marginal_likelihood(init, data) - 1e-9
@@ -505,7 +507,9 @@ class TestFit:
         X = np.linspace(0, 1, 10)[:, None]
         y = np.full(10, 2.5)
         init = make_hp(mean_family="constant", mean_const=0.0)
-        fitted = gp.fit_type2_mle(gp.RegressionData(X, y), init)
+        fitted = gp.fit_type2_mle(
+            gp.RegressionData(X, y), init, gp.FitBudget(restarts=4, max_evals=100)
+        )
         assert fitted.noise_variance >= gp.NOISE_VARIANCE_FLOOR
 
     def test_deterministic(self):
@@ -514,8 +518,8 @@ class TestFit:
         y = np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(12)
         init = make_hp(mean_family="constant")
         data = gp.RegressionData(X, y)
-        a = gp.fit_type2_mle(data, init, gp.FitBudget(seed=3))
-        b = gp.fit_type2_mle(data, init, gp.FitBudget(seed=3))
+        a = gp.fit_type2_mle(data, init, gp.FitBudget(restarts=4, max_evals=100, seed=3))
+        b = gp.fit_type2_mle(data, init, gp.FitBudget(restarts=4, max_evals=100, seed=3))
         assert a == b
 
 

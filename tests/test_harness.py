@@ -33,6 +33,12 @@ def small_config(tmp_path, **overrides):
     return path, raw
 
 
+def mock_bridge(**settings):
+    """Overrides that run the mock trainer with these bridge settings."""
+    trainer = [sys.executable, "-m", "gpts.cli", "mock-trainer"]
+    return {"environment": {"kind": "bridge", "bridge": {"command": trainer, **settings}}}
+
+
 class TestLoadConfig:
     def test_default_config_round_trips(self, tmp_path):
         path, raw = small_config(tmp_path)
@@ -470,6 +476,7 @@ class TestCli:
             {"kind": "bridge", "bridge": {}},
             {"kind": "bridge", "bridge": {"transport": "udp:1"}},
             {"kind": "synthetic", "synthetic": {"no_such_field": 1.0}},
+            {"kind": "synthetic", "synthetic": {"optimum": ["0.3"]}},
         ],
     )
     def test_bad_environment_exits_2(self, tmp_path, environment):
@@ -506,6 +513,8 @@ class TestCli:
             {"gp": {"lengthscale": -0.1}},
             {"gp": {"kernel": "cubic"}},
             {"fit": {"restarts": 2.5}},
+            {"arm_space": [{"name": "rho", "lower": 0.0, "upper": 0.5, "step": 0.1}] * 2},
+            {"gp": {"mean_constant": "0.0"}},  # a number is not read from a string
         ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, overrides):
@@ -574,6 +583,59 @@ class TestCli:
         assert "config error:" in res.output
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"T": True},
+            {"u": True},
+            {"seeds": [True]},
+            {"env_seed_offset": True},
+            {"policies": [{"kind": "fixed_arm", "arm_index": True}]},
+            {"fit": {"restarts": True}},
+            {"fit": {"max_evals": True}},
+            {"fit": {"seed": True}},
+        ],
+    )
+    def test_boolean_for_integer_exits_2(self, tmp_path, overrides):
+        # operator.index takes True as 1; a config's integers must not
+        path, _ = small_config(tmp_path, **{"seeds": [0], **overrides})
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output and "got True" in res.output
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"env_seed_ofset": 3}, "env_seed_ofset"),
+            ({"gp": {"lengthscales": 0.5}}, "lengthscales"),
+            ({"fit": {"restart": 9}}, "restart"),
+            ({"policies": [{"kind": "uniform_random", "sed": 3}]}, "sed"),
+            ({"arm_space": [{"lower": 0.0, "upper": 0.5, "step": 0.05, "stpe": 1}]}, "stpe"),
+            ({"environment": {"kind": "test_function", "test_function": {"noise": 0.2}}}, "noise"),
+            (mock_bridge(timeout=5), "timeout"),
+            (mock_bridge(timeout_s="5"), "timeout_s"),
+            ({"environment": {"kind": "replay", "replay": {"path": "x", "paht": "x"}}}, "paht"),
+        ],
+        ids=["top_level", "gp", "fit", "policy", "arm_space", "test_function", "bridge",
+             "bridge_timeout_string", "replay"],
+    )
+    def test_unknown_or_mistyped_key_exits_2(self, tmp_path, overrides, key):
+        # a typo that fell back to a default could waste an hours-long run;
+        # the replay log need not exist, as the key is rejected before it is read
+        path, raw = small_config(tmp_path, **{"seeds": [0], **overrides})
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output and key in res.output
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
+    def test_print_default_config_text(self):
+        res = CliRunner().invoke(cli.main, ["print-default-config"])
+        assert res.exit_code == 0
+        assert res.output == DEFAULT_CONFIG_TEXT
+
     def test_summarize_policy_without_interactions(self, tmp_path):
         # what a run that fails at interaction 1 leaves: the initial row only
         (tmp_path / "run_gp_ts_seed0.csv").write_text(
@@ -589,9 +651,14 @@ class TestCli:
         res = CliRunner().invoke(cli.main, ["summarize", "--dir", str(tmp_path)])
         assert res.exit_code == 3
 
-    def test_replay_data_failure_exits_3(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rows",
+        ["-1,0,10.0\n", "-1,0,10.0\n2,1,5.0\n-1,0,99.0\n", "-1,0,10.0\n2,1,9.0\n2,1,5.0\n"],
+        ids=["missing_entry", "duplicate_initial_loss", "duplicate_entry"],
+    )
+    def test_replay_data_failure_exits_3(self, tmp_path, rows):
         log = tmp_path / "log.csv"
-        log.write_text("arm_index,interaction,val_loss\n-1,0,10.0\n")
+        log.write_text("arm_index,interaction,val_loss\n" + rows)
         path, _ = small_config(
             tmp_path,
             policies=[{"kind": "fixed_arm", "arm_index": 2}],
@@ -646,3 +713,83 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "mock-trainer" in proc.stdout
+
+
+DEFAULT_CONFIG_TEXT = """\
+arm_space:
+- name: rho
+  lower: 0.0
+  upper: 0.5
+  step: 0.05
+policies:
+- kind: gp_ts
+- kind: fixed_arm
+  arm_index: all
+- kind: uniform_random
+environment:
+  kind: synthetic
+  synthetic:
+    initial_loss: 10.0
+    floor: 1.5
+    optimum:
+    - 0.3
+    width:
+    - 0.08
+    rate: 0.3
+    noise_sd: 0.05
+T: 100
+u: 100
+seeds:
+- 0
+- 1
+- 2
+- 3
+- 4
+env_seed_offset: 10000
+output_dir: runs
+gp:
+  lengthscale: 0.1
+  output_scale: 1.0
+  noise_variance: 0.01
+  mean_constant: 0.0
+fit:
+  restarts: 2
+  max_evals: 60
+
+"""
+
+# A trainer that records the Init line it receives in the file named by its
+# argument, acks it, and waits for its stdin to close.
+INIT_RECORDER = """\
+import sys
+open(sys.argv[1], "w").write(sys.stdin.readline())
+print('{"type": "init_ack", "v": 1, "initial_val_loss": 10.0}', flush=True)
+sys.stdin.read()
+"""
+
+
+@pytest.mark.parametrize(
+    "config,sent",
+    [
+        ({"synthetic": {"rate": 0.2}, "b": 1}, '{"synthetic": {"rate": 0.2}, "b": 1, "seed": 7}'),
+        ({"b": 1, "seed": 5, "a": 2}, '{"b": 1, "seed": 5, "a": 2}'),
+    ],
+    ids=["seed_appended", "seed_given"],
+)
+def test_bridge_init_line(tmp_path, config, sent):
+    # the user's keys in their order, then the run's seed unless the config gives one
+    line = tmp_path / "init.txt"
+    settings = {
+        "command": [sys.executable, "-c", INIT_RECORDER, str(line)],
+        "config": config,
+        "timeout_s": 30.0,
+    }
+    space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+    env = harness._make_environment({"kind": "bridge", "bridge": settings}, space, 7)
+    try:
+        assert env.init() == 10.0
+    finally:
+        env.close()
+    assert line.read_text() == (
+        '{"type": "init", "v": 1, "arm_names": ["rho"], "config": ' + sent + "}\n"
+    )
