@@ -18,14 +18,15 @@ import numpy as np
 
 from . import gp
 from .environments import Arm, ArmSpace, GridDim, make_grid
-from .errors import RUN_FAILURES, EnvironmentFailure, InvalidArgumentError, NumericalError
+from .errors import (RUN_FAILURES, EnvironmentFailure, InvalidArgumentError, NumericalError,
+                     is_integer)
 
 __all__ = [
     "Arm",
     "GridDim",
     "ArmSpace",
     "History",
-    "PolicyConfig",
+    "PolicySpec",
     "GP_TS",
     "FIXED_ARM",
     "UNIFORM_RANDOM",
@@ -108,18 +109,26 @@ def default_gp_hyperparams(ndim: int) -> gp.GpHyperparams:
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
-    kind: str = GP_TS
-    seed: int = 0
-    fixed_arm_index: int | None = None
-    gp_init: gp.GpHyperparams | None = None
-    fit_budget: gp.FitBudget = gp.FitBudget()
+class PolicySpec:
+    """One policy to run: its kind and, for ``fixed_arm`` only, the index
+    of the arm it always plays."""
+
+    kind: str
+    arm_index: int | None = None
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise InvalidArgumentError(f"unknown policy kind: {self.kind!r}")
-        if self.kind == FIXED_ARM and self.fixed_arm_index is None:
-            raise InvalidArgumentError("fixed_arm policy needs fixed_arm_index")
+        if self.kind != FIXED_ARM and self.arm_index is not None:
+            raise InvalidArgumentError(f"arm_index is for fixed_arm only, not {self.kind}")
+        if self.kind == FIXED_ARM and not (is_integer(self.arm_index) and self.arm_index >= 0):
+            raise InvalidArgumentError(
+                f"fixed_arm policy needs a non-negative integer arm_index, got {self.arm_index!r}"
+            )
+
+    def label(self) -> str:
+        """The policy's name in run CSVs and the summary."""
+        return f"fixed_arm_{self.arm_index}" if self.kind == FIXED_ARM else self.kind
 
 
 def ts_select_arm(
@@ -136,7 +145,9 @@ def ts_select_arm(
     return space.arms[idx], idx
 
 
-def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> History:
+def run_policy(space: ArmSpace, policy: PolicySpec, env, T: int, u: int, *, seed: int = 0,
+               gp_init: gp.GpHyperparams | None = None,
+               fit_budget: gp.FitBudget = gp.FitBudget()) -> History:
     """Run one policy for T interactions (numbered 1..T here) of u updates each.
 
     GP-TS: per interaction, refit the GP on the history so far
@@ -145,6 +156,9 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
     interactions fits T - 2 times), sample the reward posterior jointly
     over the arms, play the argmax, observe the loss and convert it to a
     reward. Baselines replace the selection step and maintain no GP.
+    ``seed`` seeds the policy's random choices; GP-TS starts from
+    ``gp_init`` (by default ``default_gp_hyperparams``) and refits within
+    ``fit_budget``.
 
     A failure in ``errors.RUN_FAILURES`` during an interaction ends the
     run: the partial history is returned with its ``error`` field set to
@@ -157,30 +171,30 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
     """
     if T < 1 or u < 1:
         raise InvalidArgumentError("T and u must be at least 1")
-    if cfg.kind == FIXED_ARM and not (0 <= cfg.fixed_arm_index < len(space)):
+    if policy.kind == FIXED_ARM and policy.arm_index >= len(space):
         raise InvalidArgumentError(
-            f"fixed_arm_index {cfg.fixed_arm_index} out of range for {len(space)} arms"
+            f"arm_index {policy.arm_index} out of range for {len(space)} arms"
         )
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     loss = env.init()
     if not math.isfinite(loss):
         raise EnvironmentFailure(f"init: diverged (validation loss {loss})")
     hist = History(initial_loss=loss)
 
-    theta = cfg.gp_init or default_gp_hyperparams(space.ndim)
+    theta = gp_init or default_gp_hyperparams(space.ndim)
     data = gp.RegressionData.empty(space.ndim)
 
     for t in range(1, T + 1):
         try:
-            if cfg.kind == GP_TS:
+            if policy.kind == GP_TS:
                 if t >= 2:
                     data = gp.RegressionData(hist.arms, hist.rewards())
                 if t >= 3:
-                    theta = gp.fit_type2_mle(data, theta, cfg.fit_budget)
+                    theta = gp.fit_type2_mle(data, theta, fit_budget)
                 arm, _ = ts_select_arm(space, gp.PosteriorGp(theta, data), rng)
-            elif cfg.kind == FIXED_ARM:
-                arm = space.arms[cfg.fixed_arm_index]
+            elif policy.kind == FIXED_ARM:
+                arm = space.arms[policy.arm_index]
             else:
                 arm = space.arms[int(rng.integers(len(space)))]
             loss = env.step(arm, u)
@@ -193,7 +207,7 @@ def run_policy(space: ArmSpace, cfg: PolicyConfig, env, T: int, u: int) -> Histo
 
         hist.arms.append(arm)
         hist.losses_after.append(loss)
-        if cfg.kind == GP_TS:
+        if policy.kind == GP_TS:
             hist.gp_trace.append(theta)
 
     return hist

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import select
 import socket
@@ -39,7 +38,7 @@ import threading
 import time
 
 from .environments import Arm, SyntheticPretrainEnv, SyntheticPretrainSpec
-from .errors import BridgeError, InvalidArgumentError, ProtocolError
+from .errors import BridgeError, InvalidArgumentError, ProtocolError, is_integer
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -293,9 +292,11 @@ def _serve(channel: _LineTransport) -> int:
                     raise ValueError(
                         f"{len(names)} arm names for a {len(env_spec.optimum)}-D simulator"
                     )
-                # operator.index takes integers only (1.7 or "3" is an error),
-                # and numpy's generator rejects a negative seed
-                new_env = SyntheticPretrainEnv(env_spec, seed=operator.index(config.get("seed", 0)))
+                # numpy's generator rejects a negative seed
+                seed = config.get("seed", 0)
+                if not is_integer(seed):
+                    raise TypeError(f"seed must be an integer, got {seed!r:.200}")
+                new_env = SyntheticPretrainEnv(env_spec, seed=seed)
             except (TypeError, ValueError) as exc:
                 error("bad_config", str(exc))
                 continue
@@ -309,12 +310,10 @@ def _serve(channel: _LineTransport) -> int:
                 error("not_initialized", "step before init")
                 continue
             try:
-                t = operator.index(msg["interaction"])
-                arm_map = msg["arm"]
-                updates = operator.index(msg["updates"])
+                t, arm_map, updates = msg["interaction"], msg["arm"], msg["updates"]
                 arm = tuple(float(arm_map[name]) for name in arm_names)
-                if updates < 1:
-                    raise ValueError(f"updates must be at least 1, got {updates}")
+                if not (is_integer(t) and is_integer(updates) and updates >= 1):
+                    raise ValueError(f"bad interaction {t!r} or updates {updates!r}")
             except (KeyError, TypeError, ValueError):
                 error("malformed", f"bad step message: {line[:200]!r}")
                 continue
@@ -337,8 +336,8 @@ def mock_trainer_main(transport: str = "stdio") -> int:
     ``SyntheticPretrainSpec`` defaults, and its ``seed`` (default 0). An
     Init that cannot set it up, or whose ``arm_names`` is not a list of
     strings, one per dimension, gets a ``bad_config`` reply; a Step whose
-    ``interaction`` or ``updates`` (at least 1) is not an integer, a
-    ``malformed`` one.
+    ``interaction`` or ``updates`` (at least 1) is not an integer (a
+    JSON ``true`` is not one, nor is it a ``seed``), a ``malformed`` one.
 
     ``transport`` is ``"stdio"`` or ``"tcp:PORT"`` (listen on localhost,
     single connection; PORT is read as by ``bridge_connect``). Returns

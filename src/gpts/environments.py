@@ -31,7 +31,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DataError, InvalidArgumentError
+from .errors import DataError, InvalidArgumentError, is_real
 
 __all__ = [
     "Arm",
@@ -116,6 +116,9 @@ def make_grid(dims) -> ArmSpace:
         raise InvalidArgumentError(f"dimension names must be distinct strings, got {names}")
     value_lists: list[list[float]] = []
     for d in dims:
+        bounds = {"lower": d.lower, "upper": d.upper, "step": d.step}
+        if not all(map(is_real, bounds.values())):
+            raise InvalidArgumentError(f"dimension {d.name!r}: needs numbers, got {bounds}")
         if not (d.step > 0.0):
             raise InvalidArgumentError(f"dimension {d.name!r}: step must be positive")
         if not (d.lower < d.upper):
@@ -168,6 +171,9 @@ class SyntheticPretrainSpec:
         # YAML and JSON settings give their sequences as lists
         object.__setattr__(self, "optimum", tuple(self.optimum))
         object.__setattr__(self, "width", tuple(self.width))
+        for name, value in vars(self).items():
+            if not all(map(is_real, value if isinstance(value, tuple) else (value,))):
+                raise InvalidArgumentError(f"{name} must be numeric, got {value!r}")
         if len(self.optimum) != len(self.width):
             raise InvalidArgumentError("optimum and width must have equal dimension")
         if not all(map(math.isfinite, self.optimum)):
@@ -249,8 +255,8 @@ class NoisyTestFunctionEnv:
     """
 
     def __init__(self, noise_sd: float = 0.1, seed: int = 0):
-        if noise_sd < 0.0:
-            raise InvalidArgumentError("noise_sd must be nonnegative")
+        if not (is_real(noise_sd) and noise_sd >= 0.0):
+            raise InvalidArgumentError(f"noise_sd must be a nonnegative number, got {noise_sd!r}")
         self.noise_sd = noise_sd
         self._rng = np.random.default_rng(seed)
         self._started = False

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the integer test of
-the checks that raise them."""
+"""Exception types shared across the toolkit, and the integer and real
+number tests of the checks that raise them."""
 
 import numbers
 
@@ -43,3 +43,9 @@ def is_integer(value) -> bool:
     """Whether ``value`` is an integer; a bool, which Python counts as an
     ``int`` (``operator.index(True)`` is 1), is not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (an integer included); a bool
+    is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

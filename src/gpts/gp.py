@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .errors import InvalidArgumentError, NumericalError, is_integer
+from .errors import InvalidArgumentError, NumericalError, is_integer, is_real
 
 __all__ = [
     "SQUARED_EXPONENTIAL",
@@ -106,10 +106,14 @@ class KernelSpec:
             raise InvalidArgumentError(f"unknown kernel family: {self.family!r}")
         if len(self.lengthscales) < 1:
             raise InvalidArgumentError("kernel needs at least one lengthscale")
-        if any(not (ls > 0.0) for ls in self.lengthscales):
-            raise InvalidArgumentError("lengthscales must be positive")
-        if not (self.output_scale > 0.0):
-            raise InvalidArgumentError("output_scale must be positive")
+        if any(not (is_real(ls) and ls > 0.0) for ls in self.lengthscales):
+            raise InvalidArgumentError(
+                f"lengthscales must be positive numbers, got {self.lengthscales}"
+            )
+        if not (is_real(self.output_scale) and self.output_scale > 0.0):
+            raise InvalidArgumentError(
+                f"output_scale must be a positive number, got {self.output_scale!r}"
+            )
 
     @property
     def dim(self) -> int:
@@ -126,9 +130,10 @@ class MeanSpec:
     def __post_init__(self):
         if self.family not in ("zero", "constant"):
             raise InvalidArgumentError(f"unknown mean family: {self.family!r}")
-        # math.isfinite raises TypeError for a non-number, such as a quoted "0.0"
-        if not math.isfinite(self.constant_value):
-            raise InvalidArgumentError(f"constant_value must be finite, got {self.constant_value}")
+        if not (is_real(self.constant_value) and math.isfinite(self.constant_value)):
+            raise InvalidArgumentError(
+                f"constant_value must be a finite number, got {self.constant_value!r}"
+            )
 
     def value(self) -> float:
         return self.constant_value if self.family == "constant" else 0.0
@@ -141,8 +146,10 @@ class GpHyperparams:
     noise_variance: float
 
     def __post_init__(self):
-        if not (self.noise_variance > 0.0):
-            raise InvalidArgumentError("noise_variance must be positive")
+        if not (is_real(self.noise_variance) and self.noise_variance > 0.0):
+            raise InvalidArgumentError(
+                f"noise_variance must be a positive number, got {self.noise_variance!r}"
+            )
 
 
 class RegressionData:

@@ -34,22 +34,11 @@ __all__ = [
 DEFAULT_ENV_SEED_OFFSET = 10_000
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    kind: str
-    arm_index: int | str | None = None  # int, or "all" to expand over every arm
-
-    def label(self) -> str:
-        if self.kind == bandit.FIXED_ARM:
-            return f"fixed_arm_{self.arm_index}"
-        return self.kind
-
-
 @dataclass
 class ExperimentConfig:
     arm_dims: list[bandit.GridDim]
     space: bandit.ArmSpace
-    policies: list[PolicySpec]
+    policies: list[bandit.PolicySpec]  # a fixed_arm "all" is one spec per arm
     environment: dict
     T: int
     u: int
@@ -120,7 +109,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(
             arm_dims=dims,
             space=space,
-            policies=[PolicySpec(**p) for p in raw.pop("policies")],
+            policies=[spec for p in raw.pop("policies") for spec in _policy_specs(p, len(space))],
             environment=dict(raw.pop("environment")),
             T=raw.pop("T"),
             u=raw.pop("u"),
@@ -134,20 +123,23 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
     if raw:
         raise ConfigError(f"unknown config keys: {sorted(map(str, raw))}")
-    for p in cfg.policies:
-        if p.kind not in bandit.POLICY_KINDS:
-            raise ConfigError(f"unknown policy kind: {p.kind!r}")
-        if p.kind == bandit.FIXED_ARM and p.arm_index != "all" and not (
-            is_integer(p.arm_index) and 0 <= p.arm_index < len(cfg.space)
-        ):
-            raise ConfigError(
-                f"fixed_arm policy needs arm_index 'all' or an index in [0, {len(cfg.space)}),"
-                f" got {p.arm_index!r}"
-            )
     kind = cfg.environment.get("kind")
     if not isinstance(kind, str) or kind not in _ENVIRONMENTS:
         raise ConfigError(f"unknown environment kind: {kind!r}")
     return cfg
+
+
+def _policy_specs(policy: dict, n_arms: int) -> list[bandit.PolicySpec]:
+    """The specs of one entry of ``policies`` on a grid of ``n_arms``
+    arms: a ``fixed_arm`` with ``arm_index: all`` is one spec per arm, in
+    arm order, and any other index must be one of the grid's."""
+    every_arm = isinstance(policy, dict) and policy.get("arm_index") == "all"
+    if every_arm and policy.get("kind") == bandit.FIXED_ARM:
+        return [bandit.PolicySpec(**{**policy, "arm_index": i}) for i in range(n_arms)]
+    spec = bandit.PolicySpec(**policy)
+    if spec.kind == bandit.FIXED_ARM and spec.arm_index >= n_arms:
+        raise ConfigError(f"fixed_arm arm_index {spec.arm_index} is not in [0, {n_arms})")
+    return [spec]
 
 
 def load_config(path) -> ExperimentConfig:
@@ -202,6 +194,8 @@ def _test_function_env(space: bandit.ArmSpace, env_seed: int, **settings):
 
 def _bridge_env(space: bandit.ArmSpace, env_seed: int, *, transport=None, command=None,
                 config=None, **connect):
+    if transport is not None and command is not None:
+        raise ConfigError("bridge takes one of transport and command, not both")
     # the Init config: the user's keys in their order, then the run's seed unless given
     init_config = {} if config is None else dict(config)
     init_config.setdefault("seed", env_seed)
@@ -232,18 +226,6 @@ def _make_environment(env_cfg: dict, space: bandit.ArmSpace, env_seed: int):
         raise ConfigError(f"invalid {kind} environment: {exc}") from exc
 
 
-def _expand_policies(policies, space: bandit.ArmSpace) -> list[PolicySpec]:
-    expanded = []
-    for p in policies:
-        if p.kind == bandit.FIXED_ARM and p.arm_index == "all":
-            expanded.extend(
-                PolicySpec(kind=bandit.FIXED_ARM, arm_index=i) for i in range(len(space))
-            )
-        else:
-            expanded.append(p)
-    return expanded
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
     """Execute every (policy, seed) run and write per-run plus summary CSVs.
 
@@ -264,21 +246,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
     runs = []
     failures = []
     curves: dict[str, list[list[float]]] = {}
-    for policy in _expand_policies(cfg.policies, cfg.space):
+    for policy in cfg.policies:
         label = policy.label()
         for seed in cfg.seeds:
-            pc = bandit.PolicyConfig(
-                kind=policy.kind,
-                seed=seed,
-                fixed_arm_index=policy.arm_index if policy.kind == bandit.FIXED_ARM else None,
-                gp_init=cfg.gp_init,
-                fit_budget=cfg.fit_budget,
-            )
             path = out / f"{RUN_CSV_PREFIX}{label}_seed{seed}.csv"
             try:
                 env = _make_environment(cfg.environment, cfg.space, cfg.env_seed_offset + seed)
                 try:
-                    hist = bandit.run_policy(cfg.space, pc, env, cfg.T, cfg.u)
+                    hist = bandit.run_policy(cfg.space, policy, env, cfg.T, cfg.u, seed=seed,
+                                             gp_init=cfg.gp_init, fit_budget=cfg.fit_budget)
                 finally:
                     if hasattr(env, "close"):
                         env.close()

@@ -33,13 +33,10 @@ def report(num, ok, detail):
 
 
 def run_one(space, kind, policy_seed, env, T, u, arm_index=None, fit_budget=None):
-    cfg = bandit.PolicyConfig(
-        kind=kind,
-        seed=policy_seed,
-        fixed_arm_index=arm_index,
+    return bandit.run_policy(
+        space, bandit.PolicySpec(kind, arm_index), env, T=T, u=u, seed=policy_seed,
         fit_budget=fit_budget or gp.FitBudget(restarts=2, max_evals=60),
     )
-    return bandit.run_policy(space, cfg, env, T=T, u=u)
 
 
 def test_criterion_1_telescoping_identity():

@@ -173,7 +173,7 @@ class TestRunPolicy:
     def test_fixed_arm_bit_exact_repeatable(self):
         space = grid_1d()
         spec = SyntheticPretrainSpec()
-        cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=5)
+        cfg = bandit.PolicySpec(bandit.FIXED_ARM, 5)
         runs = []
         for _ in range(2):
             env = SyntheticPretrainEnv(spec, seed=7)
@@ -185,15 +185,15 @@ class TestRunPolicy:
         spec = SyntheticPretrainSpec()
         histories = []
         for policy_seed in (0, 99):
-            cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=policy_seed, fixed_arm_index=3)
+            cfg = bandit.PolicySpec(bandit.FIXED_ARM, 3)
             env = SyntheticPretrainEnv(spec, seed=7)
-            histories.append(bandit.run_policy(space, cfg, env, T=10, u=50))
+            histories.append(bandit.run_policy(space, cfg, env, T=10, u=50, seed=policy_seed))
         assert histories[0] == histories[1]
 
     def test_gp_ts_single_interaction(self):
         space = grid_1d()
         env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=1)
-        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
+        cfg = bandit.PolicySpec(bandit.GP_TS)
         h = bandit.run_policy(space, cfg, env, T=1, u=10)
         assert len(h) == 1
         assert h.gp_trace[0] == bandit.default_gp_hyperparams(1)  # no refit possible yet
@@ -206,7 +206,7 @@ class TestRunPolicy:
         real_fit = gp.fit_type2_mle
         monkeypatch.setattr(gp, "fit_type2_mle", lambda *a: calls.append(len(a[0])) or real_fit(*a))
         env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=3)
-        h = bandit.run_policy(grid_1d(), bandit.PolicyConfig(kind=bandit.GP_TS, seed=1), env, T=T, u=10)
+        h = bandit.run_policy(grid_1d(), bandit.PolicySpec(bandit.GP_TS), env, T=T, u=10, seed=1)
         assert len(h) == T and len(h.gp_trace) == T
         assert calls == list(range(2, T))
 
@@ -216,8 +216,8 @@ class TestRunPolicy:
         runs = []
         for _ in range(2):
             env = SyntheticPretrainEnv(spec, seed=3)
-            cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=11)
-            runs.append(bandit.run_policy(space, cfg, env, T=8, u=50))
+            cfg = bandit.PolicySpec(bandit.GP_TS)
+            runs.append(bandit.run_policy(space, cfg, env, T=8, u=50, seed=11))
         assert runs[0] == runs[1]
 
     def test_uniform_random_deterministic(self):
@@ -226,15 +226,15 @@ class TestRunPolicy:
         runs = []
         for _ in range(2):
             env = SyntheticPretrainEnv(spec, seed=3)
-            cfg = bandit.PolicyConfig(kind=bandit.UNIFORM_RANDOM, seed=11)
-            runs.append(bandit.run_policy(space, cfg, env, T=10, u=50))
+            cfg = bandit.PolicySpec(bandit.UNIFORM_RANDOM)
+            runs.append(bandit.run_policy(space, cfg, env, T=10, u=50, seed=11))
         assert runs[0] == runs[1]
 
     def test_arm_membership_and_telescoping(self):
         space = grid_1d()
         env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=5)
-        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=2)
-        h = bandit.run_policy(space, cfg, env, T=12, u=50)
+        cfg = bandit.PolicySpec(bandit.GP_TS)
+        h = bandit.run_policy(space, cfg, env, T=12, u=50, seed=2)
         for arm in h.arms:
             assert arm in space.arms
         total = bandit.cumulative_reward(h)
@@ -244,14 +244,14 @@ class TestRunPolicy:
     def test_gp_ts_records_match_history_from_losses(self):
         space = grid_1d()
         env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=4)
-        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=3)
-        h = bandit.run_policy(space, cfg, env, T=12, u=50)
+        cfg = bandit.PolicySpec(bandit.GP_TS)
+        h = bandit.run_policy(space, cfg, env, T=12, u=50, seed=3)
         assert bandit.history_from_losses(h.losses(), h.arms) == dataclasses.replace(h, gp_trace=[])
         assert len(h) == 12
 
     def test_environment_failure_returns_partial_history(self):
         space = grid_1d()
-        cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=0)
+        cfg = bandit.PolicySpec(bandit.FIXED_ARM, 0)
         h = bandit.run_policy(space, cfg, FailingEnv(fail_at=4), T=10, u=1)
         assert h.error is not None and "interaction 4" in h.error
         assert len(h) == 3
@@ -260,7 +260,7 @@ class TestRunPolicy:
     @pytest.mark.parametrize("kind", [bandit.GP_TS, bandit.UNIFORM_RANDOM])
     @pytest.mark.parametrize("k", [1, 4])
     def test_every_run_failure_ends_the_run_at_its_interaction(self, exc, kind, k):
-        cfg = bandit.PolicyConfig(kind=kind, seed=0)
+        cfg = bandit.PolicySpec(kind)
         h = bandit.run_policy(grid_1d(), cfg, FailingEnv(fail_at=k, exc=exc), T=6, u=1)
         assert h.error is not None and h.error.startswith(f"interaction {k}:")
         assert "trainer crashed" in h.error
@@ -276,7 +276,7 @@ class TestRunPolicy:
 
     def test_fixed_arm_index_validated(self):
         space = grid_1d()
-        cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=9)
+        cfg = bandit.PolicySpec(bandit.FIXED_ARM, 9)
         with pytest.raises(InvalidArgumentError):
             bandit.run_policy(space, cfg, FailingEnv(99), T=1, u=1)
 
@@ -284,7 +284,7 @@ class TestRunPolicy:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_loss_is_diverged_run(self, kind, bad):
         space = grid_1d()
-        cfg = bandit.PolicyConfig(kind=kind, seed=0)
+        cfg = bandit.PolicySpec(kind)
         h = bandit.run_policy(space, cfg, DivergingEnv(at=3, bad=bad), T=10, u=1)
         assert h.error == f"interaction 3: diverged (validation loss {bad})"
         assert len(h) == 2 and h.losses_after == [9.9, 9.8]
@@ -296,14 +296,14 @@ class TestRunPolicy:
         space = grid_1d()
         table = {(i, t): 10.0 - t - 0.01 * i for i in range(len(space)) for t in (1, 2, 4, 5)}
         env = ReplayEnv(ReplaySpec(table=table, initial_loss=10.0), space)
-        cfg = bandit.PolicyConfig(kind=kind, seed=0, fixed_arm_index=4)
+        cfg = bandit.PolicySpec(kind, 4 if kind == bandit.FIXED_ARM else None)
         h = bandit.run_policy(space, cfg, env, T=5, u=1)
         assert h.error is not None and h.error.startswith("interaction 3: replay table has no")
         assert len(h) == 2
         assert h.losses_after == [table[(space.index_of(a), t)] for t, a in enumerate(h.arms, 1)]
 
     def test_non_finite_initial_loss_raises_environment_failure(self):
-        cfg = bandit.PolicyConfig(kind=bandit.UNIFORM_RANDOM, seed=0)
+        cfg = bandit.PolicySpec(bandit.UNIFORM_RANDOM)
         with pytest.raises(EnvironmentFailure, match=r"init: diverged \(validation loss nan\)"):
             bandit.run_policy(grid_1d(), cfg, DivergingEnv(at=0, bad=float("nan")), T=5, u=1)
 

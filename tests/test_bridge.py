@@ -126,9 +126,11 @@ class TestMockTrainerRejects:
             {"arm_names": [1]},
             {"arm_names": ["rho", "gamma"]},
             {"arm_names": None},
+            {"config": {"seed": True}},
+            {"config": {"synthetic": {"rate": True}}},
         ],
         ids=["config_list", "seed_str", "seed_float", "seed_negative", "names_int", "names_str",
-             "names_of_int", "names_2d", "names_missing"],
+             "names_of_int", "names_2d", "names_missing", "seed_bool", "synthetic_bool"],
     )
     def test_bad_init_is_bad_config(self, fields):
         init = {**json.loads(GOLDEN_INIT), **fields}
@@ -138,9 +140,9 @@ class TestMockTrainerRejects:
     @pytest.mark.parametrize(
         "fields",
         [{"interaction": 1.7}, {"interaction": "1"}, {"updates": 2.9}, {"updates": 0},
-         {"updates": -1}],
+         {"updates": -1}, {"interaction": True}, {"updates": True}],
         ids=["interaction_float", "interaction_str", "updates_float", "updates_zero",
-             "updates_negative"],
+             "updates_negative", "interaction_bool", "updates_bool"],
     )
     def test_non_integer_step_field_is_malformed(self, fields):
         step = json.loads(GOLDEN_STEP)
@@ -248,7 +250,7 @@ class TestAckLoss:
             ]
         )
         env = bridge.BridgeEnvironment(t, space.names)
-        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
+        cfg = bandit.PolicySpec(bandit.GP_TS)
         hist = bandit.run_policy(space, cfg, env, T=5, u=10)
         assert hist.losses_after == [9.0]
         assert hist.error.startswith("interaction 2: step_ack val_loss is not a number")
@@ -270,7 +272,7 @@ class TestAckLoss:
             ]
         )
         env = bridge.BridgeEnvironment(t, space.names)
-        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
+        cfg = bandit.PolicySpec(bandit.GP_TS)
         hist = bandit.run_policy(space, cfg, env, T=5, u=10)
         assert len(hist) == 0
         assert hist.error == f"interaction 1: diverged (validation loss {shown})"
@@ -363,7 +365,7 @@ class TestSpawnedTrainerReplies:
         space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
         argv = fake_trainer(f"recv(); send({INIT_ACK!r}); recv(); send({NOT_UTF8!r}); recv()")
         env = bridge.bridge_connect(argv, space.names, timeout_s=5.0)
-        cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=0)
+        cfg = bandit.PolicySpec(bandit.FIXED_ARM, 0)
         try:
             hist = bandit.run_policy(space, cfg, env, T=3, u=10)
         finally:
@@ -531,8 +533,8 @@ class TestMockTrainerOverStdio:
 class TestEquivalence:
     def run_in_process(self, space, spec, policy_seed, env_seed, T):
         env = envs.SyntheticPretrainEnv(spec, seed=env_seed)
-        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=policy_seed)
-        return bandit.run_policy(space, cfg, env, T=T, u=100)
+        cfg = bandit.PolicySpec(bandit.GP_TS)
+        return bandit.run_policy(space, cfg, env, T=T, u=100, seed=policy_seed)
 
     def test_stdio_matches_in_process(self):
         space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
@@ -540,8 +542,8 @@ class TestEquivalence:
         ref = self.run_in_process(space, spec, policy_seed=1, env_seed=77, T=10)
 
         env = bridge.bridge_connect(MOCK_CMD, space.names, config=spec_config(spec, 77))
-        cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=1)
-        hist = bandit.run_policy(space, cfg, env, T=10, u=100)
+        cfg = bandit.PolicySpec(bandit.GP_TS)
+        hist = bandit.run_policy(space, cfg, env, T=10, u=100, seed=1)
         env.close()
         assert hist == ref
         assert hist.initial_loss == ref.initial_loss
@@ -559,8 +561,8 @@ class TestEquivalence:
             env = bridge.bridge_connect(
                 f"tcp:127.0.0.1:{port}", space.names, config=spec_config(spec, 78)
             )
-            cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=2)
-            hist = bandit.run_policy(space, cfg, env, T=10, u=100)
+            cfg = bandit.PolicySpec(bandit.GP_TS)
+            hist = bandit.run_policy(space, cfg, env, T=10, u=100, seed=2)
             env.close()
             assert server.wait(timeout=10) == 0
         finally:
@@ -584,7 +586,7 @@ class TestEquivalence:
             ]
         )
         env = bridge.BridgeEnvironment(t, ["rho"])
-        cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=0)
+        cfg = bandit.PolicySpec(bandit.FIXED_ARM, 0)
         hist = bandit.run_policy(space, cfg, env, T=5, u=10)
         assert hist.error is not None
         assert len(hist) == 1

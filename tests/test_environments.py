@@ -165,7 +165,7 @@ class TestReplay:
         space = self.space()
         spec = envs.SyntheticPretrainSpec()
         env = envs.SyntheticPretrainEnv(spec, seed=21)
-        cfg = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=4)
+        cfg = bandit.PolicySpec(bandit.FIXED_ARM, 4)
         original = bandit.run_policy(space, cfg, env, T=15, u=30)
 
         path = tmp_path / "log.csv"
@@ -232,7 +232,7 @@ def test_environment_contract(kind, tmp_path):
     # CSV plays the run back
     T = 4
     space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
-    cfg = bandit.PolicyConfig(kind=bandit.GP_TS, seed=0)
+    cfg = bandit.PolicySpec(bandit.GP_TS)
     env = contract_env(kind, space, T)
     try:
         rec = Recorder(env)

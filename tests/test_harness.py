@@ -12,7 +12,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from gpts import bandit, cli, environments as envs, gp, harness, report
+from gpts import bandit, bridge, cli, environments as envs, gp, harness, report
 from gpts.errors import ConfigError, DataError, InvalidArgumentError, NumericalError
 
 
@@ -64,6 +64,20 @@ class TestLoadConfig:
         path, _ = small_config(tmp_path, policies=[{"kind": "fixed_arm"}])
         with pytest.raises(ConfigError, match="arm_index"):
             harness.load_config(path)
+
+    def test_default_policies_load_in_run_order(self, tmp_path):
+        # the fixed_arm "all" entry is one spec per arm of the 9-arm grid
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(harness.default_config_dict()))
+        policies = harness.load_config(path).policies
+        assert policies == [
+            bandit.PolicySpec(bandit.GP_TS),
+            *(bandit.PolicySpec(bandit.FIXED_ARM, i) for i in range(9)),
+            bandit.PolicySpec(bandit.UNIFORM_RANDOM),
+        ]
+        assert [p.label() for p in policies] == [
+            "gp_ts", *(f"fixed_arm_{i}" for i in range(9)), "uniform_random"
+        ]
 
     def test_unknown_environment_rejected(self, tmp_path):
         path, _ = small_config(tmp_path, environment={"kind": "casino"})
@@ -168,7 +182,7 @@ class TestRunExperiment:
     def test_replay_environment_passthrough(self, tmp_path):
         space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
         env = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=10_000)
-        pc = bandit.PolicyConfig(kind=bandit.FIXED_ARM, seed=0, fixed_arm_index=2)
+        pc = bandit.PolicySpec(bandit.FIXED_ARM, 2)
         hist = bandit.run_policy(space, pc, env, T=5, u=20)
         log = tmp_path / "log.csv"
         envs.write_replay_csv(log, hist, space)
@@ -573,6 +587,10 @@ class TestCli:
             {"seeds": [0, -1]},
             {"fit": {"seed": -1}},
             {"env_seed_offset": -5, "seeds": [5, 4]},
+            {"policies": [{"kind": "gp_ts", "arm_index": 3}]},
+            {"policies": [{"kind": "uniform_random", "arm_index": "all"}]},
+            {"policies": [{"kind": "fixed_arm", "arm_index": "ALL"}]},
+            {"policies": [{"kind": "fixed_arm", "arm_index": 2.0}]},
         ],
     )
     def test_out_of_range_or_truncated_value_exits_2(self, tmp_path, overrides):
@@ -604,6 +622,41 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)  # not a traceback
         assert "config error:" in res.output and "got True" in res.output
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gp": {"mean_constant": True}},
+            {"gp": {"output_scale": True}},
+            {"gp": {"lengthscale": True}},
+            {"gp": {"noise_variance": True}},
+            {"arm_space": [{"name": "rho", "lower": False, "upper": 0.5, "step": 0.05}]},
+            {"environment": {"kind": "test_function", "test_function": {"noise_sd": True}}},
+            {"environment": {"kind": "synthetic", "synthetic": {"rate": True}}},
+            {"environment": {"kind": "synthetic", "synthetic": {"optimum": [True]}}},
+        ],
+    )
+    def test_boolean_for_float_exits_2(self, tmp_path, overrides):
+        # Python compares a bool as 0 or 1; a config must not take it as a number
+        path, raw = small_config(tmp_path, **{"seeds": [0], **overrides})
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output and ("True" in res.output or "False" in res.output)
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
+    def test_bridge_with_transport_and_command_exits_2(self, tmp_path, monkeypatch):
+        # one would be dropped silently; neither may be spawned or connected
+        connects = []
+        monkeypatch.setattr(bridge, "bridge_connect", lambda *a, **k: connects.append(a))
+        trainer = [sys.executable, "-m", "gpts.cli", "mock-trainer"]
+        path, raw = small_config(tmp_path, seeds=[0], **mock_bridge(transport=trainer))
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output and "transport and command" in res.output
+        assert connects == []
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
     @pytest.mark.parametrize(
         "overrides,key",

@@ -48,3 +48,17 @@ def test_harness_spans_fire(tmp_path):
         harness.summarize(raw["output_dir"])
     for name in ("load_config", "run_experiment", "write_run_csv", "summarize"):
         assert f"harness.{name}" in fired
+
+
+def test_decisions_are_tagged_with_their_policy(tmp_path):
+    # the decision clock reads the policy kind off run_policy's second
+    # positional argument, so run_experiment must pass (space, policy) so
+    raw = harness.default_config_dict()
+    raw.update(T=3, seeds=[0], output_dir=str(tmp_path / "runs"))
+    raw["policies"] = [{"kind": "gp_ts"}, {"kind": "uniform_random"}]
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    clock = tracing.DecisionClock()
+    with tracing.patched(clock.wrap):
+        harness.run_experiment(harness.load_config(config))
+    assert [kind for kind, _ in clock.decisions] == ["gp_ts"] * 3 + ["uniform_random"] * 3
