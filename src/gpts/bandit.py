@@ -96,16 +96,9 @@ def history_from_losses(losses, arms) -> History:
 
 
 def default_gp_hyperparams(ndim: int) -> gp.GpHyperparams:
-    """Matérn-5/2 with ARD lengthscales and a constant mean."""
-    return gp.GpHyperparams(
-        mean=gp.MeanSpec(family="constant", constant_value=0.0),
-        kernel=gp.KernelSpec(
-            family=gp.MATERN52,
-            lengthscales=(0.1,) * ndim,
-            output_scale=1.0,
-        ),
-        noise_variance=0.01,
-    )
+    """``gp.GpHyperparams``' defaults with a lengthscale of 0.1 in each of
+    ``ndim`` dimensions."""
+    return gp.GpHyperparams(lengthscales=(0.1,) * ndim)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,14 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DataError, InvalidArgumentError, is_real
+from .errors import DataError, InvalidArgumentError, is_finite
 
 __all__ = [
     "Arm",
     "GridDim",
     "ArmSpace",
     "make_grid",
+    "MAX_ARMS",
     "Environment",
     "SyntheticPretrainSpec",
     "SyntheticPretrainEnv",
@@ -103,11 +104,18 @@ class ArmSpace:
         return np.array(self.arms, dtype=float)
 
 
+# The most arms a grid may have. GP-TS samples all arms jointly: at this
+# size the m x m posterior covariance alone takes 0.8 GB.
+MAX_ARMS = 10_000
+
+
 def make_grid(dims) -> ArmSpace:
     """Materialize the arm grid from per-dimension (lower, upper, step) specs.
 
     The dimension names, which label the CSV columns and the trainer's
-    arm coordinates, must be distinct strings.
+    arm coordinates, must be distinct strings. A grid of more than
+    ``MAX_ARMS`` arms is rejected before more than that many values of
+    any one dimension are made.
     """
     dims = tuple(d if isinstance(d, GridDim) else GridDim(**d) for d in dims)
     dims = tuple(replace(d, name=f"psi{i}") if d.name is None else d for i, d in enumerate(dims))
@@ -115,10 +123,11 @@ def make_grid(dims) -> ArmSpace:
     if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
         raise InvalidArgumentError(f"dimension names must be distinct strings, got {names}")
     value_lists: list[list[float]] = []
+    n_arms = 1
     for d in dims:
         bounds = {"lower": d.lower, "upper": d.upper, "step": d.step}
-        if not all(map(is_real, bounds.values())):
-            raise InvalidArgumentError(f"dimension {d.name!r}: needs numbers, got {bounds}")
+        if not all(map(is_finite, bounds.values())):
+            raise InvalidArgumentError(f"dimension {d.name!r}: needs finite numbers, got {bounds}")
         if not (d.step > 0.0):
             raise InvalidArgumentError(f"dimension {d.name!r}: step must be positive")
         if not (d.lower < d.upper):
@@ -131,6 +140,10 @@ def make_grid(dims) -> ArmSpace:
             if v >= d.upper - eps:
                 break
             values.append(v)
+            if n_arms * len(values) > MAX_ARMS:
+                raise InvalidArgumentError(
+                    f"dimension {d.name!r}: the grid would have more than {MAX_ARMS} arms"
+                )
             i += 1
         if not values:
             raise InvalidArgumentError(
@@ -138,6 +151,7 @@ def make_grid(dims) -> ArmSpace:
                 f"({d.lower}, {d.upper})"
             )
         value_lists.append(values)
+        n_arms *= len(values)
     arms = tuple(itertools.product(*value_lists))
     return ArmSpace(dims=dims, arms=arms)
 
@@ -172,12 +186,10 @@ class SyntheticPretrainSpec:
         object.__setattr__(self, "optimum", tuple(self.optimum))
         object.__setattr__(self, "width", tuple(self.width))
         for name, value in vars(self).items():
-            if not all(map(is_real, value if isinstance(value, tuple) else (value,))):
-                raise InvalidArgumentError(f"{name} must be numeric, got {value!r}")
+            if not all(map(is_finite, value if isinstance(value, tuple) else (value,))):
+                raise InvalidArgumentError(f"{name} needs finite numbers, got {value!r}")
         if len(self.optimum) != len(self.width):
             raise InvalidArgumentError("optimum and width must have equal dimension")
-        if not all(map(math.isfinite, self.optimum)):
-            raise InvalidArgumentError("optimum must be finite")
         if any(not (w > 0.0) for w in self.width):
             raise InvalidArgumentError("widths must be positive")
         if not (self.rate > 0.0):
@@ -255,8 +267,10 @@ class NoisyTestFunctionEnv:
     """
 
     def __init__(self, noise_sd: float = 0.1, seed: int = 0):
-        if not (is_real(noise_sd) and noise_sd >= 0.0):
-            raise InvalidArgumentError(f"noise_sd must be a nonnegative number, got {noise_sd!r}")
+        if not (is_finite(noise_sd) and noise_sd >= 0.0):
+            raise InvalidArgumentError(
+                f"noise_sd must be a finite nonnegative number, got {noise_sd!r}"
+            )
         self.noise_sd = noise_sd
         self._rng = np.random.default_rng(seed)
         self._started = False

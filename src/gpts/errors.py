@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the integer and real
+"""Exception types shared across the toolkit, and the integer and finite
 number tests of the checks that raise them."""
 
+import math
 import numbers
 
 
@@ -45,7 +46,9 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """Whether ``value`` is a real number (an integer included); a bool
-    is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def is_finite(value) -> bool:
+    """Whether ``value`` is a finite real number (an integer included); a
+    bool, NaN and the infinities are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        -math.inf < value < math.inf
+    )

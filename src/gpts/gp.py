@@ -1,10 +1,11 @@
 """Exact Gaussian-process regression.
 
-Kernels (squared-exponential and Matérn-5/2 with ARD lengthscales),
-zero/constant mean functions, the exact log marginal likelihood,
-Type-II maximum-likelihood hyperparameter fitting, closed-form posterior
+Kernels (squared-exponential and Matérn-5/2 with ARD lengthscales), a
+constant prior mean, the exact log marginal likelihood, Type-II
+maximum-likelihood hyperparameter fitting, closed-form posterior
 inference with cached Cholesky statistics, and joint posterior sampling
-at finite candidate sets.
+at finite candidate sets. ``GpHyperparams`` is the one hyperparameter
+record: the fit returns one, and the posterior and the run CSV read it.
 
 Observations whose inputs repeat (arms played again from a finite grid)
 are collapsed to their distinct inputs: the likelihood, the fit and the
@@ -50,25 +51,23 @@ there only perturbs one random draw.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .errors import InvalidArgumentError, NumericalError, is_integer, is_real
+from .errors import InvalidArgumentError, NumericalError, is_finite, is_integer
 
 __all__ = [
     "SQUARED_EXPONENTIAL",
     "MATERN52",
     "NOISE_VARIANCE_FLOOR",
-    "KernelSpec",
-    "MeanSpec",
     "GpHyperparams",
     "RegressionData",
     "FitBudget",
     "PosteriorGp",
     "kernel_matrix",
-    "mean_vector",
     "log_marginal_likelihood",
     "fit_type2_mle",
 ]
@@ -94,62 +93,45 @@ _BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """A stationary covariance kernel with per-dimension (ARD) lengthscales."""
+class GpHyperparams:
+    """The GP's hyperparameters: a stationary ``kernel`` (SQUARED_EXPONENTIAL
+    or MATERN52) with one (ARD) lengthscale per input dimension and an
+    output scale, the observation noise variance and the constant prior
+    mean. The fields are the keys of the ``gp`` config section; every
+    number must be finite, and all but the mean positive.
+    """
 
-    family: str
     lengthscales: tuple[float, ...]
-    output_scale: float
+    kernel: str = MATERN52
+    output_scale: float = 1.0
+    noise_variance: float = 0.01
+    mean_constant: float = 0.0
 
     def __post_init__(self):
-        if self.family not in (SQUARED_EXPONENTIAL, MATERN52):
-            raise InvalidArgumentError(f"unknown kernel family: {self.family!r}")
-        if len(self.lengthscales) < 1:
-            raise InvalidArgumentError("kernel needs at least one lengthscale")
-        if any(not (is_real(ls) and ls > 0.0) for ls in self.lengthscales):
+        if self.kernel not in (SQUARED_EXPONENTIAL, MATERN52):
             raise InvalidArgumentError(
-                f"lengthscales must be positive numbers, got {self.lengthscales}"
+                f"kernel must be {SQUARED_EXPONENTIAL!r} or {MATERN52!r}, got {self.kernel!r}"
             )
-        if not (is_real(self.output_scale) and self.output_scale > 0.0):
+        if len(self.lengthscales) < 1:
+            raise InvalidArgumentError("lengthscales needs at least one value")
+        if not all(is_finite(ls) and ls > 0.0 for ls in self.lengthscales):
             raise InvalidArgumentError(
-                f"output_scale must be a positive number, got {self.output_scale!r}"
+                f"lengthscales must be finite positive numbers, got {self.lengthscales}"
+            )
+        for name in ("output_scale", "noise_variance"):
+            value = getattr(self, name)
+            if not (is_finite(value) and value > 0.0):
+                raise InvalidArgumentError(
+                    f"{name} must be a finite positive number, got {value!r}"
+                )
+        if not is_finite(self.mean_constant):
+            raise InvalidArgumentError(
+                f"mean_constant must be a finite number, got {self.mean_constant!r}"
             )
 
     @property
     def dim(self) -> int:
         return len(self.lengthscales)
-
-
-@dataclass(frozen=True)
-class MeanSpec:
-    """Prior mean function: identically zero, or a fitted constant."""
-
-    family: str = "zero"
-    constant_value: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in ("zero", "constant"):
-            raise InvalidArgumentError(f"unknown mean family: {self.family!r}")
-        if not (is_real(self.constant_value) and math.isfinite(self.constant_value)):
-            raise InvalidArgumentError(
-                f"constant_value must be a finite number, got {self.constant_value!r}"
-            )
-
-    def value(self) -> float:
-        return self.constant_value if self.family == "constant" else 0.0
-
-
-@dataclass(frozen=True)
-class GpHyperparams:
-    mean: MeanSpec
-    kernel: KernelSpec
-    noise_variance: float
-
-    def __post_init__(self):
-        if not (is_real(self.noise_variance) and self.noise_variance > 0.0):
-            raise InvalidArgumentError(
-                f"noise_variance must be a positive number, got {self.noise_variance!r}"
-            )
 
 
 class RegressionData:
@@ -210,7 +192,7 @@ class FitBudget:
 
 
 # ---------------------------------------------------------------------------
-# kernels and means
+# kernels
 
 
 def _as_matrix(points, dim: int | None = None) -> np.ndarray:
@@ -267,7 +249,7 @@ def _kernel_from_sqdist(family: str, output_scale: float, d2: np.ndarray) -> np.
     return d2
 
 
-def kernel_matrix(spec: KernelSpec, X, X2=None) -> np.ndarray:
+def kernel_matrix(hp: GpHyperparams, X, X2=None) -> np.ndarray:
     """Kernel Gram matrix of X (``X2=None``) or cross matrix of X and X2.
 
     The matrix is filled a block of rows at a time (about
@@ -278,21 +260,16 @@ def kernel_matrix(spec: KernelSpec, X, X2=None) -> np.ndarray:
     is too, and its diagonal is exactly the output scale (the kernels here
     are stationary).
     """
-    X = _as_matrix(X, spec.dim)
-    X2 = X if X2 is None else _as_matrix(X2, spec.dim)
+    X = _as_matrix(X, hp.dim)
+    X2 = X if X2 is None else _as_matrix(X2, hp.dim)
     out = np.empty((X.shape[0], X2.shape[0]))
     rows = max(1, _BLOCK_ELEMENTS // max(X2.shape[0], 1))
     for start in range(0, X.shape[0], rows):
         block = X[start : start + rows]
         diffs = (x[:, None] - x2 for x, x2 in zip(block.T, X2.T))
-        d2 = _sqdist(diffs, spec.lengthscales, out=out[start : start + rows])
-        _kernel_from_sqdist(spec.family, spec.output_scale, d2)
+        d2 = _sqdist(diffs, hp.lengthscales, out=out[start : start + rows])
+        _kernel_from_sqdist(hp.kernel, hp.output_scale, d2)
     return out
-
-
-def mean_vector(mean: MeanSpec, X) -> np.ndarray:
-    X = _as_matrix(X)
-    return np.full(X.shape[0], mean.value())
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +309,6 @@ class _Replicates:
         self.within_ss = float(np.sum((y - self.means[inverse]) ** 2))
         self.n_obs = y.shape[0]
         self.log_count_sum = float(np.sum(np.log(self.counts)))
-
-
-def _collapsed_factor(hp: GpHyperparams, reps: _Replicates) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K_UU + noise * diag(1/n) over the distinct
-    inputs, and the noise variance it was factored at (see ``_factor``)."""
-    k = hp.kernel
-    return _factor(k.family, k.lengthscales, k.output_scale, hp.noise_variance, reps)
 
 
 def _factor(family: str, lengthscales, output_scale: float, noise: float, reps: _Replicates):
@@ -433,41 +403,36 @@ def log_marginal_likelihood(hp: GpHyperparams, data: RegressionData) -> float:
     if len(data) == 0:
         raise InvalidArgumentError("log marginal likelihood needs at least one observation")
     reps = data._replicates
-    L, noise = _collapsed_factor(hp, reps)
-    return _collapsed_lml(L, noise, reps.means - hp.mean.value(), reps)
+    L, noise = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, reps)
+    return _collapsed_lml(L, noise, reps.means - hp.mean_constant, reps)
 
 
 def _pack(hp: GpHyperparams) -> np.ndarray:
-    vec = [math.log(ls) for ls in hp.kernel.lengthscales]
-    vec.append(math.log(hp.kernel.output_scale))
-    vec.append(math.log(hp.noise_variance))
-    if hp.mean.family == "constant":
-        vec.append(hp.mean.constant_value)
+    """The fit's search vector [log lengthscales..., log output scale,
+    log noise variance, mean constant]."""
+    vec = [math.log(ls) for ls in hp.lengthscales]
+    vec += [math.log(hp.output_scale), math.log(hp.noise_variance), hp.mean_constant]
     return np.array(vec)
 
 
 def _unpacked_values(vec: np.ndarray, template: GpHyperparams):
     """Lengthscales, output scale, noise variance and mean constant of a
-    packed vector: the log-parameters clamped to +-_LOG_PARAM_BOUND, the
-    noise floored at NOISE_VARIANCE_FLOOR, and a mean of 0.0 for a zero
-    mean. ``_unpack`` and the fit objective both read vectors through this.
+    packed vector: the log-parameters clamped to +-_LOG_PARAM_BOUND and the
+    noise floored at NOISE_VARIANCE_FLOOR. ``_unpack`` and the fit
+    objective both read vectors through this.
     """
-    d = template.kernel.dim
+    d = template.dim
     values = vec.tolist()
     # Python floats clamp with np.clip's values at a fraction of its call cost
     logs = [min(max(v, -_LOG_PARAM_BOUND), _LOG_PARAM_BOUND) for v in values[: d + 2]]
     noise = max(math.exp(logs[d + 1]), NOISE_VARIANCE_FLOOR)
-    mean = values[d + 2] if template.mean.family == "constant" else 0.0
-    return np.exp(logs[:d]), math.exp(logs[d]), noise, mean
+    return np.exp(logs[:d]), math.exp(logs[d]), noise, values[d + 2]
 
 
 def _unpack(vec: np.ndarray, template: GpHyperparams) -> GpHyperparams:
-    ls, output_scale, noise, mean_value = _unpacked_values(vec, template)
-    kernel = replace(template.kernel, lengthscales=tuple(ls.tolist()), output_scale=output_scale)
-    mean = template.mean
-    if mean.family == "constant":
-        mean = replace(mean, constant_value=mean_value)
-    return GpHyperparams(mean=mean, kernel=kernel, noise_variance=noise)
+    ls, output_scale, noise, mean_constant = _unpacked_values(vec, template)
+    return replace(template, lengthscales=tuple(ls.tolist()), output_scale=output_scale,
+                   noise_variance=noise, mean_constant=mean_constant)
 
 
 def _fit_objective(data: RegressionData, template: GpHyperparams):
@@ -480,15 +445,15 @@ def _fit_objective(data: RegressionData, template: GpHyperparams):
     at the top of the ladder scores ``_FAILED_FIT_VALUE``.
     """
     reps = data._replicates
-    family = template.kernel.family
+    family = template.kernel
 
     def neg_lml(vec: np.ndarray) -> float:
-        lengthscales, output_scale, noise, mean_value = _unpacked_values(vec, template)
+        lengthscales, output_scale, noise, mean_constant = _unpacked_values(vec, template)
         try:
             L, noise = _factor(family, lengthscales, output_scale, noise, reps)
         except NumericalError:
             return _FAILED_FIT_VALUE
-        return -_collapsed_lml(L, noise, reps.means - mean_value, reps)
+        return -_collapsed_lml(L, noise, reps.means - mean_constant, reps)
 
     return neg_lml
 
@@ -497,21 +462,15 @@ def _heuristic_start(data: RegressionData, template: GpHyperparams) -> GpHyperpa
     """Moment-matched starting point: mean and output scale from the
     targets, lengthscales from the per-dimension input spread."""
     y = data.targets
-    var = max(float(np.var(y)), 1e-4)
+    # finite targets can overflow the variance; the record takes finite values
+    var = min(max(float(np.var(y)), 1e-4), sys.float_info.max)
     spread = np.std(data.inputs, axis=0)
-    fallback = np.asarray(template.kernel.lengthscales)
     lengthscales = tuple(
-        float(s) if s > 1e-6 else float(f) for s, f in zip(spread, fallback)
+        float(s) if s > 1e-6 else float(f) for s, f in zip(spread, template.lengthscales)
     )
-    mean = template.mean
-    if mean.family == "constant":
-        mean = replace(mean, constant_value=float(np.mean(y)))
-    kernel = replace(template.kernel, lengthscales=lengthscales, output_scale=var)
-    return GpHyperparams(
-        mean=mean,
-        kernel=kernel,
-        noise_variance=max(0.1 * var, NOISE_VARIANCE_FLOOR),
-    )
+    return replace(template, lengthscales=lengthscales, output_scale=var,
+                   noise_variance=max(0.1 * var, NOISE_VARIANCE_FLOOR),
+                   mean_constant=float(np.mean(y)))
 
 
 def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float]:
@@ -670,9 +629,9 @@ class PosteriorGp:
             self.chol_factor = None
             self.alpha = None
         else:
-            reps = data._replicates
-            L, _ = _collapsed_factor(hyperparams, reps)
-            v = _solve_chol(L, reps.means - hyperparams.mean.value())
+            hp, reps = hyperparams, data._replicates
+            L, _ = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, reps)
+            v = _solve_chol(L, reps.means - hp.mean_constant)
             alpha = _solve_chol(L, v, transposed=True)
             L.setflags(write=False)
             alpha.setflags(write=False)
@@ -688,14 +647,15 @@ class PosteriorGp:
         which fills one triangle and mirrors it. Its diagonal is clamped at
         zero.
         """
-        Q = _as_matrix(queries, self.hyperparams.kernel.dim)
+        hp = self.hyperparams
+        Q = _as_matrix(queries, hp.dim)
         if Q.shape[0] == 0:
             raise InvalidArgumentError("predict needs at least one query point")
-        prior_mean = mean_vector(self.hyperparams.mean, Q)
-        Kqq = kernel_matrix(self.hyperparams.kernel, Q)
+        prior_mean = np.full(Q.shape[0], hp.mean_constant)
+        Kqq = kernel_matrix(hp, Q)
         if self.chol_factor is None:
             return prior_mean, Kqq
-        Ks = kernel_matrix(self.hyperparams.kernel, self.inputs, Q)
+        Ks = kernel_matrix(hp, self.inputs, Q)
         mean = prior_mean + Ks.T @ self.alpha
         V = _solve_chol(self.chol_factor, Ks)
         cov = Kqq

@@ -57,6 +57,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.T < 1 or self.u < 1:
             raise ConfigError("T and u must be at least 1")
+        # a repeated (policy, seed) pair would write its run CSV twice
+        labels = [p.label() for p in self.policies]
+        for name, values in [("seeds", self.seeds), ("policies", labels)]:
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must be distinct, got {values}")
         # numpy seeds its generators from non-negative integers only
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
@@ -87,10 +92,10 @@ def default_config_dict() -> dict:
         "env_seed_offset": DEFAULT_ENV_SEED_OFFSET,
         "output_dir": "runs",
         "gp": {
-            "lengthscale": theta.kernel.lengthscales[0],
-            "output_scale": theta.kernel.output_scale,
+            "lengthscale": theta.lengthscales[0],
+            "output_scale": theta.output_scale,
             "noise_variance": theta.noise_variance,
-            "mean_constant": theta.mean.constant_value,
+            "mean_constant": theta.mean_constant,
         },
         "fit": {"restarts": budget.restarts, "max_evals": budget.max_evals},
     }
@@ -156,27 +161,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _gp_init_from_config(gp_cfg: dict, ndim: int) -> gp.GpHyperparams:
-    """The ``gp`` section over ``bandit.default_gp_hyperparams``; its keys
-    span three constructors, so each is read once and a key left over is
-    unknown."""
-    gp_cfg, base = dict(gp_cfg), bandit.default_gp_hyperparams(ndim)
-    ls = gp_cfg.pop("lengthscale", base.kernel.lengthscales[0])
+    """The ``gp`` section: ``gp.GpHyperparams``' keywords, except that
+    ``lengthscale`` (by default ``bandit.default_gp_hyperparams``') is one
+    number for every arm dimension or a list of one per dimension."""
+    gp_cfg = dict(gp_cfg)
+    ls = gp_cfg.pop("lengthscale", bandit.default_gp_hyperparams(ndim).lengthscales)
     lengthscales = tuple(ls) if isinstance(ls, (list, tuple)) else (ls,) * ndim
     if len(lengthscales) != ndim:
         raise ConfigError(f"gp.lengthscale needs one value per arm dimension ({ndim})")
-    mean_constant = gp_cfg.pop("mean_constant", base.mean.constant_value)
-    theta = gp.GpHyperparams(
-        mean=replace(base.mean, constant_value=mean_constant),
-        kernel=gp.KernelSpec(
-            family=gp_cfg.pop("kernel", base.kernel.family),
-            lengthscales=lengthscales,
-            output_scale=gp_cfg.pop("output_scale", base.kernel.output_scale),
-        ),
-        noise_variance=gp_cfg.pop("noise_variance", base.noise_variance),
-    )
-    if gp_cfg:
-        raise ConfigError(f"unknown gp keys: {sorted(map(str, gp_cfg))}")
-    return theta
+    return gp.GpHyperparams(lengthscales=lengthscales, **gp_cfg)
 
 
 def _synthetic_env(space: bandit.ArmSpace, env_seed: int, **settings):

@@ -57,10 +57,10 @@ def write_run_csv(path, seed: int, label: str, hist, space) -> None:
     ndim = space.ndim
     gp_columns = [
         [
-            json.dumps([float(v) for v in theta.kernel.lengthscales]),
-            _fmt(theta.kernel.output_scale),
+            json.dumps([float(v) for v in theta.lengthscales]),
+            _fmt(theta.output_scale),
             _fmt(theta.noise_variance),
-            _fmt(theta.mean.value()),
+            _fmt(theta.mean_constant),
         ]
         for theta in hist.gp_trace
     ] or [["", "", "", ""]] * len(hist)

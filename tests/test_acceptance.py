@@ -62,10 +62,10 @@ def dense_posterior(hp, data, queries):
     """Independent textbook posterior: explicit inverse of K + sigma^2 I."""
     X, y = np.asarray(data.inputs), np.asarray(data.targets)
     Q = np.asarray(queries)
-    m = hp.mean.value()
-    K = gp.kernel_matrix(hp.kernel, X) + hp.noise_variance * np.eye(len(X))
-    Kxq = np.array([[gp.kernel_matrix(hp.kernel, [x], [q])[0, 0] for q in Q] for x in X])
-    Kqq = gp.kernel_matrix(hp.kernel, Q)
+    m = hp.mean_constant
+    K = gp.kernel_matrix(hp, X) + hp.noise_variance * np.eye(len(X))
+    Kxq = np.array([[gp.kernel_matrix(hp, [x], [q])[0, 0] for q in Q] for x in X])
+    Kqq = gp.kernel_matrix(hp, Q)
     Kinv = np.linalg.inv(K)
     mu = m + Kxq.T @ Kinv @ (y - m)
     cov = Kqq - Kxq.T @ Kinv @ Kxq
@@ -80,12 +80,10 @@ def test_criterion_2_posterior_matches_dense_oracle():
         d = int(rng.integers(1, 4))
         n = int(rng.integers(1, 9))
         hp = gp.GpHyperparams(
-            mean=gp.MeanSpec("constant", float(rng.normal())),
-            kernel=gp.KernelSpec(
-                family=gp.MATERN52 if rng.random() < 0.5 else gp.SQUARED_EXPONENTIAL,
-                lengthscales=tuple(rng.uniform(0.1, 1.0, d)),
-                output_scale=float(rng.uniform(0.2, 3.0)),
-            ),
+            mean_constant=float(rng.normal()),
+            kernel=gp.MATERN52 if rng.random() < 0.5 else gp.SQUARED_EXPONENTIAL,
+            lengthscales=tuple(rng.uniform(0.1, 1.0, d)),
+            output_scale=float(rng.uniform(0.2, 3.0)),
             noise_variance=float(rng.uniform(1e-4, 0.5)),
         )
         data = gp.RegressionData(rng.uniform(0, 1, (n, d)), rng.normal(0, 2, n))
@@ -118,23 +116,19 @@ def test_criterion_3_fit_contract_and_lengthscale_recovery():
         worst_drop = max(worst_drop, drop)
     # (b) recover a known lengthscale within factor 2 in the median
     true_ls = 0.2
-    truth = gp.GpHyperparams(
-        mean=gp.MeanSpec("constant", 0.0),
-        kernel=gp.KernelSpec(gp.MATERN52, (true_ls,), 1.0),
-        noise_variance=0.01,
-    )
+    truth = gp.GpHyperparams((true_ls,), gp.MATERN52, 1.0, noise_variance=0.01)
     ratios = []
     for seed in range(20):
         r = np.random.default_rng(1000 + seed)
         X = np.sort(r.uniform(0, 1, 40)).reshape(-1, 1)
-        K = gp.kernel_matrix(truth.kernel, X) + truth.noise_variance * np.eye(40)
+        K = gp.kernel_matrix(truth, X) + truth.noise_variance * np.eye(40)
         y = np.linalg.cholesky(K) @ r.standard_normal(40)
         fitted = gp.fit_type2_mle(
             gp.RegressionData(X, y),
             bandit.default_gp_hyperparams(1),
             gp.FitBudget(restarts=4, max_evals=200, seed=seed),
         )
-        ratios.append(fitted.kernel.lengthscales[0] / true_ls)
+        ratios.append(fitted.lengthscales[0] / true_ls)
     med = statistics.median(ratios)
     elapsed = time.monotonic() - start
     report(
@@ -147,11 +141,7 @@ def test_criterion_3_fit_contract_and_lengthscale_recovery():
 def test_criterion_4_prior_thompson_uniformity():
     start = time.monotonic()
     space = bandit.make_grid(GRID_1D)
-    hp = gp.GpHyperparams(
-        mean=gp.MeanSpec("constant", 0.0),
-        kernel=gp.KernelSpec(gp.MATERN52, (0.01,), 1.0),
-        noise_variance=1e-4,
-    )
+    hp = gp.GpHyperparams((0.01,), gp.MATERN52, 1.0, noise_variance=1e-4)
     post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
     counts = np.zeros(9, int)
     n = 10_000

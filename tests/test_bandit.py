@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpts import bandit, gp
+from gpts import bandit, environments, gp
 from gpts.environments import ReplayEnv, ReplaySpec, SyntheticPretrainEnv, SyntheticPretrainSpec
 from gpts.errors import RUN_FAILURES, EnvironmentFailure, InvalidArgumentError
 
@@ -56,6 +56,14 @@ class TestMakeGrid:
         with pytest.raises(InvalidArgumentError, match="distinct strings"):
             bandit.make_grid(dims)
 
+    def test_arm_count_is_capped(self):
+        # 100 values per dimension make 10 000 arms; one value more is too many
+        dims = [dict(lower=0.0, upper=1.01, step=0.01, name=n) for n in ("a", "b")]
+        assert len(bandit.make_grid(dims)) == environments.MAX_ARMS == 10_000
+        dims[1]["upper"] = 1.02
+        with pytest.raises(InvalidArgumentError, match="more than 10000 arms"):
+            bandit.make_grid(dims)
+
     def test_arms_unique(self):
         space = grid_1d()
         assert len(set(space.arms)) == len(space.arms)
@@ -98,11 +106,7 @@ class TestCumulativeReward:
 class TestTsSelectArm:
     def test_degenerate_posterior_picks_argmax(self):
         space = grid_1d()
-        hp = gp.GpHyperparams(
-            gp.MeanSpec("zero"),
-            gp.KernelSpec(gp.MATERN52, (0.01,), 1.0),
-            noise_variance=gp.NOISE_VARIANCE_FLOOR,
-        )
+        hp = gp.GpHyperparams((0.01,), gp.MATERN52, 1.0, noise_variance=gp.NOISE_VARIANCE_FLOOR)
         # pin the posterior tightly to a spike at arm index 1
         targets = [0.0, 5.0] + [0.0] * 7
         data = gp.RegressionData(space.as_array(), targets)
@@ -123,11 +127,7 @@ class TestTsSelectArm:
 
     def test_prior_selection_roughly_uniform(self):
         space = grid_1d()
-        hp = gp.GpHyperparams(
-            gp.MeanSpec("constant", 0.0),
-            gp.KernelSpec(gp.MATERN52, (0.01,), 1.0),
-            noise_variance=1e-4,
-        )
+        hp = gp.GpHyperparams((0.01,), gp.MATERN52, 1.0, noise_variance=1e-4)
         post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
         counts = np.zeros(9, int)
         n = 2000

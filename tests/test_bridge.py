@@ -128,9 +128,11 @@ class TestMockTrainerRejects:
             {"arm_names": None},
             {"config": {"seed": True}},
             {"config": {"synthetic": {"rate": True}}},
+            {"config": {"synthetic": {"noise_sd": math.nan}}},
         ],
         ids=["config_list", "seed_str", "seed_float", "seed_negative", "names_int", "names_str",
-             "names_of_int", "names_2d", "names_missing", "seed_bool", "synthetic_bool"],
+             "names_of_int", "names_2d", "names_missing", "seed_bool", "synthetic_bool",
+             "synthetic_nan"],
     )
     def test_bad_init_is_bad_config(self, fields):
         init = {**json.loads(GOLDEN_INIT), **fields}

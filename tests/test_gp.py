@@ -8,6 +8,7 @@ algebra, scipy's multivariate-normal density).
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,18 +35,18 @@ def dense_posterior(hp, X, y, Q):
         out = np.zeros((len(a), len(b)))
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
-                d2 = sum(((u - v) / l) ** 2 for u, v, l in zip(ai, bj, hp.kernel.lengthscales))
-                if hp.kernel.family == gp.SQUARED_EXPONENTIAL:
-                    out[i, j] = hp.kernel.output_scale * math.exp(-0.5 * d2)
+                d2 = sum(((u - v) / l) ** 2 for u, v, l in zip(ai, bj, hp.lengthscales))
+                if hp.kernel == gp.SQUARED_EXPONENTIAL:
+                    out[i, j] = hp.output_scale * math.exp(-0.5 * d2)
                 else:
                     r = math.sqrt(d2)
                     out[i, j] = (
-                        hp.kernel.output_scale
+                        hp.output_scale
                         * (1 + math.sqrt(5) * r + 5 * d2 / 3)
                         * math.exp(-math.sqrt(5) * r)
                     )
         return out
-    m = hp.mean.value()
+    m = hp.mean_constant
     A = np.linalg.inv(k(X, X) + hp.noise_variance * np.eye(len(X)))
     Ks = k(X, Q)
     mean = m + Ks.T @ A @ (np.asarray(y) - m)
@@ -53,13 +54,13 @@ def dense_posterior(hp, X, y, Q):
     return mean, cov
 
 
-def make_hp(ls=(0.3,), out=1.0, noise=0.01, mean_family="zero", mean_const=0.0,
-            family=gp.MATERN52):
-    return gp.GpHyperparams(
-        mean=gp.MeanSpec(mean_family, mean_const),
-        kernel=gp.KernelSpec(family, tuple(ls), out),
-        noise_variance=noise,
-    )
+def make_hp(ls=(0.3,), out=1.0, noise=0.01, mean_const=0.0, family=gp.MATERN52):
+    return gp.GpHyperparams(tuple(ls), family, out, noise, mean_const)
+
+
+def factor(hp, reps):
+    # the likelihood and posterior factor of hp over the distinct inputs
+    return gp._factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, reps)
 
 
 def replicated_data(rng, d, k, T):
@@ -70,57 +71,54 @@ def replicated_data(rng, d, k, T):
     return U[idx], rng.normal(0, 1, T)
 
 
-def random_hp(rng, d, family, mean_family):
+def random_hp(rng, d, family):
     return make_hp(ls=rng.uniform(0.1, 1.0, d), out=float(rng.uniform(0.2, 2)),
                    noise=float(rng.uniform(0.01, 0.5)), family=family,
-                   mean_family=mean_family, mean_const=float(rng.normal()))
+                   mean_const=float(rng.normal()))
 
 
-def unblocked_kernel_matrix(spec, X, X2):
+def unblocked_kernel_matrix(hp, X, X2):
     # one whole-matrix pass: per-dimension distances summed out of place,
     # then the textbook kernel expression
     d2 = 0.0
-    for x, x2, ls in zip(X.T, X2.T, spec.lengthscales):
+    for x, x2, ls in zip(X.T, X2.T, hp.lengthscales):
         d2 = ((x[:, None] - x2) / ls) ** 2 + d2
-    if spec.family == gp.SQUARED_EXPONENTIAL:
-        return spec.output_scale * np.exp(-0.5 * d2)
+    if hp.kernel == gp.SQUARED_EXPONENTIAL:
+        return hp.output_scale * np.exp(-0.5 * d2)
     s5r = math.sqrt(5.0) * np.sqrt(d2)
-    return spec.output_scale * (1.0 + s5r + (5.0 / 3.0) * d2) * np.exp(-s5r)
+    return hp.output_scale * (1.0 + s5r + (5.0 / 3.0) * d2) * np.exp(-s5r)
 
 
 def grid_points(d, per_dim=9):
     return np.array(list(itertools.product(np.linspace(0.1, 0.9, per_dim), repeat=d)))
 
 
-BOTH_KERNELS_AND_MEANS = pytest.mark.parametrize(
-    "family,mean_family",
-    [(f, m) for f in (gp.SQUARED_EXPONENTIAL, gp.MATERN52) for m in ("zero", "constant")],
-)
+BOTH_KERNELS = pytest.mark.parametrize("family", [gp.SQUARED_EXPONENTIAL, gp.MATERN52])
 
 
 class TestKernels:
     def test_se_at_zero_distance(self):
-        spec = gp.KernelSpec(gp.SQUARED_EXPONENTIAL, (1.0,), 1.0)
-        assert gp.kernel_matrix(spec, [[0.1]], [[0.1]])[0, 0] == 1.0
+        hp = gp.GpHyperparams((1.0,), gp.SQUARED_EXPONENTIAL, 1.0)
+        assert gp.kernel_matrix(hp, [[0.1]], [[0.1]])[0, 0] == 1.0
 
     def test_se_unit_distance(self):
-        spec = gp.KernelSpec(gp.SQUARED_EXPONENTIAL, (1.0,), 1.0)
-        assert gp.kernel_matrix(spec, [[0.0]], [[1.0]])[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
+        hp = gp.GpHyperparams((1.0,), gp.SQUARED_EXPONENTIAL, 1.0)
+        assert gp.kernel_matrix(hp, [[0.0]], [[1.0]])[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_matern52_against_scalar_formula(self):
-        spec = gp.KernelSpec(gp.MATERN52, (0.2,), 2.0)
+        hp = gp.GpHyperparams((0.2,), gp.MATERN52, 2.0)
         expected = matern52_scalar(0.05, 0.45, 0.2, 2.0)
-        assert gp.kernel_matrix(spec, [[0.05]], [[0.45]])[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert gp.kernel_matrix(hp, [[0.05]], [[0.45]])[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry_in_arguments(self):
-        spec = gp.KernelSpec(gp.MATERN52, (0.2, 0.5), 1.3)
+        hp = gp.GpHyperparams((0.2, 0.5), gp.MATERN52, 1.3)
         a, b = [0.1, 0.9], [0.7, 0.2]
-        assert gp.kernel_matrix(spec, [a], [b])[0, 0] == gp.kernel_matrix(spec, [b], [a])[0, 0]
+        assert gp.kernel_matrix(hp, [a], [b])[0, 0] == gp.kernel_matrix(hp, [b], [a])[0, 0]
 
     def test_dimension_mismatch(self):
-        spec = gp.KernelSpec(gp.MATERN52, (0.2, 0.5), 1.0)
+        hp = gp.GpHyperparams((0.2, 0.5), gp.MATERN52, 1.0)
         with pytest.raises(InvalidArgumentError):
-            gp.kernel_matrix(spec, [[0.1]], [[0.2]])[0, 0]
+            gp.kernel_matrix(hp, [[0.1]], [[0.2]])[0, 0]
 
     @given(
         st.integers(1, 3),
@@ -130,31 +128,44 @@ class TestKernels:
     )
     @settings(max_examples=50, deadline=None)
     def test_gram_matrix_bit_exact_symmetry(self, d, xs, lengthscales, family):
-        spec = gp.KernelSpec(family, tuple(lengthscales[:d]), 1.4)
-        K = gp.kernel_matrix(spec, np.array(xs)[:, :d])
+        hp = gp.GpHyperparams(tuple(lengthscales[:d]), family, 1.4)
+        K = gp.kernel_matrix(hp, np.array(xs)[:, :d])
         assert np.array_equal(K, K.T)
-        assert np.all(np.diag(K) == spec.output_scale)
+        assert np.all(np.diag(K) == hp.output_scale)
 
     @pytest.mark.parametrize("family", [gp.SQUARED_EXPONENTIAL, gp.MATERN52])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_blocked_matrix_bit_identical_to_unblocked(self, family, d):
         rng = np.random.default_rng(d)
         grid = grid_points(d)
-        spec = gp.KernelSpec(family, tuple(rng.uniform(0.05, 1.0, d)), 1.7)
+        hp = gp.GpHyperparams(tuple(rng.uniform(0.05, 1.0, d)), family, 1.7)
         # against the grid, X fills three whole blocks of rows and a partial one
         rows = gp._BLOCK_ELEMENTS // len(grid)
         X = rng.uniform(-0.5, 1.5, (3 * rows + 7, d))
         for A, B in [(grid, None), (X, grid), (grid, X[:7]), (X[:50], None)]:
-            got = gp.kernel_matrix(spec, A, B)
-            assert np.array_equal(got, unblocked_kernel_matrix(spec, A, A if B is None else B))
+            got = gp.kernel_matrix(hp, A, B)
+            assert np.array_equal(got, unblocked_kernel_matrix(hp, A, A if B is None else B))
 
-    def test_invalid_hyperparams_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            gp.KernelSpec(gp.MATERN52, (0.0,), 1.0)
-        with pytest.raises(InvalidArgumentError):
-            gp.KernelSpec(gp.MATERN52, (0.1,), -1.0)
-        with pytest.raises(InvalidArgumentError):
-            gp.KernelSpec("cubic", (0.1,), 1.0)
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lengthscales", (0.0,)),
+            ("lengthscales", (0.1, math.inf)),
+            ("lengthscales", (math.nan,)),
+            ("lengthscales", ()),
+            ("kernel", "cubic"),
+            ("output_scale", -1.0),
+            ("output_scale", math.inf),
+            ("noise_variance", 0.0),
+            ("noise_variance", math.inf),
+            ("noise_variance", math.nan),
+            ("mean_constant", -math.inf),
+            ("mean_constant", math.nan),
+        ],
+    )
+    def test_invalid_hyperparams_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=field):
+            replace(make_hp(), **{field: value})
 
 
 class TestLogMarginalLikelihood:
@@ -165,7 +176,7 @@ class TestLogMarginalLikelihood:
         assert gp.log_marginal_likelihood(hp, data) == pytest.approx(expected, abs=1e-12)
 
     def test_single_observation_constant_mean(self):
-        hp = make_hp(ls=(1.0,), out=0.7, noise=0.2, mean_family="constant", mean_const=3.2)
+        hp = make_hp(ls=(1.0,), out=0.7, noise=0.2, mean_const=3.2)
         data = gp.RegressionData([[0.4]], [3.2])
         expected = -0.5 * math.log(2 * math.pi * (0.7 + 0.2))
         assert gp.log_marginal_likelihood(hp, data) == pytest.approx(expected, abs=1e-12)
@@ -186,23 +197,22 @@ class TestLogMarginalLikelihood:
             X = rng.uniform(0, 1, (T, d))
             y = rng.normal(0, 1, T)
             hp = make_hp(ls=rng.uniform(0.1, 1.0, d), out=float(rng.uniform(0.2, 2)),
-                         noise=float(rng.uniform(0.01, 0.5)),
-                         mean_family="constant", mean_const=float(rng.normal()))
-            K = gp.kernel_matrix(hp.kernel, X) + hp.noise_variance * np.eye(T)
-            expected = multivariate_normal(mean=np.full(T, hp.mean.value()), cov=K).logpdf(y)
+                         noise=float(rng.uniform(0.01, 0.5)), mean_const=float(rng.normal()))
+            K = gp.kernel_matrix(hp, X) + hp.noise_variance * np.eye(T)
+            expected = multivariate_normal(mean=np.full(T, hp.mean_constant), cov=K).logpdf(y)
             got = gp.log_marginal_likelihood(hp, gp.RegressionData(X, y))
             assert got == pytest.approx(expected, abs=1e-8)
 
-    @BOTH_KERNELS_AND_MEANS
-    def test_replicated_inputs_against_dense_mvn(self, family, mean_family):
+    @BOTH_KERNELS
+    def test_replicated_inputs_against_dense_mvn(self, family):
         rng = np.random.default_rng(17)
         for _ in range(20):
             d, k = int(rng.integers(1, 3)), int(rng.integers(1, 5))
             T = int(rng.integers(k + 1, 40))
             X, y = replicated_data(rng, d, k, T)
-            hp = random_hp(rng, d, family, mean_family)
-            K = gp.kernel_matrix(hp.kernel, X) + hp.noise_variance * np.eye(T)
-            expected = multivariate_normal(mean=np.full(T, hp.mean.value()), cov=K).logpdf(y)
+            hp = random_hp(rng, d, family)
+            K = gp.kernel_matrix(hp, X) + hp.noise_variance * np.eye(T)
+            expected = multivariate_normal(mean=np.full(T, hp.mean_constant), cov=K).logpdf(y)
             got = gp.log_marginal_likelihood(hp, gp.RegressionData(X, y))
             assert got == pytest.approx(expected, abs=1e-8)
 
@@ -213,7 +223,7 @@ class TestLogMarginalLikelihood:
         hp = make_hp(ls=(1.0,), out=1.0, noise=1e-20, family=gp.SQUARED_EXPONENTIAL)
         X = np.array([[0.3], [0.3 + 1e-12]] * 3)
         y = np.array([0.5 + 1e-5, 0.5 - 1e-5, 0.5 + 2e-5, 0.5 - 2e-5, 0.5, 0.5])
-        K = gp.kernel_matrix(hp.kernel, X) + (1e-20 + 1e-8) * np.eye(6)
+        K = gp.kernel_matrix(hp, X) + (1e-20 + 1e-8) * np.eye(6)
         expected = multivariate_normal(mean=np.zeros(6), cov=K).logpdf(y)
         got = gp.log_marginal_likelihood(hp, gp.RegressionData(X, y))
         assert got == pytest.approx(expected, abs=1e-6)
@@ -222,29 +232,29 @@ class TestLogMarginalLikelihood:
         with pytest.raises(InvalidArgumentError):
             gp.log_marginal_likelihood(make_hp(), gp.RegressionData.empty(1))
 
-    @BOTH_KERNELS_AND_MEANS
-    def test_factor_from_cached_differences_is_bit_identical(self, family, mean_family):
+    @BOTH_KERNELS
+    def test_factor_from_cached_differences_is_bit_identical(self, family):
         rng = np.random.default_rng(21)
         for d in (1, 2, 3):
             X, y = replicated_data(rng, d, 12, 30)
             reps = gp.RegressionData(X, y)._replicates
             assert reps.diffs.shape == (d, 12, 12)
-            hp = random_hp(rng, d, family, mean_family)
-            K = gp.kernel_matrix(hp.kernel, reps.inputs)
+            hp = random_hp(rng, d, family)
+            K = gp.kernel_matrix(hp, reps.inputs)
             K[np.diag_indices_from(K)] += hp.noise_variance / reps.counts
-            L, noise = gp._collapsed_factor(hp, reps)
+            L, noise = factor(hp, reps)
             assert noise == hp.noise_variance
             assert np.array_equal(L, np.linalg.cholesky(K))
 
 
 class TestPosterior:
     def test_empty_data_reproduces_prior(self):
-        hp = make_hp(ls=(0.25,), out=1.2, noise=0.05, mean_family="constant", mean_const=0.7)
+        hp = make_hp(ls=(0.25,), out=1.2, noise=0.05, mean_const=0.7)
         post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
         Q = np.array([[0.1], [0.4], [0.9]])
         mean, cov = post.predict(Q)
         assert np.array_equal(mean, np.full(3, 0.7))
-        assert np.array_equal(cov, gp.kernel_matrix(hp.kernel, Q))
+        assert np.array_equal(cov, gp.kernel_matrix(hp, Q))
 
     def test_noiseless_interpolation(self):
         hp = make_hp(noise=gp.NOISE_VARIANCE_FLOOR)
@@ -263,29 +273,28 @@ class TestPosterior:
             Q = rng.uniform(0, 1, (2, d))
             hp = make_hp(ls=rng.uniform(0.1, 0.8, d), out=float(rng.uniform(0.3, 2)),
                          noise=float(rng.uniform(0.01, 0.3)),
-                         mean_family="constant", mean_const=float(rng.normal()))
+                         mean_const=float(rng.normal()))
             post = gp.PosteriorGp(hp, gp.RegressionData(X, y))
             mean, cov = post.predict(Q)
             emean, ecov = dense_posterior(hp, X, y, Q)
             np.testing.assert_allclose(mean, emean, atol=1e-8)
             np.testing.assert_allclose(cov, ecov, atol=1e-8)
 
-    @BOTH_KERNELS_AND_MEANS
-    def test_replicated_inputs_against_dense_oracle(self, family, mean_family):
+    @BOTH_KERNELS
+    def test_replicated_inputs_against_dense_oracle(self, family):
         rng = np.random.default_rng(19)
         for _ in range(10):
             d, k = int(rng.integers(1, 3)), int(rng.integers(1, 5))
             X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 25)))
             Q = np.vstack([X[:2], rng.uniform(0, 1, (3, d))])
-            hp = random_hp(rng, d, family, mean_family)
+            hp = random_hp(rng, d, family)
             mean, cov = gp.PosteriorGp(hp, gp.RegressionData(X, y)).predict(Q)
             emean, ecov = dense_posterior(hp, X, y, Q)
             np.testing.assert_allclose(mean, emean, atol=1e-8)
             np.testing.assert_allclose(cov, ecov, atol=1e-8)
 
     def test_far_query_recovers_prior(self):
-        hp = make_hp(ls=(0.05,), out=1.3, noise=0.01,
-                     mean_family="constant", mean_const=0.4)
+        hp = make_hp(ls=(0.05,), out=1.3, noise=0.01, mean_const=0.4)
         data = gp.RegressionData([[0.0], [0.1]], [2.0, 1.0])
         post = gp.PosteriorGp(hp, data)
         mean, cov = post.predict([[50.0]])
@@ -329,7 +338,7 @@ class TestPosterior:
         rng = np.random.default_rng(12)
         grid = np.array(list(itertools.product(np.linspace(0.1, 0.9, 9), repeat=3)))
         X = grid[rng.integers(0, len(grid), 40)]
-        hp = make_hp(ls=(0.3, 0.2, 0.5), noise=0.05, mean_family="constant")
+        hp = make_hp(ls=(0.3, 0.2, 0.5), noise=0.05)
         _, cov = gp.PosteriorGp(hp, gp.RegressionData(X, rng.normal(size=40))).predict(grid)
         assert cov.shape == (729, 729)
         assert np.array_equal(cov, cov.T)
@@ -345,7 +354,7 @@ class TestSampleJoint:
         assert np.array_equal(s1, s2)
 
     def test_degenerate_covariance_returns_mean(self):
-        hp = make_hp(out=1e-16, mean_family="constant", mean_const=0.9)
+        hp = make_hp(out=1e-16, mean_const=0.9)
         post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
         sample = post.sample_joint([[0.3], [0.6]], np.random.default_rng(0))
         mean, _ = post.predict([[0.3], [0.6]])
@@ -365,7 +374,7 @@ class TestSampleJoint:
         rng = np.random.default_rng(4)
         grid = grid_points(3)
         X = grid[rng.integers(0, len(grid), 20)]
-        hp = make_hp(ls=(0.3, 0.2, 0.5), noise=0.05, mean_family="constant")
+        hp = make_hp(ls=(0.3, 0.2, 0.5), noise=0.05)
         post = gp.PosteriorGp(hp, gp.RegressionData(X, rng.normal(size=20)))
         m = len(grid)
         tracemalloc.start()
@@ -449,7 +458,7 @@ class TestSamplingJitterLadder:
         for out in (1e6, 1e8, 1e10, 1e12):
             hp = make_hp(ls=(1.0,), out=out, noise=1e-20, family=gp.SQUARED_EXPONENTIAL)
             # the collapsed factor as it was written before the shared helper
-            K = gp.kernel_matrix(hp.kernel, reps.inputs)
+            K = gp.kernel_matrix(hp, reps.inputs)
             K[np.diag_indices_from(K)] += hp.noise_variance / reps.counts
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(K)
@@ -460,7 +469,7 @@ class TestSamplingJitterLadder:
                     break
                 except np.linalg.LinAlgError:
                     jitter *= 10.0
-            got_L, got_noise = gp._collapsed_factor(hp, reps)
+            got_L, got_noise = factor(hp, reps)
             assert np.array_equal(got_L, L) and got_noise == hp.noise_variance + jitter
             noises.add(got_noise)
         assert len(noises) == 4  # each case stops at a different rung
@@ -480,7 +489,7 @@ class TestFit:
             y = rng.normal(0, 1, T)
             init = make_hp(ls=rng.uniform(0.05, 1.0, d), out=float(rng.uniform(0.1, 2)),
                            noise=float(rng.uniform(1e-4, 1.0)),
-                           mean_family="constant", mean_const=float(rng.normal()))
+                           mean_const=float(rng.normal()))
             data = gp.RegressionData(X, y)
             budget = gp.FitBudget(restarts=4, max_evals=100, seed=seed)
             fitted = gp.fit_type2_mle(data, init, budget)
@@ -494,7 +503,7 @@ class TestFit:
         for seed in range(20):
             d, k = int(rng.integers(1, 3)), int(rng.integers(1, 6))
             X, y = replicated_data(rng, d, k, int(rng.integers(k + 2, 60)))
-            init = random_hp(rng, d, gp.MATERN52, "constant")
+            init = random_hp(rng, d, gp.MATERN52)
             data = gp.RegressionData(X, y)
             budget = gp.FitBudget(restarts=4, max_evals=100, seed=seed)
             fitted = gp.fit_type2_mle(data, init, budget)
@@ -506,17 +515,22 @@ class TestFit:
     def test_constant_targets_noise_hits_floor(self):
         X = np.linspace(0, 1, 10)[:, None]
         y = np.full(10, 2.5)
-        init = make_hp(mean_family="constant", mean_const=0.0)
+        init = make_hp()
         fitted = gp.fit_type2_mle(
             gp.RegressionData(X, y), init, gp.FitBudget(restarts=4, max_evals=100)
         )
         assert fitted.noise_variance >= gp.NOISE_VARIANCE_FLOOR
 
+    def test_targets_whose_variance_overflows(self):
+        # the heuristic start's output scale must stay a finite record value
+        data = gp.RegressionData([[0.1], [0.2], [0.3], [0.1]], [1e200, -1e200, 3e199, 5e199])
+        assert isinstance(gp.fit_type2_mle(data, make_hp()), gp.GpHyperparams)
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, (12, 1))
         y = np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(12)
-        init = make_hp(mean_family="constant")
+        init = make_hp()
         data = gp.RegressionData(X, y)
         a = gp.fit_type2_mle(data, init, gp.FitBudget(restarts=4, max_evals=100, seed=3))
         b = gp.fit_type2_mle(data, init, gp.FitBudget(restarts=4, max_evals=100, seed=3))
@@ -528,24 +542,23 @@ class TestFitObjectiveIsLml:
         rng = np.random.default_rng(41)
         checked = clamped = 0
         for family in (gp.SQUARED_EXPONENTIAL, gp.MATERN52):
-            for mean_family in ("zero", "constant"):
-                for d in (1, 2, 3):
-                    for replicated in (False, True):
-                        k = int(rng.integers(1, 10))
-                        if replicated:
-                            X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 60)))
-                        else:
-                            X, y = rng.uniform(0, 1, (k, d)), rng.normal(0, 1, k)
-                        data = gp.RegressionData(X, y)
-                        hp = random_hp(rng, d, family, mean_family)
-                        objective = gp._fit_objective(data, hp)
-                        x0 = gp._pack(hp)
-                        # spread wide enough that the log-parameter clamp binds
-                        for vec in [x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(45))]:
-                            lml = gp.log_marginal_likelihood(gp._unpack(vec, hp), data)
-                            assert objective(vec) == -lml
-                            checked += 1
-                            clamped += bool(np.any(np.abs(vec[: d + 2]) > gp._LOG_PARAM_BOUND))
+            for d in (1, 2, 3):
+                for replicated in (False, True):
+                    k = int(rng.integers(1, 10))
+                    if replicated:
+                        X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 60)))
+                    else:
+                        X, y = rng.uniform(0, 1, (k, d)), rng.normal(0, 1, k)
+                    data = gp.RegressionData(X, y)
+                    hp = random_hp(rng, d, family)
+                    objective = gp._fit_objective(data, hp)
+                    x0 = gp._pack(hp)
+                    # spread wide enough that the log-parameter clamp binds
+                    for vec in [x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(90))]:
+                        lml = gp.log_marginal_likelihood(gp._unpack(vec, hp), data)
+                        assert objective(vec) == -lml
+                        checked += 1
+                        clamped += bool(np.any(np.abs(vec[: d + 2]) > gp._LOG_PARAM_BOUND))
         assert checked >= 1000 and clamped >= 100
 
     @pytest.mark.parametrize("family", [gp.SQUARED_EXPONENTIAL, gp.MATERN52])
@@ -556,14 +569,14 @@ class TestFitObjectiveIsLml:
         X = np.repeat(0.3 + 1e-13 * np.arange(12)[:, None], 100_000, axis=0)
         data = gp.RegressionData(X, np.random.default_rng(5).normal(size=len(X)))
         reps = data._replicates
-        hp = make_hp(ls=(1.0,), family=family, mean_family="constant")
+        hp = make_hp(ls=(1.0,), family=family)
         vec = np.array([0.0, gp._LOG_PARAM_BOUND, -gp._LOG_PARAM_BOUND, 0.2])
         unpacked = gp._unpack(vec, hp)
-        K = gp.kernel_matrix(unpacked.kernel, reps.inputs)
+        K = gp.kernel_matrix(unpacked, reps.inputs)
         K[np.diag_indices_from(K)] += unpacked.noise_variance / reps.counts
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(K)
-        assert gp._collapsed_factor(unpacked, reps)[1] > unpacked.noise_variance
+        assert factor(unpacked, reps)[1] > unpacked.noise_variance
         value = gp._fit_objective(data, hp)(vec)
         assert value < 1e25
         assert value == -gp.log_marginal_likelihood(unpacked, data)
@@ -589,9 +602,8 @@ def ref_collapsed_lml(L, noise, resid, reps):
 
 def ref_fit_objective(data, template):
     reps = data._replicates
-    d = template.kernel.dim
-    family = template.kernel.family
-    has_mean = template.mean.family == "constant"
+    d = template.dim
+    family = template.kernel
 
     def neg_lml(vec):
         logs = np.clip(vec[: d + 2], -gp._LOG_PARAM_BOUND, gp._LOG_PARAM_BOUND)
@@ -600,28 +612,27 @@ def ref_fit_objective(data, template):
             L, noise = gp._factor(family, np.exp(logs[:d]), math.exp(logs[d]), noise, reps)
         except NumericalError:
             return 1e25
-        resid = reps.means - vec[d + 2] if has_mean else reps.means
-        return -ref_collapsed_lml(L, noise, resid, reps)
+        return -ref_collapsed_lml(L, noise, reps.means - vec[d + 2], reps)
 
     return neg_lml
 
 
 def ref_posterior(hp, data, Q):
     reps = data._replicates
-    L, _ = gp._collapsed_factor(hp, reps)
-    v = solve_triangular(L, reps.means - hp.mean.value(), lower=True)
+    L, _ = factor(hp, reps)
+    v = solve_triangular(L, reps.means - hp.mean_constant, lower=True)
     alpha = solve_triangular(L.T, v, lower=False)
-    Ks = gp.kernel_matrix(hp.kernel, reps.inputs, Q)
-    mean = gp.mean_vector(hp.mean, Q) + Ks.T @ alpha
+    Ks = gp.kernel_matrix(hp, reps.inputs, Q)
+    mean = np.full(len(Q), hp.mean_constant) + Ks.T @ alpha
     V = solve_triangular(L, Ks, lower=True)
-    cov = gp.kernel_matrix(hp.kernel, Q) - V.T @ V
+    cov = gp.kernel_matrix(hp, Q) - V.T @ V
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov).copy()
     np.fill_diagonal(cov, np.maximum(diag, 0.0))
     return alpha, mean, cov
 
 
-def bit_identity_cases(family, mean_family, n, seed):
+def bit_identity_cases(family, n, seed):
     # (data, hp) pairs: k from 1 to 12 distinct inputs in one or two
     # dimensions, alternately all distinct and replicated
     rng = np.random.default_rng(seed)
@@ -631,33 +642,33 @@ def bit_identity_cases(family, mean_family, n, seed):
             X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 80)))
         else:
             X, y = rng.uniform(0, 1, (k, d)), rng.normal(0, 1, k)
-        yield gp.RegressionData(X, y), random_hp(rng, d, family, mean_family)
+        yield gp.RegressionData(X, y), random_hp(rng, d, family)
 
 
 class TestLapackSolvesBitIdentical:
-    @BOTH_KERNELS_AND_MEANS
-    def test_neg_lml(self, family, mean_family):
+    @BOTH_KERNELS
+    def test_neg_lml(self, family):
         rng = np.random.default_rng(31)
-        for data, hp in bit_identity_cases(family, mean_family, 30, 1):
+        for data, hp in bit_identity_cases(family, 30, 1):
             ours, ref = gp._fit_objective(data, hp), ref_fit_objective(data, hp)
             x0 = gp._pack(hp)
             # spread wide enough that the log-parameter clamp binds
             for vec in [x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(20))]:
                 assert ours(vec) == ref(vec)
 
-    @BOTH_KERNELS_AND_MEANS
-    def test_log_marginal_likelihood(self, family, mean_family):
-        for data, hp in bit_identity_cases(family, mean_family, 40, 2):
+    @BOTH_KERNELS
+    def test_log_marginal_likelihood(self, family):
+        for data, hp in bit_identity_cases(family, 40, 2):
             reps = data._replicates
-            L, noise = gp._collapsed_factor(hp, reps)
-            ref = ref_collapsed_lml(L, noise, reps.means - hp.mean.value(), reps)
+            L, noise = factor(hp, reps)
+            ref = ref_collapsed_lml(L, noise, reps.means - hp.mean_constant, reps)
             assert gp.log_marginal_likelihood(hp, data) == ref
 
-    @BOTH_KERNELS_AND_MEANS
-    def test_posterior_alpha_and_predict(self, family, mean_family):
+    @BOTH_KERNELS
+    def test_posterior_alpha_and_predict(self, family):
         rng = np.random.default_rng(32)
-        for data, hp in bit_identity_cases(family, mean_family, 40, 3):
-            Q = rng.uniform(0, 1, (int(rng.integers(1, 20)), hp.kernel.dim))
+        for data, hp in bit_identity_cases(family, 40, 3):
+            Q = rng.uniform(0, 1, (int(rng.integers(1, 20)), hp.dim))
             alpha, mean, cov = ref_posterior(hp, data, Q)
             post = gp.PosteriorGp(hp, data)
             ours_mean, ours_cov = post.predict(Q)
@@ -665,8 +676,8 @@ class TestLapackSolvesBitIdentical:
             assert np.array_equal(ours_mean, mean)
             assert np.array_equal(ours_cov, cov)
 
-    @BOTH_KERNELS_AND_MEANS
-    def test_fit_type2_mle(self, family, mean_family, monkeypatch):
+    @BOTH_KERNELS
+    def test_fit_type2_mle(self, family, monkeypatch):
         # Nelder-Mead only compares values, so a last-bit change rarely
         # moves its result; every point it evaluates and the value there
         # are compared as well.
@@ -685,7 +696,7 @@ class TestLapackSolvesBitIdentical:
 
             monkeypatch.setattr(gp, "_nelder_mead", recording_nelder_mead)
             budget = gp.FitBudget(restarts=2, max_evals=60)
-            cases = bit_identity_cases(family, mean_family, 6, 4)
+            cases = bit_identity_cases(family, 6, 4)
             return [gp.fit_type2_mle(data, hp, budget) for data, hp in cases], evaluations
 
         ours = fits()
@@ -703,11 +714,17 @@ class TestLapackSolvesBitIdentical:
 
 def ref_unpacked_values(vec, template):
     # the clamp written with numpy, as reference for the Python-float one
-    d = template.kernel.dim
+    d = template.dim
     logs = np.minimum(np.maximum(vec[: d + 2], -gp._LOG_PARAM_BOUND), gp._LOG_PARAM_BOUND)
     noise = max(math.exp(logs[d + 1]), gp.NOISE_VARIANCE_FLOOR)
-    mean = float(vec[d + 2]) if template.mean.family == "constant" else 0.0
-    return np.exp(logs[:d]), math.exp(logs[d]), noise, mean
+    return np.exp(logs[:d]), math.exp(logs[d]), noise, float(vec[d + 2])
+
+
+@BOTH_KERNELS
+def test_pack_round_trips(family):
+    # values whose log comes back exactly through exp
+    hp = gp.GpHyperparams((0.25, 0.5, 2.0), family, 1.5, 0.0625, -0.7)
+    assert gp._unpack(gp._pack(hp), hp) == hp
 
 
 def bits(value):
@@ -715,15 +732,15 @@ def bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
 
-@BOTH_KERNELS_AND_MEANS
-def test_unpacked_values_match_numpy_clamp(family, mean_family):
+@BOTH_KERNELS
+def test_unpacked_values_match_numpy_clamp(family):
     rng = np.random.default_rng(43)
     special = (math.inf, -math.inf, math.nan)
     for _ in range(500):
         d = int(rng.integers(1, 4))
-        template = random_hp(rng, d, family, mean_family)
+        template = random_hp(rng, d, family)
         # spread wide enough to cross +-_LOG_PARAM_BOUND
-        vec = rng.normal(0, 10, d + 2 + (mean_family == "constant"))
+        vec = rng.normal(0, 10, d + 3)
         for i in rng.choice(vec.size, size=int(rng.integers(0, 3)), replace=False):
             vec[i] = special[rng.integers(0, 3)]
         ours, ref = gp._unpacked_values(vec, template), ref_unpacked_values(vec, template)
@@ -763,7 +780,7 @@ def assert_matches_scipy(fun, x0, max_evals):
     return np.frombuffer(x), float(np.frombuffer(value)[0]), len(evaluations)
 
 
-def fit_objectives(family, mean_family, seed):
+def fit_objectives(family, seed):
     # (objective, packed hyperparameters) on random data in 1 to 3
     # dimensions, alternately all distinct and replicated
     rng = np.random.default_rng(seed)
@@ -773,15 +790,15 @@ def fit_objectives(family, mean_family, seed):
             X, y = replicated_data(rng, d, k, int(rng.integers(k + 1, 40)))
         else:
             X, y = rng.uniform(0, 1, (k, d)), rng.normal(0, 1, k)
-        hp = random_hp(rng, d, family, mean_family)
+        hp = random_hp(rng, d, family)
         yield gp._fit_objective(gp.RegressionData(X, y), hp), gp._pack(hp)
 
 
 class TestNelderMeadMatchesScipy:
-    @BOTH_KERNELS_AND_MEANS
-    def test_fit_objective(self, family, mean_family):
+    @BOTH_KERNELS
+    def test_fit_objective(self, family):
         rng = np.random.default_rng(44)
-        for objective, x_hp in fit_objectives(family, mean_family, 5):
+        for objective, x_hp in fit_objectives(family, 5):
             n = x_hp.size
             # from the packed point itself to far from it
             for spread in (0.0, 0.3, 3.0):
@@ -826,7 +843,7 @@ class TestNelderMeadMatchesScipy:
         assert (x.tolist(), value, nfev) == ([1.0, 1.025], 0.0, 7)
 
     def test_plateaus_and_ties(self):
-        objective, x_hp = next(fit_objectives(gp.MATERN52, "constant", 6))
+        objective, x_hp = next(fit_objectives(gp.MATERN52, 6))
         bound = x_hp[0] + 0.02
 
         def failed_above(x):
@@ -849,7 +866,7 @@ class TestNelderMeadMatchesScipy:
                 assert_matches_scipy(fun, [1.0, 2.0, 0.5], max_evals)
 
     def test_zero_entries_in_the_start(self):
-        objective, x_hp = next(fit_objectives(gp.SQUARED_EXPONENTIAL, "constant", 7))
+        objective, x_hp = next(fit_objectives(gp.SQUARED_EXPONENTIAL, 7))
         starts = [np.zeros_like(x_hp), np.where(np.arange(x_hp.size) % 2, x_hp, 0.0)]
         for x0 in starts:
             for max_evals in (*range(1, x_hp.size + 2), 60):

@@ -2,8 +2,10 @@
 consistency, reproducibility, and exit codes."""
 
 import csv
+import dataclasses
 import itertools
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +41,29 @@ def mock_bridge(**settings):
     return {"environment": {"kind": "bridge", "bridge": {"command": trainer, **settings}}}
 
 
+def readme_gp_rows():
+    """(keys, defaults) of each row of README's config table in the gp section."""
+    rows, section = [], None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("| "):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            section = cells[0] or section
+            if section == "`gp`":
+                rows.append((re.findall(r"`(\w+)`", cells[1]), re.findall(r"`([^`]+)`", cells[2])))
+    return rows
+
+
 class TestLoadConfig:
+    def test_readme_gp_keys_construct_the_record(self):
+        # the gp section is GpHyperparams' keywords, with lengthscale for lengthscales
+        rows = readme_gp_rows()
+        fields = {f.name for f in dataclasses.fields(gp.GpHyperparams)}
+        assert {key for keys, _ in rows for key in keys} == fields - {"lengthscales"} | {"lengthscale"}
+        for keys, defaults in rows:
+            for key, default in zip(keys, defaults, strict=True):
+                theta = harness._gp_init_from_config({key: yaml.safe_load(default)}, 2)
+                assert theta == bandit.default_gp_hyperparams(2)
+
     def test_default_config_round_trips(self, tmp_path):
         path, raw = small_config(tmp_path)
         cfg = harness.load_config(path)
@@ -381,11 +405,7 @@ class TestCsvText:
 
     def test_gp_ts_run_has_one_snapshot_per_row(self, tmp_path):
         def theta(ls, scale):
-            return gp.GpHyperparams(
-                mean=gp.MeanSpec("constant", -0.125),
-                kernel=gp.KernelSpec(gp.MATERN52, (ls, 0.5), scale),
-                noise_variance=0.0625,
-            )
+            return gp.GpHyperparams((ls, 0.5), gp.MATERN52, scale, 0.0625, -0.125)
 
         hist = hand_history([theta(0.1, 1.0), theta(0.2, 1.5), theta(0.3, 2.0)])
         path = tmp_path / "run.csv"
@@ -643,6 +663,68 @@ class TestCli:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)  # not a traceback
         assert "config error:" in res.output and ("True" in res.output or "False" in res.output)
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gp": {"output_scale": math.inf}},
+            {"gp": {"noise_variance": math.inf}},
+            {"gp": {"lengthscale": math.inf}},
+            {"environment": {"kind": "synthetic", "synthetic": {"initial_loss": math.inf}}},
+            {"environment": {"kind": "synthetic", "synthetic": {"floor": -math.inf}}},
+            {"environment": {"kind": "synthetic", "synthetic": {"noise_sd": math.inf}}},
+            {"environment": {"kind": "synthetic", "synthetic": {"noise_sd": math.nan}}},
+            {"environment": {"kind": "synthetic", "synthetic": {"width": [math.inf]}}},
+            {"environment": {"kind": "test_function", "test_function": {"noise_sd": math.inf}}},
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, overrides):
+        path, raw = small_config(tmp_path, **{"seeds": [0], **overrides})
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output and "finite" in res.output
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "dim",
+        [
+            {"lower": 0.0, "upper": math.inf, "step": 0.1},
+            {"lower": -math.inf, "upper": 0.5, "step": 0.1},
+            {"lower": 0.0, "upper": 1.0, "step": 1e-9},
+        ],
+        ids=["infinite_upper", "infinite_lower", "tiny_step"],
+    )
+    def test_unbounded_grid_exits_2(self, tmp_path, dim):
+        # such a grid used to be built value by value without end; in a
+        # child process with a timeout a hang fails instead of stalling
+        path, raw = small_config(tmp_path, seeds=[0], arm_space=[{"name": "rho", **dim}])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpts.cli", "run", "--config", str(path)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "overrides,args",
+        [
+            ({"seeds": [0, 0]}, []),
+            ({"policies": [{"kind": "fixed_arm", "arm_index": "all"},
+                           {"kind": "fixed_arm", "arm_index": 3}]}, []),
+            ({}, ["--seed-override", "0,0"]),
+        ],
+        ids=["seeds", "policies", "seed_override"],
+    )
+    def test_repeated_policy_seed_pair_exits_2(self, tmp_path, overrides, args):
+        # the pair's run CSV would be written twice and counted twice in the summary
+        path, raw = small_config(tmp_path, **{"seeds": [0], **overrides})
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path), *args])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert "config error:" in res.output and "distinct" in res.output
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
     def test_bridge_with_transport_and_command_exits_2(self, tmp_path, monkeypatch):
