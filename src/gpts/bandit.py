@@ -124,18 +124,10 @@ class PolicySpec:
         return f"fixed_arm_{self.arm_index}" if self.kind == FIXED_ARM else self.kind
 
 
-def ts_select_arm(
-    space: ArmSpace, post: gp.PosteriorGp, rng: np.random.Generator
-) -> tuple[Arm, int]:
-    """Draw one joint posterior sample over all arms and play the argmax.
-
-    Ties break toward the lowest arm index.
-    """
-    if len(space) == 0:
-        raise InvalidArgumentError("arm space is empty")
-    sample = post.sample_joint(space.as_array(), rng)
-    idx = int(np.argmax(sample))
-    return space.arms[idx], idx
+def ts_select_arm(space: ArmSpace, post: gp.PosteriorGp, rng: np.random.Generator) -> int:
+    """Draw one joint posterior sample over all arms; return the index of
+    its argmax, ties breaking toward the lowest index."""
+    return int(np.argmax(post.sample_joint(space.array, rng)))
 
 
 def run_policy(space: ArmSpace, policy: PolicySpec, env, T: int, u: int, *, seed: int = 0,
@@ -177,6 +169,7 @@ def run_policy(space: ArmSpace, policy: PolicySpec, env, T: int, u: int, *, seed
 
     theta = gp_init or default_gp_hyperparams(space.ndim)
     data = gp.RegressionData.empty(space.ndim)
+    arms = space.arms  # a local: reading a cached_property is slower than reading a field
 
     for t in range(1, T + 1):
         try:
@@ -185,11 +178,12 @@ def run_policy(space: ArmSpace, policy: PolicySpec, env, T: int, u: int, *, seed
                     data = gp.RegressionData(hist.arms, hist.rewards())
                 if t >= 3:
                     theta = gp.fit_type2_mle(data, theta, fit_budget)
-                arm, _ = ts_select_arm(space, gp.PosteriorGp(theta, data), rng)
+                i = ts_select_arm(space, gp.PosteriorGp(theta, data), rng)
             elif policy.kind == FIXED_ARM:
-                arm = space.arms[policy.arm_index]
+                i = policy.arm_index
             else:
-                arm = space.arms[int(rng.integers(len(space)))]
+                i = int(rng.integers(len(arms)))
+            arm = arms[i]
             loss = env.step(arm, u)
             if not math.isfinite(loss):
                 raise EnvironmentFailure(f"diverged (validation loss {loss})")

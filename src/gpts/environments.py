@@ -23,6 +23,7 @@ is single-owner and stateful; use distinct instances for parallel runs.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -74,14 +75,19 @@ class GridDim:
 
 @dataclass(frozen=True)
 class ArmSpace:
-    """Finite arm set: the Cartesian product of regular per-dimension grids.
-
-    Endpoints are excluded (the search intervals are open); arms are
-    unique and enumerated in lexicographic order.
-    """
+    """Finite arm set: the Cartesian product of dimension j's ``values[j]``,
+    which strictly increase inside its open interval. Arm i is ``arms[i]``
+    (lexicographic order, last dimension fastest) and row i of the read-only
+    m x d ``array``; ``index_of(arms[i])`` is i."""
 
     dims: tuple[GridDim, ...]
-    arms: tuple[Arm, ...]
+    values: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        for d, v in zip(self.dims, self.values, strict=True):
+            if not (v and all(a < b for a, b in itertools.pairwise((d.lower, *v, d.upper)))):
+                raise InvalidArgumentError(f"dimension {d.name!r}: its values (n={len(v)}) must be "
+                                           f"distinct and strictly inside ({d.lower}, {d.upper})")
 
     @property
     def ndim(self) -> int:
@@ -94,14 +100,28 @@ class ArmSpace:
     def __len__(self) -> int:
         return len(self.arms)
 
-    def index_of(self, arm: Arm) -> int:
-        try:
-            return self.arms.index(tuple(arm))
-        except ValueError:
-            raise InvalidArgumentError(f"arm {arm!r} is not in the arm space") from None
+    @functools.cached_property
+    def arms(self) -> tuple[Arm, ...]:
+        return tuple(itertools.product(*self.values))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.arms, dtype=float)
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        array = np.array(self.arms, dtype=float)
+        array.setflags(write=False)
+        return array
+
+    @functools.cached_property
+    def _positions(self) -> tuple[dict[float, int], ...]:
+        return tuple({x: i for i, x in enumerate(v)} for v in self.values)
+
+    def index_of(self, arm: Arm) -> int:
+        index = 0  # mixed radix: one lookup per dimension
+        try:
+            for positions, x in zip(self._positions, arm, strict=True):
+                index = index * len(positions) + positions[x]
+        except (KeyError, ValueError):
+            raise InvalidArgumentError(f"arm {arm!r} is not in the arm space") from None
+        return index
 
 
 # The most arms a grid may have. GP-TS samples all arms jointly: at this
@@ -110,7 +130,8 @@ MAX_ARMS = 10_000
 
 
 def make_grid(dims) -> ArmSpace:
-    """Materialize the arm grid from per-dimension (lower, upper, step) specs.
+    """Build the arm grid from per-dimension (lower, upper, step) specs: the
+    values lower + k * step (k >= 1) below upper, rounded to 12 decimals.
 
     The dimension names, which label the CSV columns and the trainer's
     arm coordinates, must be distinct strings. A grid of more than
@@ -122,7 +143,7 @@ def make_grid(dims) -> ArmSpace:
     names = [d.name for d in dims]
     if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
         raise InvalidArgumentError(f"dimension names must be distinct strings, got {names}")
-    value_lists: list[list[float]] = []
+    value_lists: list[tuple[float, ...]] = []
     n_arms = 1
     for d in dims:
         bounds = {"lower": d.lower, "upper": d.upper, "step": d.step}
@@ -150,10 +171,9 @@ def make_grid(dims) -> ArmSpace:
                 f"dimension {d.name!r}: step {d.step} leaves no interior grid points in "
                 f"({d.lower}, {d.upper})"
             )
-        value_lists.append(values)
+        value_lists.append(tuple(values))
         n_arms *= len(values)
-    arms = tuple(itertools.product(*value_lists))
-    return ArmSpace(dims=dims, arms=arms)
+    return ArmSpace(dims, tuple(value_lists))
 
 
 class Environment(Protocol):

@@ -280,7 +280,8 @@ class _Replicates:
     """Sufficient statistics of data collapsed to its distinct inputs.
 
     ``inputs`` holds the k distinct input rows in order of first
-    appearance (matched by exact equality); ``counts`` and ``means`` the
+    appearance, grouped in one pass by equality of the row tuples (0.0 and
+    -0.0 are one input, kept as first seen); ``counts`` and ``means`` the
     number of observations at each and their mean target; ``within_ss``
     the sum of squared deviations of the targets from their input's mean.
     ``diffs`` holds the (d, k, k) differences x_j - x'_j of the distinct
@@ -291,21 +292,15 @@ class _Replicates:
     __slots__ = ("inputs", "diffs", "counts", "means", "within_ss", "n_obs", "log_count_sum")
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
-        _, first, inverse, counts = np.unique(
-            X, axis=0, return_index=True, return_inverse=True, return_counts=True
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        # the inverse is 2-D on some numpy versions
-        inverse = rank[np.ravel(inverse)]
-        self.inputs = X[first[order]]
+        slots: dict[tuple[float, ...], int] = {}
+        inverse = np.array([slots.setdefault(row, len(slots)) for row in map(tuple, X.tolist())])
+        self.inputs = np.array(list(slots))
         self.inputs.setflags(write=False)
         U = self.inputs.T
         self.diffs = U[:, :, None] - U[:, None, :]
         self.diffs.setflags(write=False)
-        self.counts = counts[order].astype(float)
-        self.means = np.bincount(inverse, weights=y, minlength=order.size) / self.counts
+        self.counts = np.bincount(inverse).astype(float)
+        self.means = np.bincount(inverse, weights=y) / self.counts
         self.within_ss = float(np.sum((y - self.means[inverse]) ** 2))
         self.n_obs = y.shape[0]
         self.log_count_sum = float(np.sum(np.log(self.counts)))

@@ -36,7 +36,6 @@ DEFAULT_ENV_SEED_OFFSET = 10_000
 
 @dataclass
 class ExperimentConfig:
-    arm_dims: list[bandit.GridDim]
     space: bandit.ArmSpace
     policies: list[bandit.PolicySpec]  # a fixed_arm "all" is one spec per arm
     environment: dict
@@ -70,6 +69,10 @@ class ExperimentConfig:
                 f"env_seed_offset + seed must be non-negative, got {self.env_seed_offset}"
                 f" + {min(self.seeds)}"
             )
+
+    @property
+    def arm_dims(self) -> list[bandit.GridDim]:
+        return list(self.space.dims)
 
 
 def default_config_dict() -> dict:
@@ -109,10 +112,8 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     and checks, so an unknown key is an error too."""
     raw = dict(raw)
     try:
-        dims = [bandit.GridDim(**d) for d in raw.pop("arm_space")]
-        space = bandit.make_grid(dims)
+        space = bandit.make_grid(raw.pop("arm_space"))
         cfg = ExperimentConfig(
-            arm_dims=dims,
             space=space,
             policies=[spec for p in raw.pop("policies") for spec in _policy_specs(p, len(space))],
             environment=dict(raw.pop("environment")),

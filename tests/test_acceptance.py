@@ -146,7 +146,7 @@ def test_criterion_4_prior_thompson_uniformity():
     counts = np.zeros(9, int)
     n = 10_000
     for s in range(n):
-        _, idx = bandit.ts_select_arm(space, post, np.random.default_rng(123456 + s))
+        idx = bandit.ts_select_arm(space, post, np.random.default_rng(123456 + s))
         counts[idx] += 1
     maxdev = float(np.max(np.abs(counts / n - 1 / 9)))
     elapsed = time.monotonic() - start

@@ -69,6 +69,34 @@ class TestMakeGrid:
         assert len(set(space.arms)) == len(space.arms)
 
 
+class TestArmSpace:
+    DIM = bandit.GridDim(0.0, 1.0, 0.25, "x")
+
+    @pytest.mark.parametrize(
+        "values",
+        [(0.25, 0.25), (0.5, 0.25), (), (0.0, 0.5), (0.5, 1.0), (-0.25,), (1.5,)],
+        ids=["repeated", "unordered", "empty", "at_lower", "at_upper", "below", "above"],
+    )
+    def test_values_must_increase_inside_the_interval(self, values):
+        with pytest.raises(InvalidArgumentError, match="dimension 'x'"):
+            bandit.ArmSpace((self.DIM,), (values,))
+
+    def test_index_of_round_trips_every_arm(self):
+        dims = [dict(lower=0.0, upper=n + 1.0, step=1.0, name=f"d{n}") for n in (3, 4, 5)]
+        space = bandit.make_grid(dims)
+        assert len(space) == 60
+        assert [space.index_of(arm) for arm in space.arms] == list(range(60))
+        assert np.array_equal(space.array, np.array(space.arms))
+
+    @pytest.mark.parametrize(
+        "arm", [(0.1, 0.1, 1.5), (0.1, 0.1), (0.1, 0.1, 0.1, 0.1)], ids=["off_grid", "short", "long"]
+    )
+    def test_index_of_rejects_arms_not_in_the_space(self, arm):
+        space = bandit.make_grid([dict(lower=0.0, upper=0.3, step=0.1)] * 3)
+        with pytest.raises(InvalidArgumentError, match="not in the arm space"):
+            space.index_of(arm)
+
+
 class TestRewards:
     def test_loss_drop_is_positive_reward(self):
         h = bandit.history_from_losses([10.0, 8.0], [(0.1,)])
@@ -109,10 +137,10 @@ class TestTsSelectArm:
         hp = gp.GpHyperparams((0.01,), gp.MATERN52, 1.0, noise_variance=gp.NOISE_VARIANCE_FLOOR)
         # pin the posterior tightly to a spike at arm index 1
         targets = [0.0, 5.0] + [0.0] * 7
-        data = gp.RegressionData(space.as_array(), targets)
+        data = gp.RegressionData(space.array, targets)
         post = gp.PosteriorGp(hp, data)
         for seed in range(20):
-            _, idx = bandit.ts_select_arm(space, post, np.random.default_rng(seed))
+            idx = bandit.ts_select_arm(space, post, np.random.default_rng(seed))
             assert idx == 1
 
     def test_tie_breaks_to_lowest_index(self):
@@ -122,7 +150,7 @@ class TestTsSelectArm:
             def sample_joint(self, queries, rng):
                 return np.zeros(len(queries))
 
-        _, idx = bandit.ts_select_arm(space, FlatPosterior(), np.random.default_rng(0))
+        idx = bandit.ts_select_arm(space, FlatPosterior(), np.random.default_rng(0))
         assert idx == 0
 
     def test_prior_selection_roughly_uniform(self):
@@ -132,7 +160,7 @@ class TestTsSelectArm:
         counts = np.zeros(9, int)
         n = 2000
         for s in range(n):
-            _, idx = bandit.ts_select_arm(space, post, np.random.default_rng(123456 + s))
+            idx = bandit.ts_select_arm(space, post, np.random.default_rng(123456 + s))
             counts[idx] += 1
         assert np.all(np.abs(counts / n - 1 / 9) < 0.03)
 

@@ -162,10 +162,18 @@ class TestReplay:
             envs.load_replay_csv(path)
 
     def test_round_trip_reproduces_history(self, tmp_path):
-        space = self.space()
         spec = envs.SyntheticPretrainSpec()
+        self.check_round_trip(tmp_path, self.space(), spec, bandit.PolicySpec(bandit.FIXED_ARM, 4))
+
+    def test_round_trip_reproduces_history_on_3d_grid(self, tmp_path):
+        # every arm index a uniform policy plays goes through the CSV
+        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.1)] * 3)
+        spec = envs.SyntheticPretrainSpec(optimum=(0.3,) * 3, width=(0.2,) * 3)
+        self.check_round_trip(tmp_path, space, spec, bandit.PolicySpec(bandit.UNIFORM_RANDOM))
+
+    @staticmethod
+    def check_round_trip(tmp_path, space, spec, cfg):
         env = envs.SyntheticPretrainEnv(spec, seed=21)
-        cfg = bandit.PolicySpec(bandit.FIXED_ARM, 4)
         original = bandit.run_policy(space, cfg, env, T=15, u=30)
 
         path = tmp_path / "log.csv"

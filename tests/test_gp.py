@@ -168,6 +168,49 @@ class TestKernels:
             replace(make_hp(), **{field: value})
 
 
+def ref_replicates(X, y):
+    # the np.unique grouping that _Replicates replaced: distinct rows put
+    # back in order of first appearance through an argsort/rank pass
+    _, first, inverse, counts = np.unique(
+        X, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    inverse = rank[np.ravel(inverse)]
+    inputs = X[first[order]]
+    counts = counts[order].astype(float)
+    means = np.bincount(inverse, weights=y, minlength=order.size) / counts
+    U = inputs.T
+    return {"inputs": inputs, "counts": counts, "means": means,
+            "within_ss": float(np.sum((y - means[inverse]) ** 2)),
+            "diffs": U[:, :, None] - U[:, None, :]}
+
+
+class TestReplicates:
+    def assert_matches_reference(self, X, y):
+        reps = gp._Replicates(X, y)
+        for name, expected in ref_replicates(X, y).items():
+            got = getattr(reps, name)
+            assert np.shape(got) == np.shape(expected), name
+            assert bits(got) == bits(expected), name
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grid_data_with_repeats_match_np_unique(self, d):
+        rng = np.random.default_rng(d)
+        grid = grid_points(d, per_dim=4 if d == 3 else 9)
+        for T in range(1, 301):
+            X = grid[rng.integers(0, len(grid), T)]
+            self.assert_matches_reference(X, rng.normal(0, 1, T))
+
+    def test_signed_zeros_are_one_input_kept_as_first_seen(self):
+        X = np.array([[-0.0, 0.5], [0.0, 0.5], [0.5, 0.0], [0.5, -0.0], [-0.0, 0.5]])
+        self.assert_matches_reference(X, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        reps = gp._Replicates(X, np.zeros(5))
+        assert reps.counts.tolist() == [3.0, 2.0]
+        assert np.signbit(reps.inputs).tolist() == [[True, False], [False, False]]
+
+
 class TestLogMarginalLikelihood:
     def test_single_observation_at_mean(self):
         hp = make_hp(ls=(1.0,), out=1.0, noise=1.0, family=gp.SQUARED_EXPONENTIAL)

@@ -386,7 +386,7 @@ class TestCsvText:
 
     SPACE = bandit.ArmSpace(
         dims=(bandit.GridDim(0.0, 1.0, 0.25, "a"), bandit.GridDim(0.0, 1.0, 0.25, "b")),
-        arms=((0.25, 0.5), (0.75, 0.5)),
+        values=((0.25, 0.75), (0.5,)),
     )
     HEADER = (
         "seed,policy,interaction,arm_a,arm_b,val_loss,reward,cumulative_reward,"
@@ -549,6 +549,14 @@ class TestCli:
             {"fit": {"restarts": 2.5}},
             {"arm_space": [{"name": "rho", "lower": 0.0, "upper": 0.5, "step": 0.1}] * 2},
             {"gp": {"mean_constant": "0.0"}},  # a number is not read from a string
+            # values rounded to 12 decimals: 87 arms of 6 distinct values, 44
+            # arms of 5, and one arm at the excluded lower endpoint
+            {"arm_space": [{"name": "rho", "lower": 1e17, "upper": 1e17 + 100, "step": 1.0}]},
+            {"arm_space": [{"name": "rho", "lower": 0.1, "upper": 0.1 + 44.5e-13, "step": 1e-13}]},
+            {
+                "arm_space": [{"name": "rho", "lower": 0.1, "upper": 0.1 + 5e-13, "step": 4e-13}],
+                "policies": [{"kind": "uniform_random"}],  # fixed_arm 5 is off a 1-arm grid
+            },
         ],
     )
     def test_invalid_config_value_exits_2(self, tmp_path, overrides):

@@ -14,7 +14,7 @@ import yaml
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import tracing  # noqa: E402
 
-from gpts import harness  # noqa: E402
+from gpts import bandit, harness  # noqa: E402
 
 
 @pytest.mark.parametrize("name,owner,attr", tracing.TARGETS, ids=[t[0] for t in tracing.TARGETS])
@@ -23,6 +23,22 @@ def test_target_resolves(name, owner, attr):
     assert callable(vars(owner).get(attr)), f"{name}: {owner.__name__}.{attr} is gone"
     module = owner.__module__ if isinstance(owner, type) else owner.__name__
     assert module.startswith("gpts.")
+
+
+def test_config_grid_reads(tmp_path):
+    # measure.py and setup_probe.py rebuild the grid from cfg.arm_dims, and
+    # the regret check reads space.arms and space.names
+    raw = harness.default_config_dict()
+    raw["arm_space"] = [{"name": n, "lower": 0.0, "upper": 0.4, "step": 0.1} for n in "ab"]
+    raw["environment"]["synthetic"].update(optimum=[0.3, 0.3], width=[0.1, 0.1])
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    cfg = harness.load_config(config)
+    space = cfg.space
+    assert bandit.make_grid(cfg.arm_dims) == space
+    assert space.names == ("a", "b")
+    assert len(space) == len(space.arms) == 9
+    assert len(cfg.policies) == 2 + len(space)  # a fixed_arm "all" is one per arm
 
 
 def test_harness_spans_fire(tmp_path):
