@@ -149,10 +149,12 @@ def run_policy(space: ArmSpace, policy: PolicySpec, env, T: int, u: int, *, seed
     run: the partial history is returned with its ``error`` field set to
     ``"interaction t: ..."``, and interaction t is not recorded. A
     non-finite validation loss from ``step`` means the training diverged
-    and ends the run the same way (``diverged (validation loss nan)``); a
-    GP posterior that cannot be factored reads ``numerical: ...``. A
-    non-finite loss from ``init`` raises ``EnvironmentFailure``. Any other
-    exception is a programming error and propagates.
+    and ends the run the same way (``diverged (validation loss nan)``), as
+    does a finite loss whose reward overflows (``diverged (reward inf from
+    validation loss -1e+308)``); a GP posterior that cannot be factored
+    reads ``numerical: ...``. A non-finite loss from ``init`` raises
+    ``EnvironmentFailure``. Any other exception is a programming error and
+    propagates.
     """
     if T < 1 or u < 1:
         raise InvalidArgumentError("T and u must be at least 1")
@@ -184,9 +186,11 @@ def run_policy(space: ArmSpace, policy: PolicySpec, env, T: int, u: int, *, seed
             else:
                 i = int(rng.integers(len(arms)))
             arm = arms[i]
-            loss = env.step(arm, u)
-            if not math.isfinite(loss):
-                raise EnvironmentFailure(f"diverged (validation loss {loss})")
+            prev, loss = loss, env.step(arm, u)
+            # prev is finite, so one check on the reward covers the loss too
+            if not math.isfinite(prev - loss):
+                reward = f"reward {prev - loss} from " if math.isfinite(loss) else ""
+                raise EnvironmentFailure(f"diverged ({reward}validation loss {loss})")
         except RUN_FAILURES as exc:
             kind = "numerical: " if isinstance(exc, NumericalError) else ""
             hist.error = f"interaction {t}: {kind}{exc}"

@@ -38,7 +38,7 @@ import threading
 import time
 
 from .environments import Arm, SyntheticPretrainEnv, SyntheticPretrainSpec
-from .errors import BridgeError, InvalidArgumentError, ProtocolError, is_integer
+from .errors import BridgeError, InvalidArgumentError, ProtocolError, is_finite, is_integer
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -311,10 +311,14 @@ def _serve(channel: _LineTransport) -> int:
                 continue
             try:
                 t, arm_map, updates = msg["interaction"], msg["arm"], msg["updates"]
-                arm = tuple(float(arm_map[name]) for name in arm_names)
-                if not (is_integer(t) and is_integer(updates) and updates >= 1):
-                    raise ValueError(f"bad interaction {t!r} or updates {updates!r}")
-            except (KeyError, TypeError, ValueError):
+                values = [arm_map[name] for name in arm_names]
+                if not (all(map(is_finite, values)) and is_integer(t) and is_integer(updates)
+                        and updates >= 1):
+                    raise ValueError("bad arm, interaction or updates")
+                # float() raises OverflowError on an integer past the float range
+                arm = tuple(map(float, values))
+                float(updates)
+            except (KeyError, TypeError, ValueError, OverflowError):
                 error("malformed", f"bad step message: {line[:200]!r}")
                 continue
             if t <= last_t:
@@ -337,7 +341,9 @@ def mock_trainer_main(transport: str = "stdio") -> int:
     Init that cannot set it up, or whose ``arm_names`` is not a list of
     strings, one per dimension, gets a ``bad_config`` reply; a Step whose
     ``interaction`` or ``updates`` (at least 1) is not an integer (a
-    JSON ``true`` is not one, nor is it a ``seed``), a ``malformed`` one.
+    JSON ``true`` is not one, nor is it a ``seed``), or whose arm values
+    are not JSON numbers with a finite float value (a string, a bool or
+    an integer past the float range), a ``malformed`` one.
 
     ``transport`` is ``"stdio"`` or ``"tcp:PORT"`` (listen on localhost,
     single connection; PORT is read as by ``bridge_connect``). Returns

@@ -5,12 +5,12 @@ serve the mock trainer.
 inside the commands that use them, so ``mock-trainer`` starts quickly;
 ``summarize`` needs only ``report``, which loads neither.
 
-Exit codes: 0 success; 2 a config error, found when the config is read or
-when the output directory or a run's environment is made; 3 one or more
-runs ended by an ``errors.RUN_FAILURES`` failure (environment, data or
-bridge failure, a diverged run or a numerical breakdown of the GP; the
-other runs still complete), or unreadable run CSVs. A traceback means a
-bug in gpts.
+Exit codes: 0 success; 2 a config error, found when the config is read,
+when the output directory or a run's environment is made, or when an
+output CSV cannot be written; 3 one or more runs ended by an
+``errors.RUN_FAILURES`` failure (environment, data or bridge failure, a
+diverged run or a numerical breakdown of the GP; the other runs still
+complete), or unreadable run CSVs. A traceback means a bug in gpts.
 """
 
 from __future__ import annotations

@@ -7,14 +7,15 @@ inference with cached Cholesky statistics, and joint posterior sampling
 at finite candidate sets. ``GpHyperparams`` is the one hyperparameter
 record: the fit returns one, and the posterior and the run CSV read it.
 
-Observations whose inputs repeat (arms played again from a finite grid)
-are collapsed to their distinct inputs: the likelihood, the fit and the
-posterior all work from the k distinct inputs, their replicate counts,
-the per-input target means and the within-input sum of squares. This is
-exact, not an approximation (the replicate identity of Binois, Gramacy &
-Ludkovski 2018), and makes each factorization k x k however many
-observations there are. Inputs count as the same only when they are
-exactly equal, as repeated grid arms are.
+``RegressionData`` is the one data record, from the run loop through the
+fit to the posterior. It collapses observations whose inputs repeat
+(arms played again from a finite grid) to their distinct inputs: the
+likelihood, the fit and the posterior all work from its k distinct
+inputs, their replicate counts, the per-input target means and the
+within-input sum of squares. This is exact, not an approximation (the
+replicate identity of Binois, Gramacy & Ludkovski 2018), and makes each
+factorization k x k however many observations there are. Inputs count
+as the same only when they are exactly equal, as repeated grid arms are.
 
 There is one likelihood path: one distance formula, exactly symmetric;
 one factorization of K_UU + noise * diag(1/n) for the likelihood, the
@@ -135,19 +136,32 @@ class GpHyperparams:
 
 
 class RegressionData:
-    """Immutable (inputs, targets) pair; inputs are (T, d), targets (T,).
+    """Immutable GP data: the raw observations and their statistics
+    collapsed to the distinct inputs, which the likelihood, the fit and
+    the posterior work from.
 
-    Non-empty data also keep their statistics collapsed to the distinct
-    inputs, which the likelihood, the fit and the posterior work from.
+    ``inputs`` (T, d) and ``targets`` (T,) hold the observations; empty
+    data keep the dimension of (0, d) inputs. ``distinct_inputs`` holds
+    the k distinct input rows in order of first appearance, grouped in one
+    pass by equality of the row tuples (0.0 and -0.0 are one input, kept
+    as first seen); ``counts`` and ``means`` the number of observations at
+    each and their mean target; ``within_ss`` the sum of squared
+    deviations of the targets from their input's mean, and
+    ``log_count_sum`` the sum of the log counts. ``diffs`` holds the
+    (d, k, k) differences x_j - x'_j of the distinct inputs, one k x k
+    array per dimension, computed once so that each factorization only
+    scales, squares and sums them.
     """
 
-    __slots__ = ("inputs", "targets", "_replicates")
+    __slots__ = ("inputs", "targets", "distinct_inputs", "diffs", "counts", "means",
+                 "within_ss", "log_count_sum")
 
     def __init__(self, inputs, targets):
-        X = np.atleast_2d(np.asarray(inputs, dtype=float))
-        y = np.asarray(targets, dtype=float).ravel()
-        if len(y) == 0:
-            X = X.reshape(0, X.shape[1] if X.size else 1)
+        # copies: freezing the caller's own arrays would be a side effect
+        X = np.array(inputs, dtype=float, ndmin=2)
+        y = np.array(targets, dtype=float).ravel()
+        if X.size == 0 and len(y) == 0:
+            X = X.reshape(0, X.shape[1] or 1)
         if X.shape[0] != y.shape[0]:
             raise InvalidArgumentError(
                 f"inputs ({X.shape[0]}) and targets ({y.shape[0]}) disagree in length"
@@ -156,11 +170,20 @@ class RegressionData:
             raise InvalidArgumentError("targets must be finite")
         if X.size and not np.all(np.isfinite(X)):
             raise InvalidArgumentError("inputs must be finite")
-        X.setflags(write=False)
-        y.setflags(write=False)
+        slots: dict[tuple[float, ...], int] = {}
+        inverse = np.array([slots.setdefault(row, len(slots)) for row in map(tuple, X.tolist())],
+                           dtype=np.intp)
+        U = np.array(list(slots), dtype=float).reshape(len(slots), X.shape[1])
         self.inputs = X
         self.targets = y
-        self._replicates = _Replicates(X, y) if y.size else None
+        self.distinct_inputs = U
+        self.diffs = U.T[:, :, None] - U.T[:, None, :]
+        self.counts = np.bincount(inverse).astype(float)
+        self.means = np.bincount(inverse, weights=y) / self.counts
+        self.within_ss = float(np.sum((y - self.means[inverse]) ** 2))
+        self.log_count_sum = float(np.sum(np.log(self.counts)))
+        for array in (X, y, U, self.diffs, self.counts, self.means):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
         return self.targets.shape[0]
@@ -273,40 +296,10 @@ def kernel_matrix(hp: GpHyperparams, X, X2=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# replicate-collapsed statistics and factorization
+# factorization
 
 
-class _Replicates:
-    """Sufficient statistics of data collapsed to its distinct inputs.
-
-    ``inputs`` holds the k distinct input rows in order of first
-    appearance, grouped in one pass by equality of the row tuples (0.0 and
-    -0.0 are one input, kept as first seen); ``counts`` and ``means`` the
-    number of observations at each and their mean target; ``within_ss``
-    the sum of squared deviations of the targets from their input's mean.
-    ``diffs`` holds the (d, k, k) differences x_j - x'_j of the distinct
-    inputs, one k x k array per dimension, computed once so that each
-    factorization only scales, squares and sums them.
-    """
-
-    __slots__ = ("inputs", "diffs", "counts", "means", "within_ss", "n_obs", "log_count_sum")
-
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        slots: dict[tuple[float, ...], int] = {}
-        inverse = np.array([slots.setdefault(row, len(slots)) for row in map(tuple, X.tolist())])
-        self.inputs = np.array(list(slots))
-        self.inputs.setflags(write=False)
-        U = self.inputs.T
-        self.diffs = U[:, :, None] - U[:, None, :]
-        self.diffs.setflags(write=False)
-        self.counts = np.bincount(inverse).astype(float)
-        self.means = np.bincount(inverse, weights=y) / self.counts
-        self.within_ss = float(np.sum((y - self.means[inverse]) ** 2))
-        self.n_obs = y.shape[0]
-        self.log_count_sum = float(np.sum(np.log(self.counts)))
-
-
-def _factor(family: str, lengthscales, output_scale: float, noise: float, reps: _Replicates):
+def _factor(family: str, lengthscales, output_scale: float, noise: float, data: RegressionData):
     """The one factorization behind the likelihood, the fit and the
     posterior: the lower Cholesky factor of K_UU + noise * diag(1/n), and
     the noise variance it was factored at.
@@ -314,15 +307,15 @@ def _factor(family: str, lengthscales, output_scale: float, noise: float, reps: 
     On failure the jitter ladder adds escalating extra noise variance, as
     jitter/n on the diagonal, and the returned noise includes it.
     """
-    K = _kernel_from_sqdist(family, output_scale, _sqdist(reps.diffs, lengthscales))
+    K = _kernel_from_sqdist(family, output_scale, _sqdist(data.diffs, lengthscales))
     n = K.shape[0]
-    K.flat[:: n + 1] += noise / reps.counts
+    K.flat[:: n + 1] += noise / data.counts
     try:
         return np.linalg.cholesky(K), noise
     except np.linalg.LinAlgError:
         pass
     message = f"Cholesky failed for {n}x{n} matrix even with jitter up to {_JITTER_MAX:g}"
-    L, jitter = _jittered_cholesky(K, _JITTER_START, reps.counts, message, np.linalg.cholesky)
+    L, jitter = _jittered_cholesky(K, _JITTER_START, data.counts, message, np.linalg.cholesky)
     return L, noise + jitter
 
 
@@ -368,7 +361,7 @@ def _solve_chol(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.nd
     return x
 
 
-def _collapsed_lml(L: np.ndarray, noise: float, resid: np.ndarray, reps: _Replicates) -> float:
+def _collapsed_lml(L: np.ndarray, noise: float, resid: np.ndarray, data: RegressionData) -> float:
     """Exact log marginal likelihood of all T observations from the k x k
     factor L of K_UU + noise * diag(1/n) and the residual means
     ``resid`` = means - prior mean:
@@ -378,14 +371,14 @@ def _collapsed_lml(L: np.ndarray, noise: float, resid: np.ndarray, reps: _Replic
 
     with S the within-input sum of squares.
     """
-    T, k = reps.n_obs, reps.counts.shape[0]
+    T, k = len(data), data.counts.shape[0]
     v = _solve_chol(L, resid)
     return float(
-        -0.5 * (v @ v + reps.within_ss / noise)
+        -0.5 * (v @ v + data.within_ss / noise)
         - np.log(L.diagonal()).sum()
         - 0.5 * (T - k) * math.log(noise)
         - 0.5 * T * math.log(2.0 * math.pi)
-        - 0.5 * reps.log_count_sum
+        - 0.5 * data.log_count_sum
     )
 
 
@@ -397,9 +390,8 @@ def log_marginal_likelihood(hp: GpHyperparams, data: RegressionData) -> float:
     """Exact Gaussian log marginal likelihood of the targets under the prior."""
     if len(data) == 0:
         raise InvalidArgumentError("log marginal likelihood needs at least one observation")
-    reps = data._replicates
-    L, noise = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, reps)
-    return _collapsed_lml(L, noise, reps.means - hp.mean_constant, reps)
+    L, noise = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, data)
+    return _collapsed_lml(L, noise, data.means - hp.mean_constant, data)
 
 
 def _pack(hp: GpHyperparams) -> np.ndarray:
@@ -439,16 +431,15 @@ def _fit_objective(data: RegressionData, template: GpHyperparams):
     hyperparameters it returns. Only a matrix that does not factor even
     at the top of the ladder scores ``_FAILED_FIT_VALUE``.
     """
-    reps = data._replicates
     family = template.kernel
 
     def neg_lml(vec: np.ndarray) -> float:
         lengthscales, output_scale, noise, mean_constant = _unpacked_values(vec, template)
         try:
-            L, noise = _factor(family, lengthscales, output_scale, noise, reps)
+            L, noise = _factor(family, lengthscales, output_scale, noise, data)
         except NumericalError:
             return _FAILED_FIT_VALUE
-        return -_collapsed_lml(L, noise, reps.means - mean_constant, reps)
+        return -_collapsed_lml(L, noise, data.means - mean_constant, data)
 
     return neg_lml
 
@@ -624,13 +615,13 @@ class PosteriorGp:
             self.chol_factor = None
             self.alpha = None
         else:
-            hp, reps = hyperparams, data._replicates
-            L, _ = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, reps)
-            v = _solve_chol(L, reps.means - hp.mean_constant)
+            hp = hyperparams
+            L, _ = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, data)
+            v = _solve_chol(L, data.means - hp.mean_constant)
             alpha = _solve_chol(L, v, transposed=True)
             L.setflags(write=False)
             alpha.setflags(write=False)
-            self.inputs = reps.inputs
+            self.inputs = data.distinct_inputs
             self.chol_factor = L
             self.alpha = alpha
 

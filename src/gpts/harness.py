@@ -226,8 +226,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
     ``seeds`` replaces the config's seeds and is checked as they are, so
     an invalid one is a ``ConfigError`` before any run starts. A run
     ended by one of ``errors.RUN_FAILURES`` is recorded without aborting
-    sibling runs. Returns a summary mapping with the list of completed
-    runs, any failures, and the summary CSV path.
+    sibling runs. An output directory that cannot be made, or a CSV that
+    cannot be written, is a ``ConfigError`` that ends the experiment; the
+    CSVs of the runs before it stay. Returns a summary mapping with the
+    list of completed runs, any failures, and the summary CSV path.
     """
     if seeds is not None:
         cfg = replace(cfg, seeds=list(seeds))
@@ -257,12 +259,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> dict:
                 continue
             if hist.error is not None:
                 failures.append({"policy": label, "seed": seed, "error": hist.error})
-            write_run_csv(path, seed, label, hist, cfg.space)
+            try:
+                write_run_csv(path, seed, label, hist, cfg.space)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
             runs.append({"policy": label, "seed": seed, "path": str(path)})
             if hist.error is None:
                 curves.setdefault(label, []).append(hist.losses())
 
     summary_path = out / SUMMARY_CSV_NAME
-    write_summary_csv(summary_path, curves)
+    try:
+        write_summary_csv(summary_path, curves)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {summary_path}: {exc}") from exc
 
     return {"runs": runs, "failures": failures, "summary": str(summary_path)}

@@ -318,6 +318,21 @@ class TestRunPolicy:
         assert len(h) == 2 and h.losses_after == [9.9, 9.8]
         assert len(h.gp_trace) == (2 if kind == bandit.GP_TS else 0)
 
+    @pytest.mark.parametrize("kind", bandit.POLICY_KINDS)
+    def test_overflowing_reward_is_diverged_run(self, kind):
+        # each loss is finite, their difference is not
+        class OverflowEnv:
+            def init(self):
+                return 1e308
+
+            def step(self, arm, u):
+                return -1e308
+
+        cfg = bandit.PolicySpec(kind, 0 if kind == bandit.FIXED_ARM else None)
+        h = bandit.run_policy(grid_1d(), cfg, OverflowEnv(), T=5, u=1)
+        assert h.error == "interaction 1: diverged (reward inf from validation loss -1e+308)"
+        assert len(h) == 0 and h.losses() == [1e308]
+
     @pytest.mark.parametrize("kind", [bandit.GP_TS, bandit.FIXED_ARM])
     def test_replay_gap_returns_partial_history(self, kind):
         # every arm has interactions 1, 2, 4 and 5 logged, none has 3

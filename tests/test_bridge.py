@@ -151,6 +151,17 @@ class TestMockTrainerRejects:
         replies = self.serve(json.loads(GOLDEN_INIT), {**step, **fields}, step)
         assert replies == [("init_ack", None), ("error", "malformed"), ("step_ack", None)]
 
+    def test_arm_value_not_a_finite_number_is_malformed(self):
+        # float() takes each of these values, or overflows on the integers
+        huge = "1" + "0" * 400
+        bad = [GOLDEN_STEP.replace('"rho": 0.2', f'"rho": {v}')
+               for v in ('"0.3"', "true", '"nan"', "NaN", "Infinity", huge)]
+        bad.append(GOLDEN_STEP.replace('"updates": 100', f'"updates": {huge}'))
+        channel = LineRecorder([line + "\n" for line in [GOLDEN_INIT, *bad, GOLDEN_STEP]])
+        assert bridge._serve(channel) == 0
+        replies = [(m["type"], m.get("code")) for m in map(json.loads, channel.sent)]
+        assert replies == [("init_ack", None), *[("error", "malformed")] * 7, ("step_ack", None)]
+
 
 class TestClientProtocol:
     def test_init_echoes_initial_loss(self):

@@ -58,9 +58,9 @@ def make_hp(ls=(0.3,), out=1.0, noise=0.01, mean_const=0.0, family=gp.MATERN52):
     return gp.GpHyperparams(tuple(ls), family, out, noise, mean_const)
 
 
-def factor(hp, reps):
+def factor(hp, data):
     # the likelihood and posterior factor of hp over the distinct inputs
-    return gp._factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, reps)
+    return gp._factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, data)
 
 
 def replicated_data(rng, d, k, T):
@@ -168,9 +168,10 @@ class TestKernels:
             replace(make_hp(), **{field: value})
 
 
-def ref_replicates(X, y):
-    # the np.unique grouping that _Replicates replaced: distinct rows put
-    # back in order of first appearance through an argsort/rank pass
+def ref_grouping(X, y):
+    # the np.unique grouping that RegressionData's one pass replaced:
+    # distinct rows put back in order of first appearance through an
+    # argsort/rank pass
     _, first, inverse, counts = np.unique(
         X, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
@@ -182,16 +183,16 @@ def ref_replicates(X, y):
     counts = counts[order].astype(float)
     means = np.bincount(inverse, weights=y, minlength=order.size) / counts
     U = inputs.T
-    return {"inputs": inputs, "counts": counts, "means": means,
+    return {"distinct_inputs": inputs, "counts": counts, "means": means,
             "within_ss": float(np.sum((y - means[inverse]) ** 2)),
             "diffs": U[:, :, None] - U[:, None, :]}
 
 
 class TestReplicates:
     def assert_matches_reference(self, X, y):
-        reps = gp._Replicates(X, y)
-        for name, expected in ref_replicates(X, y).items():
-            got = getattr(reps, name)
+        data = gp.RegressionData(X, y)
+        for name, expected in ref_grouping(X, y).items():
+            got = getattr(data, name)
             assert np.shape(got) == np.shape(expected), name
             assert bits(got) == bits(expected), name
 
@@ -206,9 +207,24 @@ class TestReplicates:
     def test_signed_zeros_are_one_input_kept_as_first_seen(self):
         X = np.array([[-0.0, 0.5], [0.0, 0.5], [0.5, 0.0], [0.5, -0.0], [-0.0, 0.5]])
         self.assert_matches_reference(X, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        reps = gp._Replicates(X, np.zeros(5))
-        assert reps.counts.tolist() == [3.0, 2.0]
-        assert np.signbit(reps.inputs).tolist() == [[True, False], [False, False]]
+        data = gp.RegressionData(X, np.zeros(5))
+        assert data.counts.tolist() == [3.0, 2.0]
+        assert np.signbit(data.distinct_inputs).tolist() == [[True, False], [False, False]]
+
+    def test_empty_data_keep_their_dimension(self):
+        data = gp.RegressionData.empty(3)
+        assert data.inputs.shape == data.distinct_inputs.shape == (0, 3)
+        assert data.diffs.shape == (3, 0, 0)
+        assert data.counts.shape == data.means.shape == (0,)
+        assert data.within_ss == 0.0 and data.log_count_sum == 0.0
+        assert gp.RegressionData([], []).inputs.shape == (0, 1)
+
+    def test_record_does_not_share_the_callers_arrays(self):
+        X, y = np.array([[0.1], [0.2]]), np.array([1.0, 2.0])
+        data = gp.RegressionData(X, y)
+        X[0, 0] = y[0] = 9.0
+        assert data.inputs.tolist() == [[0.1], [0.2]] and data.targets.tolist() == [1.0, 2.0]
+        assert not (data.inputs.flags.writeable or data.targets.flags.writeable)
 
 
 class TestLogMarginalLikelihood:
@@ -280,12 +296,12 @@ class TestLogMarginalLikelihood:
         rng = np.random.default_rng(21)
         for d in (1, 2, 3):
             X, y = replicated_data(rng, d, 12, 30)
-            reps = gp.RegressionData(X, y)._replicates
-            assert reps.diffs.shape == (d, 12, 12)
+            data = gp.RegressionData(X, y)
+            assert data.diffs.shape == (d, 12, 12)
             hp = random_hp(rng, d, family)
-            K = gp.kernel_matrix(hp, reps.inputs)
-            K[np.diag_indices_from(K)] += hp.noise_variance / reps.counts
-            L, noise = factor(hp, reps)
+            K = gp.kernel_matrix(hp, data.distinct_inputs)
+            K[np.diag_indices_from(K)] += hp.noise_variance / data.counts
+            L, noise = factor(hp, data)
             assert noise == hp.noise_variance
             assert np.array_equal(L, np.linalg.cholesky(K))
 
@@ -496,23 +512,23 @@ class TestSamplingJitterLadder:
         # near-duplicate inputs and no noise: the larger the output scale,
         # the further up the ladder the collapsed factor has to go
         X = np.array([[0.3 + o] for o in (0, 1e-12, 2e-12, 3e-9, 1e-6, 2e-6)] * 2)
-        reps = gp.RegressionData(X, np.zeros(len(X)))._replicates
+        data = gp.RegressionData(X, np.zeros(len(X)))
         noises = set()
         for out in (1e6, 1e8, 1e10, 1e12):
             hp = make_hp(ls=(1.0,), out=out, noise=1e-20, family=gp.SQUARED_EXPONENTIAL)
             # the collapsed factor as it was written before the shared helper
-            K = gp.kernel_matrix(hp, reps.inputs)
-            K[np.diag_indices_from(K)] += hp.noise_variance / reps.counts
+            K = gp.kernel_matrix(hp, data.distinct_inputs)
+            K[np.diag_indices_from(K)] += hp.noise_variance / data.counts
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(K)
             jitter = 1e-8
             while True:
                 try:
-                    L = np.linalg.cholesky(K + np.diag(jitter / reps.counts))
+                    L = np.linalg.cholesky(K + np.diag(jitter / data.counts))
                     break
                 except np.linalg.LinAlgError:
                     jitter *= 10.0
-            got_L, got_noise = factor(hp, reps)
+            got_L, got_noise = factor(hp, data)
             assert np.array_equal(got_L, L) and got_noise == hp.noise_variance + jitter
             noises.add(got_noise)
         assert len(noises) == 4  # each case stops at a different rung
@@ -611,15 +627,14 @@ class TestFitObjectiveIsLml:
         # noise/n is below the rounding in K_UU, so the first factor fails
         X = np.repeat(0.3 + 1e-13 * np.arange(12)[:, None], 100_000, axis=0)
         data = gp.RegressionData(X, np.random.default_rng(5).normal(size=len(X)))
-        reps = data._replicates
         hp = make_hp(ls=(1.0,), family=family)
         vec = np.array([0.0, gp._LOG_PARAM_BOUND, -gp._LOG_PARAM_BOUND, 0.2])
         unpacked = gp._unpack(vec, hp)
-        K = gp.kernel_matrix(unpacked, reps.inputs)
-        K[np.diag_indices_from(K)] += unpacked.noise_variance / reps.counts
+        K = gp.kernel_matrix(unpacked, data.distinct_inputs)
+        K[np.diag_indices_from(K)] += unpacked.noise_variance / data.counts
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(K)
-        assert factor(unpacked, reps)[1] > unpacked.noise_variance
+        assert factor(unpacked, data)[1] > unpacked.noise_variance
         value = gp._fit_objective(data, hp)(vec)
         assert value < 1e25
         assert value == -gp.log_marginal_likelihood(unpacked, data)
@@ -631,20 +646,19 @@ class TestFitObjectiveIsLml:
 # solve_triangular and np.clip; the program must give the same bits.
 
 
-def ref_collapsed_lml(L, noise, resid, reps):
-    T, k = reps.n_obs, reps.counts.shape[0]
+def ref_collapsed_lml(L, noise, resid, data):
+    T, k = len(data), data.counts.shape[0]
     v = solve_triangular(L, resid, lower=True, check_finite=False)
     return float(
-        -0.5 * (v @ v + reps.within_ss / noise)
+        -0.5 * (v @ v + data.within_ss / noise)
         - np.sum(np.log(np.diag(L)))
         - 0.5 * (T - k) * math.log(noise)
         - 0.5 * T * math.log(2.0 * math.pi)
-        - 0.5 * reps.log_count_sum
+        - 0.5 * data.log_count_sum
     )
 
 
 def ref_fit_objective(data, template):
-    reps = data._replicates
     d = template.dim
     family = template.kernel
 
@@ -652,20 +666,19 @@ def ref_fit_objective(data, template):
         logs = np.clip(vec[: d + 2], -gp._LOG_PARAM_BOUND, gp._LOG_PARAM_BOUND)
         noise = max(math.exp(logs[d + 1]), gp.NOISE_VARIANCE_FLOOR)
         try:
-            L, noise = gp._factor(family, np.exp(logs[:d]), math.exp(logs[d]), noise, reps)
+            L, noise = gp._factor(family, np.exp(logs[:d]), math.exp(logs[d]), noise, data)
         except NumericalError:
             return 1e25
-        return -ref_collapsed_lml(L, noise, reps.means - vec[d + 2], reps)
+        return -ref_collapsed_lml(L, noise, data.means - vec[d + 2], data)
 
     return neg_lml
 
 
 def ref_posterior(hp, data, Q):
-    reps = data._replicates
-    L, _ = factor(hp, reps)
-    v = solve_triangular(L, reps.means - hp.mean_constant, lower=True)
+    L, _ = factor(hp, data)
+    v = solve_triangular(L, data.means - hp.mean_constant, lower=True)
     alpha = solve_triangular(L.T, v, lower=False)
-    Ks = gp.kernel_matrix(hp, reps.inputs, Q)
+    Ks = gp.kernel_matrix(hp, data.distinct_inputs, Q)
     mean = np.full(len(Q), hp.mean_constant) + Ks.T @ alpha
     V = solve_triangular(L, Ks, lower=True)
     cov = gp.kernel_matrix(hp, Q) - V.T @ V
@@ -702,9 +715,8 @@ class TestLapackSolvesBitIdentical:
     @BOTH_KERNELS
     def test_log_marginal_likelihood(self, family):
         for data, hp in bit_identity_cases(family, 40, 2):
-            reps = data._replicates
-            L, noise = factor(hp, reps)
-            ref = ref_collapsed_lml(L, noise, reps.means - hp.mean_constant, reps)
+            L, noise = factor(hp, data)
+            ref = ref_collapsed_lml(L, noise, data.means - hp.mean_constant, data)
             assert gp.log_marginal_likelihood(hp, data) == ref
 
     @BOTH_KERNELS

@@ -603,6 +603,27 @@ class TestCli:
         assert "config error: cannot create output directory" in res.output
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_run_csv_that_cannot_be_written_exits_2(self, tmp_path):
+        path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0, 1])
+        blocker = Path(raw["output_dir"]) / "run_uniform_random_seed0.csv"
+        blocker.mkdir(parents=True)
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert f"config error: cannot write {blocker}" in res.output
+        assert list(tmp_path.rglob("*.csv")) == [blocker]  # no further run, no summary
+
+    def test_summary_csv_that_cannot_be_written_exits_2(self, tmp_path):
+        path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
+        blocker = Path(raw["output_dir"]) / "summary.csv"
+        blocker.mkdir(parents=True)
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # not a traceback
+        assert f"config error: cannot write {blocker}" in res.output
+        # the run finished before the summary keeps its CSV
+        assert (blocker.parent / "run_uniform_random_seed0.csv").is_file()
+
     @pytest.mark.parametrize(
         "overrides",
         [
