@@ -22,6 +22,17 @@ one factorization of K_UU + noise * diag(1/n) for the likelihood, the
 fit and the posterior; and a fit objective that is exactly the negative
 log marginal likelihood, so fitted points need no re-scoring.
 
+On a grid the prior Gram matrix of the queries comes from a table.
+``predict`` and ``sample_joint`` take the queries' ``distances``, which
+``environments.ArmSpace.distances`` builds once per grid: a table of the
+c distinct combinations of per-dimension distances |x_j - x'_j| (9261 on
+a 9 x 9 x 9 grid, against its 531 441 pairs) and an m x m index of the
+combination of each pair. The kernel runs on the c combinations and the
+m x m matrix is gathered from them. Its bits are ``kernel_matrix``'s:
+the squared scaled term of -d equals that of d, ``_sqdist`` sums the
+dimensions in the same order, and the kernel chain is elementwise.
+``kernel_matrix`` serves the cross matrices and arbitrary points.
+
 All positive hyperparameters are handled in log space during fitting.
 The fit's Nelder-Mead search is this module's own ``_nelder_mead``, a
 port of scipy's that reproduces its iterates bit for bit. It is kept
@@ -292,6 +303,25 @@ def kernel_matrix(hp: GpHyperparams, X, X2=None) -> np.ndarray:
         diffs = (x[:, None] - x2 for x, x2 in zip(block.T, X2.T))
         d2 = _sqdist(diffs, hp.lengthscales, out=out[start : start + rows])
         _kernel_from_sqdist(hp.kernel, hp.output_scale, d2)
+    return out
+
+
+def _gathered_gram(hp: GpHyperparams, table: np.ndarray, index: np.ndarray, m: int) -> np.ndarray:
+    """The m x m Gram matrix ``K[a, b] = k(table[:, index[a, b]])`` of
+    per-dimension distances: the kernel runs once on the table's c
+    columns and is gathered a block of rows at a time, so no m x m
+    ``intp`` array exists."""
+    if index.shape != (m, m) or table.shape[0] != hp.dim:
+        raise InvalidArgumentError(
+            f"distance table {table.shape} and index {index.shape} do not fit {m} queries "
+            f"in {hp.dim} dimensions"
+        )
+    values = _kernel_from_sqdist(hp.kernel, hp.output_scale, _sqdist(table, hp.lengthscales))
+    out = np.empty((m, m))
+    rows = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, m, rows):
+        block = slice(start, start + rows)
+        np.take(values, index[block].astype(np.intp), out=out[block])
     return out
 
 
@@ -625,8 +655,13 @@ class PosteriorGp:
             self.chol_factor = L
             self.alpha = alpha
 
-    def predict(self, queries) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, queries, distances=None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean vector and covariance matrix at the query points.
+
+        ``distances``, when given, is the queries' ``(table, index)`` as
+        ``ArmSpace.distances`` gives it for ``queries`` = the space's
+        ``array``: the prior Gram matrix is then gathered from the kernel
+        on the table, with the same bits as ``kernel_matrix(hp, queries)``.
 
         The covariance is exactly symmetric without symmetrizing: the prior
         Gram matrix is, and numpy computes ``V.T @ V`` with BLAS ``syrk``,
@@ -638,7 +673,10 @@ class PosteriorGp:
         if Q.shape[0] == 0:
             raise InvalidArgumentError("predict needs at least one query point")
         prior_mean = np.full(Q.shape[0], hp.mean_constant)
-        Kqq = kernel_matrix(hp, Q)
+        if distances is None:
+            Kqq = kernel_matrix(hp, Q)
+        else:
+            Kqq = _gathered_gram(hp, *distances, Q.shape[0])
         if self.chol_factor is None:
             return prior_mean, Kqq
         Ks = kernel_matrix(hp, self.inputs, Q)
@@ -649,13 +687,14 @@ class PosteriorGp:
         np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
         return mean, cov
 
-    def sample_joint(self, queries, rng: np.random.Generator) -> np.ndarray:
-        """One draw from the joint posterior at the query points.
+    def sample_joint(self, queries, rng: np.random.Generator, distances=None) -> np.ndarray:
+        """One draw from the joint posterior at the query points, with the
+        queries' ``distances`` as ``predict`` takes them.
 
         Deterministic given the generator state. A numerically zero
         covariance degenerates to the predictive mean.
         """
-        mean, cov = self.predict(queries)
+        mean, cov = self.predict(queries, distances)
         scale = float(np.max(np.diag(cov)))
         if scale < 1e-14:
             return mean.copy()

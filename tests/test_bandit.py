@@ -147,7 +147,7 @@ class TestTsSelectArm:
         space = grid_1d()
 
         class FlatPosterior:
-            def sample_joint(self, queries, rng):
+            def sample_joint(self, queries, rng, distances=None):
                 return np.zeros(len(queries))
 
         idx = bandit.ts_select_arm(space, FlatPosterior(), np.random.default_rng(0))
@@ -217,6 +217,17 @@ class TestRunPolicy:
             env = SyntheticPretrainEnv(spec, seed=7)
             histories.append(bandit.run_policy(space, cfg, env, T=10, u=50, seed=policy_seed))
         assert histories[0] == histories[1]
+
+    @pytest.mark.parametrize("policy", [bandit.PolicySpec(bandit.FIXED_ARM, 2),
+                                        bandit.PolicySpec(bandit.UNIFORM_RANDOM)],
+                             ids=["fixed_arm", "uniform_random"])
+    def test_baselines_build_no_distance_table(self, policy):
+        space = grid_1d()
+        bandit.run_policy(space, policy, SyntheticPretrainEnv(SyntheticPretrainSpec()), T=3, u=10)
+        assert "distances" not in vars(space)
+        bandit.run_policy(space, bandit.PolicySpec(bandit.GP_TS),
+                          SyntheticPretrainEnv(SyntheticPretrainSpec()), T=1, u=10)
+        assert "distances" in vars(space)
 
     def test_gp_ts_single_interaction(self):
         space = grid_1d()

@@ -3,6 +3,7 @@ pre-training dynamics, the stationary test function, and CSV replay."""
 
 import csv
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,75 @@ class TestReplay:
         replayed = bandit.run_policy(space, cfg, replay_env, T=15, u=30)
         assert replayed == original
         assert replayed.initial_loss == original.initial_loss
+
+
+# make_grid specs in 1, 2, 3 and 5 dimensions, with inexact steps and
+# negative bounds
+LATTICES = {
+    "1d": [dict(lower=-0.3, upper=0.5, step=0.07)],
+    "2d": [dict(lower=-2.0, upper=0.0, step=0.07), dict(lower=-2.0, upper=1.0, step=0.3)],
+    "3d": [dict(lower=0.0, upper=1.0, step=0.1)] * 3,
+    "5d": [dict(lower=-1.0, upper=0.7, step=0.45)] * 5,
+}
+
+
+def build_peak(space):
+    """The tracemalloc peak of building the space's distances."""
+    tracemalloc.start()
+    try:
+        space.distances
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestArmSpaceDistances:
+    @pytest.mark.parametrize("shape", LATTICES)
+    def test_table_gathers_every_pair_distance_exactly(self, shape):
+        space = envs.make_grid(LATTICES[shape])
+        table, index = space.distances
+        A = space.array
+        assert table.shape[0] == space.ndim and index.shape == (len(space),) * 2
+        for j in range(space.ndim):
+            assert np.array_equal(table[j][index], np.abs(A[:, j, None] - A[None, :, j]))
+        # each combination appears once, in product order, last dimension fastest
+        assert len(set(map(tuple, table.T.tolist()))) == table.shape[1]
+        assert np.array_equal(table, table[:, np.lexsort(table[::-1])])
+        assert not (table.flags.writeable or index.flags.writeable)
+
+    def test_nine_value_dimensions_have_21_distances(self):
+        # equal index lags differ in the last bits: 21 distances, not 17
+        table, index = envs.make_grid(LATTICES["3d"]).distances
+        assert table.shape == (3, 21**3)
+
+    def test_index_dtype_is_the_smallest_that_holds_the_combinations(self):
+        assert envs.make_grid([dict(lower=0.0, upper=1.0, step=0.1)]).distances[1].dtype == np.uint8
+        assert envs.make_grid(LATTICES["3d"]).distances[1].dtype == np.uint16
+
+    def test_build_memory_is_the_index(self):
+        space = envs.make_grid(LATTICES["3d"])
+        space.array
+        peak = build_peak(space)
+        assert peak <= space.distances[1].nbytes + 2**20
+        line = envs.make_grid([dict(lower=0.0, upper=1.0, step=0.0005)])
+        assert len(line) == 1999
+        peak = build_peak(line)
+        assert peak <= 2 * line.distances[1].nbytes + 2**20
+
+    def test_one_value_dimensions(self):
+        # a dimension of one value has the one distance 0
+        space = envs.make_grid([dict(lower=0.0, upper=1.0, step=0.6), dict(lower=0.0, upper=0.4, step=0.1),
+                                dict(lower=-1.0, upper=0.0, step=0.9)])
+        table, index = space.distances
+        assert len(space) == 3 and set(table[0].tolist()) == set(table[2].tolist()) == {0.0}
+        for j in range(3):
+            assert np.array_equal(table[j][index], np.abs(space.array[:, j, None] - space.array[:, j]))
+
+    def test_built_on_first_use_only(self):
+        space = envs.make_grid(LATTICES["2d"])
+        space.arms, space.array, space.index_of(space.arms[-1])
+        assert "distances" not in vars(space)
+        assert space.distances is space.distances
 
 
 class TestPartialArmEnv:

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
-from gpts import gp
+from gpts import environments, gp
 from gpts.errors import InvalidArgumentError, NumericalError
 
 
@@ -436,13 +436,18 @@ class TestSampleJoint:
         hp = make_hp(ls=(0.3, 0.2, 0.5), noise=0.05)
         post = gp.PosteriorGp(hp, gp.RegressionData(X, rng.normal(size=20)))
         m = len(grid)
-        tracemalloc.start()
-        try:
-            post.sample_joint(grid, np.random.default_rng(0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * m * m * 8
+        # the same arms as an arm space, whose gathered Gram keeps the bound
+        dim = environments.GridDim(0.0, 1.0, 0.1)
+        space = environments.ArmSpace((dim,) * 3, (tuple(np.linspace(0.1, 0.9, 9).tolist()),) * 3)
+        assert np.array_equal(space.array, grid)
+        for distances in (None, space.distances):
+            tracemalloc.start()
+            try:
+                post.sample_joint(grid, np.random.default_rng(0), distances)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * m * m * 8
 
     def test_monte_carlo_mean(self):
         hp = make_hp(ls=(0.3,), out=1.0, noise=0.1)
@@ -454,6 +459,49 @@ class TestSampleJoint:
         samples = np.array([post.sample_joint(Q, rng) for _ in range(n)])
         se = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(samples.mean(axis=0) - mean) < 3 * se + 1e-12)
+
+
+# make_grid specs in 1, 2, 3 and 5 dimensions, with inexact steps and
+# negative bounds
+LATTICES = {
+    "1d": [dict(lower=-0.3, upper=0.5, step=0.07)],
+    "2d": [dict(lower=-2.0, upper=0.0, step=0.07), dict(lower=-2.0, upper=1.0, step=0.3)],
+    "3d": [dict(lower=0.0, upper=1.0, step=0.1)] * 3,
+    "5d": [dict(lower=-1.0, upper=0.7, step=0.45)] * 5,
+}
+
+
+class TestLatticeGram:
+    @BOTH_KERNELS
+    @pytest.mark.parametrize("shape", LATTICES)
+    def test_gathered_posterior_is_bit_identical(self, shape, family):
+        # the Gram matrix gathered from the distance table is kernel_matrix's
+        # bit for bit, so the posterior and its draws are too
+        space = environments.make_grid(LATTICES[shape])
+        A = space.array
+        rng = np.random.default_rng(len(A))
+        for k in range(41):
+            hp = make_hp(ls=np.exp(rng.uniform(-2.5, 0.5, space.ndim)), out=float(rng.uniform(0.2, 2)),
+                         family=family, mean_const=float(rng.normal()))
+            X = A[rng.integers(0, len(A), k)]
+            post = gp.PosteriorGp(hp, gp.RegressionData(X, rng.normal(size=k)))
+            for got, want in zip(post.predict(A, space.distances), post.predict(A)):
+                assert np.array_equal(got, want)
+            got = post.sample_joint(A, np.random.default_rng(k), space.distances)
+            assert np.array_equal(got, post.sample_joint(A, np.random.default_rng(k)))
+
+    def test_mismatched_distances_rejected(self):
+        space = environments.make_grid(LATTICES["2d"])
+        post = gp.PosteriorGp(make_hp(ls=(0.3, 0.3)), gp.RegressionData.empty(2))
+        # a 2-D table with an index for 81 arms, and a 1-D one for as many arms
+        square = environments.make_grid([dict(lower=0.0, upper=1.0, step=0.1)] * 2)
+        line = environments.make_grid([dict(lower=0.0, upper=len(space) + 1.0, step=1.0)])
+        assert len(line) == len(space)
+        for distances in (square.distances, line.distances):
+            with pytest.raises(InvalidArgumentError, match="do not fit"):
+                post.predict(space.array, distances)
+            with pytest.raises(InvalidArgumentError, match="do not fit"):
+                post.sample_joint(space.array, np.random.default_rng(0), distances)
 
 
 def parent_sample_joint(mean, cov, rng):
@@ -494,7 +542,7 @@ class TestSamplingJitterLadder:
                 first_rung = 1e-12 * max(float(np.max(np.diag(cov))), 1.0)
                 _, info = dpotrf((cov + first_rung * np.eye(m)).T, lower=0)
                 assert info > 0
-            monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q: (mean, cov))
+            monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q, distances=None: (mean, cov))
             expected, jitter = parent_sample_joint(mean, cov, np.random.default_rng(m))
             got = post.sample_joint(np.zeros((m, 1)), np.random.default_rng(m))
             assert np.array_equal(got, expected)
@@ -503,7 +551,7 @@ class TestSamplingJitterLadder:
 
     def test_exhausted_ladder_raises(self, monkeypatch):
         cov = indefinite_cov(np.random.default_rng(9), 6, -0.5)
-        monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q: (np.zeros(6), cov))
+        monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q, distances=None: (np.zeros(6), cov))
         post = gp.PosteriorGp(make_hp(), gp.RegressionData.empty(1))
         with pytest.raises(NumericalError, match="could not be factorized for sampling"):
             post.sample_joint(np.zeros((6, 1)), np.random.default_rng(0))

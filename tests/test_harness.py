@@ -72,6 +72,11 @@ class TestLoadConfig:
         assert [d.name for d in cfg.arm_dims] == ["rho"]
         assert cfg.environment["kind"] == "synthetic"
 
+    def test_load_builds_no_distance_table(self, tmp_path):
+        # the first GP-TS selection builds it, inside a timed decision
+        cfg = harness.load_config(small_config(tmp_path)[0])
+        assert "distances" not in vars(cfg.space)
+
     def test_missing_key_is_config_error(self, tmp_path):
         path, raw = small_config(tmp_path)
         del raw["T"]
@@ -336,11 +341,11 @@ class TestRunExperiment:
             current.update(seed=env_seed - harness.DEFAULT_ENV_SEED_OFFSET, samples=0)
             return make(env_cfg, space, env_seed)
 
-        def sample_joint(post, queries, rng):
+        def sample_joint(post, queries, rng, distances=None):
             current["samples"] += 1
             if current["seed"] == 0 and current["samples"] == 3:
                 raise NumericalError("posterior covariance could not be factorized for sampling")
-            return sample(post, queries, rng)
+            return sample(post, queries, rng, distances)
 
         monkeypatch.setattr(harness, "_make_environment", make_env)
         monkeypatch.setattr(gp.PosteriorGp, "sample_joint", sample_joint)
