@@ -23,7 +23,21 @@ loss is missing or not a JSON number. Both ends build each line with
 ``_encode`` and parse it with ``_decode``.
 
 ``mock_trainer_main`` serves the protocol backed by the synthetic
-pre-training simulator, for tests and offline development.
+pre-training simulator, for tests and offline development; over
+``tcp:PORT`` it listens on ``127.0.0.1`` only, out of an IPv6 client's
+reach. A request it cannot serve gets one error line, then it serves
+the next:
+
+- ``version_mismatch``: an Init whose ``v`` is not 1;
+- ``bad_config``: an Init whose ``arm_names`` (strings, one per
+  dimension) or config cannot set up a simulator; the last one stays;
+- ``not_initialized``: a Step before any Init was acknowledged;
+- ``malformed``: a line not UTF-8 or not a JSON object with a ``type``,
+  or a Step with a field missing, a non-integer ``interaction`` or
+  ``updates`` (at least 1), or an arm value that is not a finite number;
+- ``duplicate_interaction``: a Step at or below the last interaction;
+- ``bad_interaction``: a Step that skips an interaction;
+- ``unknown_type``: any other message type.
 """
 
 from __future__ import annotations
@@ -249,103 +263,88 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
 # mock trainer
 
 
+class _Refusal(Exception):
+    """A request the mock trainer answers with an error line; its args are
+    the reply's code and detail."""
+
+
 def _serve(channel: _LineTransport) -> int:
     env: SyntheticPretrainEnv | None = None
     arm_names: tuple[str, ...] = ()
     last_t = 0
-
-    def send(mtype: str, **fields) -> None:
-        channel.send_line(_encode(mtype, **fields))
-
-    def error(code: str, detail: str) -> None:
-        send("error", code=code, detail=detail)
-
     while True:
         try:
             line = channel.recv_line(0).strip()
             if not line:
                 continue
             msg = _decode(line)
-        except ProtocolError as exc:
-            error("malformed", str(exc))
-            continue
-        except BridgeError:
-            return 0
-        mtype = msg["type"]
-
-        if mtype == "shutdown":
-            return 0
-
-        if mtype == "init":
-            if msg.get("v") != PROTOCOL_VERSION:
-                error("version_mismatch", f"server speaks v{PROTOCOL_VERSION}")
-                continue
-            config = msg.get("config") or {}
-            names = msg.get("arm_names")
-            try:
-                if not isinstance(config, dict):
-                    raise TypeError(f"config must be an object, got {config!r:.200}")
-                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                    raise TypeError(f"arm_names must be a list of strings, got {names!r:.200}")
-                env_spec = SyntheticPretrainSpec(**config.get("synthetic", {}))
-                if len(names) != len(env_spec.optimum):
-                    raise ValueError(
-                        f"{len(names)} arm names for a {len(env_spec.optimum)}-D simulator"
+            mtype = msg["type"]
+            if mtype == "shutdown":
+                return 0
+            if mtype == "init":
+                if msg.get("v") != PROTOCOL_VERSION:
+                    raise _Refusal("version_mismatch", f"server speaks v{PROTOCOL_VERSION}")
+                config = msg.get("config") or {}
+                names = msg.get("arm_names")
+                try:
+                    if not isinstance(config, dict):
+                        raise TypeError(f"config must be an object, got {config!r:.200}")
+                    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                        raise TypeError(f"arm_names must be a list of strings, got {names!r:.200}")
+                    env_spec = SyntheticPretrainSpec(**config.get("synthetic", {}))
+                    if len(names) != len(env_spec.optimum):
+                        raise ValueError(
+                            f"{len(names)} arm names for a {len(env_spec.optimum)}-D simulator"
+                        )
+                    # numpy's generator rejects a negative seed
+                    seed = config.get("seed", 0)
+                    if not is_integer(seed):
+                        raise TypeError(f"seed must be an integer, got {seed!r:.200}")
+                    new_env = SyntheticPretrainEnv(env_spec, seed=seed)
+                except (TypeError, ValueError) as exc:
+                    raise _Refusal("bad_config", str(exc))
+                env, arm_names, last_t = new_env, tuple(names), 0
+                reply = _encode("init_ack", initial_val_loss=env.init())
+            elif mtype == "step":
+                if env is None:
+                    raise _Refusal("not_initialized", "step before init")
+                try:
+                    t, arm_map, updates = msg["interaction"], msg["arm"], msg["updates"]
+                    values = [arm_map[name] for name in arm_names]
+                    if not (all(map(is_finite, values)) and is_integer(t) and is_integer(updates)
+                            and updates >= 1):
+                        raise ValueError("bad arm, interaction or updates")
+                    # float() raises OverflowError on an integer past the float range
+                    arm = tuple(map(float, values))
+                    float(updates)
+                except (KeyError, TypeError, ValueError, OverflowError):
+                    raise _Refusal("malformed", f"bad step message: {line[:200]!r}")
+                if t <= last_t:
+                    raise _Refusal("duplicate_interaction", f"interaction {t} already served")
+                if t != last_t + 1:
+                    raise _Refusal(
+                        "bad_interaction", f"expected interaction {last_t + 1}, got {t}"
                     )
-                # numpy's generator rejects a negative seed
-                seed = config.get("seed", 0)
-                if not is_integer(seed):
-                    raise TypeError(f"seed must be an integer, got {seed!r:.200}")
-                new_env = SyntheticPretrainEnv(env_spec, seed=seed)
-            except (TypeError, ValueError) as exc:
-                error("bad_config", str(exc))
-                continue
-            env, arm_names = new_env, tuple(names)
-            last_t = 0
-            send("init_ack", initial_val_loss=env.init())
-            continue
-
-        if mtype == "step":
-            if env is None:
-                error("not_initialized", "step before init")
-                continue
-            try:
-                t, arm_map, updates = msg["interaction"], msg["arm"], msg["updates"]
-                values = [arm_map[name] for name in arm_names]
-                if not (all(map(is_finite, values)) and is_integer(t) and is_integer(updates)
-                        and updates >= 1):
-                    raise ValueError("bad arm, interaction or updates")
-                # float() raises OverflowError on an integer past the float range
-                arm = tuple(map(float, values))
-                float(updates)
-            except (KeyError, TypeError, ValueError, OverflowError):
-                error("malformed", f"bad step message: {line[:200]!r}")
-                continue
-            if t <= last_t:
-                error("duplicate_interaction", f"interaction {t} already served")
-                continue
-            if t != last_t + 1:
-                error("bad_interaction", f"expected interaction {last_t + 1}, got {t}")
-                continue
-            send("step_ack", interaction=t, val_loss=env.step(arm, updates))
-            last_t = t
-            continue
-
-        error("unknown_type", f"unknown message type {mtype!r}")
+                reply = _encode("step_ack", interaction=t, val_loss=env.step(arm, updates))
+                last_t = t
+            else:
+                raise _Refusal("unknown_type", f"unknown message type {mtype!r}")
+        except ProtocolError as exc:  # a line that is not UTF-8 or not a message
+            reply = _encode("error", code="malformed", detail=str(exc))
+        except _Refusal as exc:
+            reply = _encode("error", code=exc.args[0], detail=exc.args[1])
+        except BridgeError:  # the peer closed the connection
+            return 0
+        channel.send_line(reply)
 
 
 def mock_trainer_main(transport: str = "stdio") -> int:
     """Serve the wire protocol backed by the synthetic simulator, set up
     from each Init message's config: its ``synthetic`` section over the
-    ``SyntheticPretrainSpec`` defaults, and its ``seed`` (default 0). An
-    Init that cannot set it up, or whose ``arm_names`` is not a list of
-    strings, one per dimension, gets a ``bad_config`` reply; a Step whose
-    ``interaction`` or ``updates`` (at least 1) is not an integer (a
-    JSON ``true`` is not one, nor is it a ``seed``), or whose arm values
-    are not JSON numbers with a finite float value (a string, a bool or
-    an integer past the float range), a ``malformed`` one.
+    ``SyntheticPretrainSpec`` defaults, and its ``seed`` (default 0). The
+    module docstring lists its error replies.
 
-    ``transport`` is ``"stdio"`` or ``"tcp:PORT"`` (listen on localhost,
+    ``transport`` is ``"stdio"`` or ``"tcp:PORT"`` (listen on 127.0.0.1,
     single connection; PORT is read as by ``bridge_connect``). Returns
     the process exit code.
     """

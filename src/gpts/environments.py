@@ -70,7 +70,7 @@ class GridDim:
     lower: float
     upper: float
     step: float
-    name: str | None = None  # make_grid names an unnamed i-th dimension "psi<i>"
+    name: str | None = None  # ArmSpace names an unnamed i-th dimension "psi<i>"
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,23 @@ class ArmSpace:
     m x d ``array``; ``index_of(arms[i])`` is i. ``distances`` holds the
     arm pairs' per-dimension distances as a small table and an m x m index
     into it, from which GP-TS gathers the arms' prior Gram matrix; it is
-    built on first use, so a baseline run never builds it."""
+    built on first use, so a baseline run never builds it.
+
+    The dimension names, which label the CSV columns and the trainer's
+    arm coordinates, must be distinct strings; an unnamed i-th dimension
+    is named ``psi<i>``."""
 
     dims: tuple[GridDim, ...]
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        dims = tuple(replace(d, name=f"psi{i}") if d.name is None else d
+                     for i, d in enumerate(self.dims))
+        object.__setattr__(self, "dims", dims)  # frozen
+        if not all(isinstance(n, str) for n in self.names) or len(set(self.names)) < self.ndim:
+            raise InvalidArgumentError(
+                f"dimension names must be distinct strings, got {list(self.names)}"
+            )
         for d, v in zip(self.dims, self.values, strict=True):
             if not (v and all(a < b for a, b in itertools.pairwise((d.lower, *v, d.upper)))):
                 raise InvalidArgumentError(f"dimension {d.name!r}: its values (n={len(v)}) must be "
@@ -202,26 +213,22 @@ def make_grid(dims) -> ArmSpace:
     """Build the arm grid from per-dimension (lower, upper, step) specs: the
     values lower + k * step (k >= 1) below upper, rounded to 12 decimals.
 
-    The dimension names, which label the CSV columns and the trainer's
-    arm coordinates, must be distinct strings. A grid of more than
-    ``MAX_ARMS`` arms is rejected before more than that many values of
-    any one dimension are made.
+    A grid of more than ``MAX_ARMS`` arms is rejected before more than
+    that many values of any one dimension are made. An error names an
+    unnamed dimension by its position.
     """
     dims = tuple(d if isinstance(d, GridDim) else GridDim(**d) for d in dims)
-    dims = tuple(replace(d, name=f"psi{i}") if d.name is None else d for i, d in enumerate(dims))
-    names = [d.name for d in dims]
-    if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
-        raise InvalidArgumentError(f"dimension names must be distinct strings, got {names}")
     value_lists: list[tuple[float, ...]] = []
     n_arms = 1
-    for d in dims:
+    for j, d in enumerate(dims):
+        where = f"dimension {j}" if d.name is None else f"dimension {d.name!r}"
         bounds = {"lower": d.lower, "upper": d.upper, "step": d.step}
         if not all(map(is_finite, bounds.values())):
-            raise InvalidArgumentError(f"dimension {d.name!r}: needs finite numbers, got {bounds}")
+            raise InvalidArgumentError(f"{where}: needs finite numbers, got {bounds}")
         if not (d.step > 0.0):
-            raise InvalidArgumentError(f"dimension {d.name!r}: step must be positive")
+            raise InvalidArgumentError(f"{where}: step must be positive")
         if not (d.lower < d.upper):
-            raise InvalidArgumentError(f"dimension {d.name!r}: lower must be below upper")
+            raise InvalidArgumentError(f"{where}: lower must be below upper")
         eps = 1e-9 * d.step
         values = []
         i = 1
@@ -232,12 +239,12 @@ def make_grid(dims) -> ArmSpace:
             values.append(v)
             if n_arms * len(values) > MAX_ARMS:
                 raise InvalidArgumentError(
-                    f"dimension {d.name!r}: the grid would have more than {MAX_ARMS} arms"
+                    f"{where}: the grid would have more than {MAX_ARMS} arms"
                 )
             i += 1
         if not values:
             raise InvalidArgumentError(
-                f"dimension {d.name!r}: step {d.step} leaves no interior grid points in "
+                f"{where}: step {d.step} leaves no interior grid points in "
                 f"({d.lower}, {d.upper})"
             )
         value_lists.append(tuple(values))

@@ -310,8 +310,10 @@ def _gathered_gram(hp: GpHyperparams, table: np.ndarray, index: np.ndarray, m: i
     """The m x m Gram matrix ``K[a, b] = k(table[:, index[a, b]])`` of
     per-dimension distances: the kernel runs once on the table's c
     columns and is gathered a block of rows at a time, so no m x m
-    ``intp`` array exists."""
-    if index.shape != (m, m) or table.shape[0] != hp.dim:
+    ``intp`` array exists. The index is bounds-checked once, so the
+    gather need not check (nor buffer) each block."""
+    if (index.shape != (m, m) or table.shape[0] != hp.dim
+            or index.max(initial=0) >= table.shape[1]):
         raise InvalidArgumentError(
             f"distance table {table.shape} and index {index.shape} do not fit {m} queries "
             f"in {hp.dim} dimensions"
@@ -321,7 +323,7 @@ def _gathered_gram(hp: GpHyperparams, table: np.ndarray, index: np.ndarray, m: i
     rows = max(1, _BLOCK_ELEMENTS // m)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        np.take(values, index[block].astype(np.intp), out=out[block])
+        np.take(values, index[block], out=out[block], mode="clip")
     return out
 
 

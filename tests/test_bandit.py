@@ -47,6 +47,12 @@ class TestMakeGrid:
         space = bandit.make_grid([dict(lower=0.0, upper=0.3, step=0.1)] * 2)
         assert space.names == ("psi0", "psi1")
 
+    def test_error_names_an_unnamed_dimension_by_position(self):
+        dims = [dict(lower=0.0, upper=0.3, step=0.1, name="rho"),
+                dict(lower=0.0, upper=0.3, step=-0.1)]
+        with pytest.raises(InvalidArgumentError, match="dimension 1: step must be positive"):
+            bandit.make_grid(dims)
+
     @pytest.mark.parametrize(
         "names", [("rho", "rho"), ("psi1", None), ("rho", 3)], ids=["twice", "default", "number"]
     )
@@ -80,6 +86,16 @@ class TestArmSpace:
     def test_values_must_increase_inside_the_interval(self, values):
         with pytest.raises(InvalidArgumentError, match="dimension 'x'"):
             bandit.ArmSpace((self.DIM,), (values,))
+
+    def test_names_must_be_distinct_strings(self):
+        # two arm_x CSV columns, and an arm sent to the trainer as one coordinate
+        with pytest.raises(InvalidArgumentError, match="distinct strings"):
+            bandit.ArmSpace((self.DIM,) * 2, ((0.25, 0.5), (0.75,)))
+
+    def test_unnamed_dimensions_are_numbered(self):
+        unnamed = bandit.GridDim(0.0, 1.0, 0.25)
+        space = bandit.ArmSpace((unnamed, self.DIM, unnamed), ((0.5,),) * 3)
+        assert space.names == ("psi0", "x", "psi2")
 
     def test_index_of_round_trips_every_arm(self):
         dims = [dict(lower=0.0, upper=n + 1.0, step=1.0, name=f"d{n}") for n in (3, 4, 5)]

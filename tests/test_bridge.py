@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,25 @@ class LineRecorder(ScriptedTransport):
 
 GOLDEN_INIT = '{"type": "init", "v": 1, "arm_names": ["rho"], "config": {"seed": 3}}'
 GOLDEN_STEP = '{"type": "step", "v": 1, "interaction": 1, "arm": {"rho": 0.2}, "updates": 100}'
+STEP_2 = GOLDEN_STEP.replace('"interaction": 1', '"interaction": 2')
+BAD_STEP = GOLDEN_STEP.replace('"updates": 100', '"updates": 0')
+
+# Every error code the mock trainer sends: (code, lines served before,
+# the refused line, its detail, the next line, which is served).
+REFUSALS = [
+    ("version_mismatch", [], GOLDEN_INIT.replace('"v": 1', '"v": 2'), "server speaks v1",
+     GOLDEN_INIT),
+    # the simulator set up before a refused init keeps serving
+    ("bad_config", [GOLDEN_INIT, GOLDEN_STEP], GOLDEN_INIT.replace('["rho"]', '["rho", "gamma"]'),
+     "2 arm names for a 1-D simulator", STEP_2),
+    ("not_initialized", [], GOLDEN_STEP, "step before init", GOLDEN_INIT),
+    ("malformed", [], "not json", "malformed message: 'not json'", GOLDEN_INIT),
+    ("malformed", [GOLDEN_INIT], BAD_STEP, f"bad step message: {BAD_STEP!r}", GOLDEN_STEP),
+    ("duplicate_interaction", [GOLDEN_INIT, GOLDEN_STEP], GOLDEN_STEP,
+     "interaction 1 already served", STEP_2),
+    ("bad_interaction", [GOLDEN_INIT], STEP_2, "expected interaction 1, got 2", GOLDEN_STEP),
+    ("unknown_type", [], '{"type": "ping", "v": 1}', "unknown message type 'ping'", GOLDEN_INIT),
+]
 
 
 class TestWireFormat:
@@ -113,6 +133,28 @@ class TestMockTrainerRejects:
         channel = LineRecorder([json.dumps(m) + "\n" for m in messages])
         assert bridge._serve(channel) == 0
         return [(m["type"], m.get("code")) for m in map(json.loads, channel.sent)]
+
+    @pytest.mark.parametrize(
+        "code, before, bad, detail, after",
+        REFUSALS,
+        ids=[f"{code}-{i}" for i, (code, *_) in enumerate(REFUSALS)],
+    )
+    def test_each_refusal_on_the_wire(self, code, before, bad, detail, after):
+        channel = LineRecorder([line + "\n" for line in [*before, bad, after]])
+        assert bridge._serve(channel) == 0
+        assert len(channel.sent) == len(before) + 2
+        *_, error, reply = channel.sent
+        assert error == (
+            f'{{"type": "error", "v": 1, "code": "{code}", "detail": {json.dumps(detail)}}}'
+        )
+        assert json.loads(reply)["type"] == json.loads(after)["type"] + "_ack"
+
+    def test_readme_and_docstring_name_every_code(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Driving a real trainer")[1].split("\n## ")[0]
+        for code, *_ in REFUSALS:
+            assert f"`{code}`" in section
+            assert f"``{code}``" in bridge.__doc__
 
     @pytest.mark.parametrize(
         "fields",

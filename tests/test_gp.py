@@ -503,6 +503,14 @@ class TestLatticeGram:
             with pytest.raises(InvalidArgumentError, match="do not fit"):
                 post.sample_joint(space.array, np.random.default_rng(0), distances)
 
+    def test_index_past_the_table_rejected(self):
+        # the gather clips its indices, so a table cut short must be caught first
+        space = environments.make_grid([dict(lower=0.0, upper=0.4, step=0.1)] * 2)
+        table, index = space.distances
+        post = gp.PosteriorGp(make_hp(ls=(0.3, 0.3)), gp.RegressionData.empty(2))
+        with pytest.raises(InvalidArgumentError, match="do not fit"):
+            post.predict(space.array, (table[:, :5], index))
+
 
 def parent_sample_joint(mean, cov, rng):
     # the sampling ladder as it was written before it shared one helper
