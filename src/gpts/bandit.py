@@ -127,7 +127,7 @@ class PolicySpec:
 def ts_select_arm(space: ArmSpace, post: gp.PosteriorGp, rng: np.random.Generator) -> int:
     """Draw one joint posterior sample over all arms; return the index of
     its argmax, ties breaking toward the lowest index."""
-    return int(np.argmax(post.sample_joint(space.array, rng, distances=space.distances)))
+    return int(np.argmax(post.sample_joint(space, rng)))
 
 
 def run_policy(space: ArmSpace, policy: PolicySpec, env, T: int, u: int, *, seed: int = 0,

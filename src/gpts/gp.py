@@ -23,12 +23,12 @@ fit and the posterior; and a fit objective that is exactly the negative
 log marginal likelihood, so fitted points need no re-scoring.
 
 On a grid the prior Gram matrix of the queries comes from a table.
-``predict`` and ``sample_joint`` take the queries' ``distances``, which
-``environments.ArmSpace.distances`` builds once per grid: a table of the
-c distinct combinations of per-dimension distances |x_j - x'_j| (9261 on
-a 9 x 9 x 9 grid, against its 531 441 pairs) and an m x m index of the
-combination of each pair. The kernel runs on the c combinations and the
-m x m matrix is gathered from them. Its bits are ``kernel_matrix``'s:
+``predict`` and ``sample_joint`` take an ``environments.ArmSpace`` as
+their queries, and read its ``distances``, built once per grid: a table
+of the c distinct combinations of per-dimension distances |x_j - x'_j|
+(9261 on a 9 x 9 x 9 grid, against its 531 441 pairs) and an m x m index
+of the combination of each pair. The kernel runs on the c combinations
+and the m x m matrix is gathered from them. Its bits are ``kernel_matrix``'s:
 the squared scaled term of -d equals that of d, ``_sqdist`` sums the
 dimensions in the same order, and the kernel chain is elementwise.
 ``kernel_matrix`` serves the cross matrices and arbitrary points.
@@ -69,6 +69,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
+from .environments import ArmSpace
 from .errors import InvalidArgumentError, NumericalError, is_finite, is_integer
 
 __all__ = [
@@ -209,7 +210,8 @@ class FitBudget:
     """Budget for the multi-start Type-II MLE search.
 
     ``restarts`` includes the warm start at the initial hyperparameters;
-    additional starts perturb the initial point in log space.
+    additional starts perturb the initial point in log space. Each start
+    runs at most ``max_evals`` evaluations; both must be at least 1.
     """
 
     restarts: int = 2
@@ -218,11 +220,10 @@ class FitBudget:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not is_integer(value):
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-        # numpy seeds its generators from non-negative integers only
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
+            # numpy seeds its generators from non-negative integers only
+            least = 0 if name == "seed" else 1
+            if not (is_integer(value) and value >= least):
+                raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +307,14 @@ def kernel_matrix(hp: GpHyperparams, X, X2=None) -> np.ndarray:
     return out
 
 
-def _gathered_gram(hp: GpHyperparams, table: np.ndarray, index: np.ndarray, m: int) -> np.ndarray:
-    """The m x m Gram matrix ``K[a, b] = k(table[:, index[a, b]])`` of
-    per-dimension distances: the kernel runs once on the table's c
-    columns and is gathered a block of rows at a time, so no m x m
-    ``intp`` array exists. The index is bounds-checked once, so the
-    gather need not check (nor buffer) each block."""
-    if (index.shape != (m, m) or table.shape[0] != hp.dim
-            or index.max(initial=0) >= table.shape[1]):
-        raise InvalidArgumentError(
-            f"distance table {table.shape} and index {index.shape} do not fit {m} queries "
-            f"in {hp.dim} dimensions"
-        )
+def _gathered_gram(hp: GpHyperparams, space: ArmSpace) -> np.ndarray:
+    """The m x m Gram matrix ``K[a, b] = k(table[:, index[a, b]])`` of the
+    space's ``distances``: the kernel runs once on the table's c columns
+    and is gathered a block of rows at a time, so no m x m ``intp`` array
+    exists. The space built the index into its own table, so the gather
+    need not check (nor buffer) each block."""
+    table, index = space.distances
+    m = len(index)
     values = _kernel_from_sqdist(hp.kernel, hp.output_scale, _sqdist(table, hp.lengthscales))
     out = np.empty((m, m))
     rows = max(1, _BLOCK_ELEMENTS // m)
@@ -480,9 +477,9 @@ def _heuristic_start(data: RegressionData, template: GpHyperparams) -> GpHyperpa
     """Moment-matched starting point: mean and output scale from the
     targets, lengthscales from the per-dimension input spread."""
     y = data.targets
-    # finite targets can overflow the variance; the record takes finite values
+    # finite targets and inputs can overflow their moments; the record takes finite values
     var = min(max(float(np.var(y)), 1e-4), sys.float_info.max)
-    spread = np.std(data.inputs, axis=0)
+    spread = np.minimum(np.std(data.inputs, axis=0), sys.float_info.max)
     lengthscales = tuple(
         float(s) if s > 1e-6 else float(f) for s, f in zip(spread, template.lengthscales)
     )
@@ -605,7 +602,7 @@ def fit_type2_mle(
     x_init = _pack(init)
     x_heur = _pack(_heuristic_start(data, init))
     rng = np.random.default_rng(budget.seed)
-    starts = [x_init, x_heur][: max(budget.restarts, 1)]
+    starts = [x_init, x_heur][: budget.restarts]
     starts += [
         x_heur + rng.normal(0.0, 1.0, size=x_heur.shape)
         for _ in range(budget.restarts - len(starts))
@@ -657,13 +654,11 @@ class PosteriorGp:
             self.chol_factor = L
             self.alpha = alpha
 
-    def predict(self, queries, distances=None) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean vector and covariance matrix at the query points.
-
-        ``distances``, when given, is the queries' ``(table, index)`` as
-        ``ArmSpace.distances`` gives it for ``queries`` = the space's
-        ``array``: the prior Gram matrix is then gathered from the kernel
-        on the table, with the same bits as ``kernel_matrix(hp, queries)``.
+    def predict(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean vector and covariance matrix at the queries: an
+        (m, d) array of points, or an ``environments.ArmSpace``, whose
+        arms are the points and whose prior Gram matrix is gathered from
+        its ``distances``, with the same bits as ``kernel_matrix``.
 
         The covariance is exactly symmetric without symmetrizing: the prior
         Gram matrix is, and numpy computes ``V.T @ V`` with BLAS ``syrk``,
@@ -671,14 +666,16 @@ class PosteriorGp:
         zero.
         """
         hp = self.hyperparams
-        Q = _as_matrix(queries, hp.dim)
-        if Q.shape[0] == 0:
-            raise InvalidArgumentError("predict needs at least one query point")
-        prior_mean = np.full(Q.shape[0], hp.mean_constant)
-        if distances is None:
-            Kqq = kernel_matrix(hp, Q)
+        if isinstance(queries, ArmSpace):
+            # checked first: _sqdist would drop a missing dimension silently
+            Q = _as_matrix(queries.array, hp.dim)
+            Kqq = _gathered_gram(hp, queries)
         else:
-            Kqq = _gathered_gram(hp, *distances, Q.shape[0])
+            Q = _as_matrix(queries, hp.dim)
+            if Q.shape[0] == 0:
+                raise InvalidArgumentError("predict needs at least one query point")
+            Kqq = kernel_matrix(hp, Q)
+        prior_mean = np.full(Q.shape[0], hp.mean_constant)
         if self.chol_factor is None:
             return prior_mean, Kqq
         Ks = kernel_matrix(hp, self.inputs, Q)
@@ -689,14 +686,12 @@ class PosteriorGp:
         np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
         return mean, cov
 
-    def sample_joint(self, queries, rng: np.random.Generator, distances=None) -> np.ndarray:
-        """One draw from the joint posterior at the query points, with the
-        queries' ``distances`` as ``predict`` takes them.
-
-        Deterministic given the generator state. A numerically zero
-        covariance degenerates to the predictive mean.
-        """
-        mean, cov = self.predict(queries, distances)
+    def sample_joint(self, queries, rng: np.random.Generator) -> np.ndarray:
+        """One draw from the joint posterior at the queries, points or an
+        arm space as ``predict`` takes them; deterministic given the
+        generator state. A numerically zero covariance degenerates to the
+        predictive mean."""
+        mean, cov = self.predict(queries)
         scale = float(np.max(np.diag(cov)))
         if scale < 1e-14:
             return mean.copy()

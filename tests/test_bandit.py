@@ -163,7 +163,7 @@ class TestTsSelectArm:
         space = grid_1d()
 
         class FlatPosterior:
-            def sample_joint(self, queries, rng, distances=None):
+            def sample_joint(self, queries, rng):
                 return np.zeros(len(queries))
 
         idx = bandit.ts_select_arm(space, FlatPosterior(), np.random.default_rng(0))

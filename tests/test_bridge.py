@@ -205,6 +205,19 @@ class TestMockTrainerRejects:
         assert replies == [("init_ack", None), *[("error", "malformed")] * 7, ("step_ack", None)]
 
 
+    def test_arm_far_from_the_optimum_is_served(self):
+        # its efficiency is 0 where the float square overflows
+        ref = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=3)
+        ref.init()
+        loss = ref.step((1e300,), 100)
+        far = GOLDEN_STEP.replace('"rho": 0.2', '"rho": 1e300')
+        channel = LineRecorder([GOLDEN_INIT + "\n", far + "\n"])
+        assert bridge._serve(channel) == 0
+        assert channel.sent[1] == (
+            f'{{"type": "step_ack", "v": 1, "interaction": 1, "val_loss": {loss!r}}}'
+        )
+
+
 class TestClientProtocol:
     def test_init_echoes_initial_loss(self):
         t = ScriptedTransport([json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0})])

@@ -37,10 +37,12 @@ class TestSyntheticPretrain:
         assert prev == pytest.approx(1.5, abs=1e-3)
 
     def test_zero_efficiency_leaves_loss_unchanged(self):
-        env = envs.SyntheticPretrainEnv(noiseless_spec(), seed=0)
-        y0 = env.init()
-        loss = env.step((1e6,), 100)
-        assert loss == pytest.approx(y0, abs=1e-9)
+        # ((1e300 - 0.3) / 0.08) ** 2 overflows a float; exp(-inf) is 0
+        for far in (1e6, 1e300):
+            env = envs.SyntheticPretrainEnv(noiseless_spec(), seed=0)
+            y0 = env.init()
+            loss = env.step((far,), 100)
+            assert loss == pytest.approx(y0, abs=1e-9)
 
     def test_noiseless_monotone(self):
         env = envs.SyntheticPretrainEnv(noiseless_spec(), seed=0)
@@ -86,6 +88,11 @@ class TestNoisyTestFunction:
         vals = [h(x) for x in xs]
         assert min(vals) >= envs.TEST_FUNCTION_MINIMUM - 1e-9
         assert h(envs.TEST_FUNCTION_MINIMIZER) == envs.TEST_FUNCTION_MINIMUM
+
+    def test_point_whose_square_overflows_is_at_the_baseline(self):
+        # each well is 0 there, as exp(-inf) is
+        assert envs.test_function(1e300) == envs.TEST_FUNCTION_BASELINE
+        assert envs.test_function(-2e200) == envs.TEST_FUNCTION_BASELINE
 
     def test_noiseless_env_returns_h(self):
         env = envs.NoisyTestFunctionEnv(noise_sd=0.0, seed=0)

@@ -1,7 +1,9 @@
-"""Every name a gpts module lists in ``__all__`` resolves."""
+"""The public surface: every name a gpts module lists in ``__all__``
+resolves, and README's library example runs."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,10 @@ def test_every_name_in_all_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(getattr(importlib.import_module(module), "__all__", ())) <= namespace.keys()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
+    exec(example, {})
+    assert len(capsys.readouterr().out.splitlines()) == 2

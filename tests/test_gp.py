@@ -440,10 +440,10 @@ class TestSampleJoint:
         dim = environments.GridDim(0.0, 1.0, 0.1)
         space = environments.ArmSpace((dim,) * 3, (tuple(np.linspace(0.1, 0.9, 9).tolist()),) * 3)
         assert np.array_equal(space.array, grid)
-        for distances in (None, space.distances):
+        for queries in (grid, space):
             tracemalloc.start()
             try:
-                post.sample_joint(grid, np.random.default_rng(0), distances)
+                post.sample_joint(queries, np.random.default_rng(0))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -485,31 +485,19 @@ class TestLatticeGram:
                          family=family, mean_const=float(rng.normal()))
             X = A[rng.integers(0, len(A), k)]
             post = gp.PosteriorGp(hp, gp.RegressionData(X, rng.normal(size=k)))
-            for got, want in zip(post.predict(A, space.distances), post.predict(A)):
+            for got, want in zip(post.predict(space), post.predict(A)):
                 assert np.array_equal(got, want)
-            got = post.sample_joint(A, np.random.default_rng(k), space.distances)
+            got = post.sample_joint(space, np.random.default_rng(k))
             assert np.array_equal(got, post.sample_joint(A, np.random.default_rng(k)))
 
-    def test_mismatched_distances_rejected(self):
-        space = environments.make_grid(LATTICES["2d"])
+    def test_space_of_another_dimension_rejected(self):
         post = gp.PosteriorGp(make_hp(ls=(0.3, 0.3)), gp.RegressionData.empty(2))
-        # a 2-D table with an index for 81 arms, and a 1-D one for as many arms
-        square = environments.make_grid([dict(lower=0.0, upper=1.0, step=0.1)] * 2)
-        line = environments.make_grid([dict(lower=0.0, upper=len(space) + 1.0, step=1.0)])
-        assert len(line) == len(space)
-        for distances in (square.distances, line.distances):
-            with pytest.raises(InvalidArgumentError, match="do not fit"):
-                post.predict(space.array, distances)
-            with pytest.raises(InvalidArgumentError, match="do not fit"):
-                post.sample_joint(space.array, np.random.default_rng(0), distances)
-
-    def test_index_past_the_table_rejected(self):
-        # the gather clips its indices, so a table cut short must be caught first
-        space = environments.make_grid([dict(lower=0.0, upper=0.4, step=0.1)] * 2)
-        table, index = space.distances
-        post = gp.PosteriorGp(make_hp(ls=(0.3, 0.3)), gp.RegressionData.empty(2))
-        with pytest.raises(InvalidArgumentError, match="do not fit"):
-            post.predict(space.array, (table[:, :5], index))
+        for shape in ("1d", "3d"):
+            space = environments.make_grid(LATTICES[shape])
+            with pytest.raises(InvalidArgumentError, match="kernel expects 2"):
+                post.predict(space)
+            with pytest.raises(InvalidArgumentError, match="kernel expects 2"):
+                post.sample_joint(space, np.random.default_rng(0))
 
 
 def parent_sample_joint(mean, cov, rng):
@@ -550,7 +538,7 @@ class TestSamplingJitterLadder:
                 first_rung = 1e-12 * max(float(np.max(np.diag(cov))), 1.0)
                 _, info = dpotrf((cov + first_rung * np.eye(m)).T, lower=0)
                 assert info > 0
-            monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q, distances=None: (mean, cov))
+            monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q: (mean, cov))
             expected, jitter = parent_sample_joint(mean, cov, np.random.default_rng(m))
             got = post.sample_joint(np.zeros((m, 1)), np.random.default_rng(m))
             assert np.array_equal(got, expected)
@@ -559,7 +547,7 @@ class TestSamplingJitterLadder:
 
     def test_exhausted_ladder_raises(self, monkeypatch):
         cov = indefinite_cov(np.random.default_rng(9), 6, -0.5)
-        monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q, distances=None: (np.zeros(6), cov))
+        monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q: (np.zeros(6), cov))
         post = gp.PosteriorGp(make_hp(), gp.RegressionData.empty(1))
         with pytest.raises(NumericalError, match="could not be factorized for sampling"):
             post.sample_joint(np.zeros((6, 1)), np.random.default_rng(0))
@@ -639,6 +627,12 @@ class TestFit:
     def test_targets_whose_variance_overflows(self):
         # the heuristic start's output scale must stay a finite record value
         data = gp.RegressionData([[0.1], [0.2], [0.3], [0.1]], [1e200, -1e200, 3e199, 5e199])
+        assert isinstance(gp.fit_type2_mle(data, make_hp()), gp.GpHyperparams)
+
+    def test_inputs_whose_spread_overflows(self):
+        # the squared deviations from the mean overflow: the heuristic
+        # start's lengthscale must stay a finite record value
+        data = gp.RegressionData([[2e200], [-2e200], [2e200]], [0.1, -0.2, 0.3])
         assert isinstance(gp.fit_type2_mle(data, make_hp()), gp.GpHyperparams)
 
     def test_deterministic(self):

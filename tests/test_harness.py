@@ -341,11 +341,11 @@ class TestRunExperiment:
             current.update(seed=env_seed - harness.DEFAULT_ENV_SEED_OFFSET, samples=0)
             return make(env_cfg, space, env_seed)
 
-        def sample_joint(post, queries, rng, distances=None):
+        def sample_joint(post, queries, rng):
             current["samples"] += 1
             if current["seed"] == 0 and current["samples"] == 3:
                 raise NumericalError("posterior covariance could not be factorized for sampling")
-            return sample(post, queries, rng, distances)
+            return sample(post, queries, rng)
 
         monkeypatch.setattr(harness, "_make_environment", make_env)
         monkeypatch.setattr(gp.PosteriorGp, "sample_joint", sample_joint)
@@ -629,6 +629,21 @@ class TestCli:
         # the run finished before the summary keeps its CSV
         assert (blocker.parent / "run_uniform_random_seed0.csv").is_file()
 
+    @pytest.mark.parametrize("kind", ["synthetic", "test_function"])
+    def test_arm_far_from_the_optimum_runs(self, tmp_path, kind):
+        # ((2e200 - 0.3) / 0.08) ** 2 overflows a float: the arm's
+        # efficiency, or the test function's wells, are 0 there
+        path, raw = small_config(
+            tmp_path, seeds=[0], environment={"kind": kind},
+            arm_space=[{"name": "rho", "lower": 1.0e200, "upper": 3.0e200, "step": 1.0e200}],
+            policies=[{"kind": "gp_ts"}, {"kind": "fixed_arm", "arm_index": 0}],
+        )
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        rows = list(csv.DictReader((Path(raw["output_dir"]) / "run_gp_ts_seed0.csv").open()))
+        assert {row["arm_rho"] for row in rows[1:]} == {"2e+200"}
+        assert len(rows) == 1 + raw["T"]
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -645,6 +660,10 @@ class TestCli:
             {"policies": [{"kind": "uniform_random", "arm_index": "all"}]},
             {"policies": [{"kind": "fixed_arm", "arm_index": "ALL"}]},
             {"policies": [{"kind": "fixed_arm", "arm_index": 2.0}]},
+            # a budget that cannot search
+            {"fit": {"restarts": 0}},
+            {"fit": {"max_evals": 0}},
+            {"fit": {"restarts": -3, "max_evals": -5}},
         ],
     )
     def test_out_of_range_or_truncated_value_exits_2(self, tmp_path, overrides):
