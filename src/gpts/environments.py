@@ -418,16 +418,19 @@ def load_replay_csv(path) -> ReplaySpec:
     initial_loss: float | None = None
     try:
         with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != REPLAY_CSV_HEADER:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != REPLAY_CSV_HEADER:
                 raise DataError(
-                    f"{path}: expected header {','.join(REPLAY_CSV_HEADER)}, "
-                    f"got {reader.fieldnames}"
+                    f"{path}: expected header {','.join(REPLAY_CSV_HEADER)}, got {header}"
                 )
-            for row in reader:
-                arm_index = int(row["arm_index"])
-                t = int(row["interaction"])
-                loss = float(row["val_loss"])
+            for row in filter(None, reader):  # blank lines hold no row
+                if len(row) != len(REPLAY_CSV_HEADER):
+                    raise DataError(
+                        f"{path}: line {reader.line_num}: expected {len(REPLAY_CSV_HEADER)}"
+                        f" fields, got {len(row)}"
+                    )
+                arm_index, t, loss = int(row[0]), int(row[1]), float(row[2])
                 if arm_index == REPLAY_INITIAL_ARM_INDEX and t == 0:
                     if initial_loss is not None:
                         raise DataError(f"{path}: line {reader.line_num}: second initial-loss row")

@@ -46,18 +46,12 @@ and posterior factor, where the jitter is extra noise variance (so the
 result is the exact one at noise variance plus jitter), and from 1e-12
 times the largest variance for a joint sample.
 
-Triangular solves call LAPACK ``trtrs`` directly, as scipy's
-``solve_triangular`` does inside its argument checking, so they give the
-same bits at a fraction of the overhead for these small factors. The two
-Cholesky factorizations use different routines. The k x k factor behind
-the likelihood, the fit and the posterior is numpy's: scipy's ``potrf``
-links a different BLAS build whose factors differ in the last bits, and
-on an ill-posed fit (a lengthscale far below the grid step leaves the
-likelihood flat) such bits move the fitted point and the arms it
-chooses. The m x m factor of a joint sample calls scipy's LAPACK
-``potrf`` in place: at 729 arms that takes about 9 ms against about 18 ms
-through ``np.linalg.cholesky`` (one BLAS thread), and a last-bit change
-there only perturbs one random draw.
+One LAPACK ``potrf``/``trtrs`` pair, called through scipy, factors and
+solves every matrix: the k x k factor behind the likelihood, the fit and
+the posterior, and the m x m factor of a joint sample. They are called
+directly, as scipy's ``cholesky`` and ``solve_triangular`` call them
+inside their argument checking, so they give the same bits at a fraction
+of the overhead for these small factors.
 """
 
 from __future__ import annotations
@@ -100,6 +94,8 @@ _FAILED_FIT_VALUE = 1e25
 # each coordinate and within _NM_FATOL of its value.
 _NM_XATOL = 1e-3
 _NM_FATOL = 1e-7
+# exp(-sqrt(5 * _MATERN_SQDIST_MAX)) is exactly 0
+_MATERN_SQDIST_MAX = 1e6
 # kernel_matrix fills its output this many entries at a time (a block of
 # whole rows), so each block's elementwise chain runs in cache.
 _BLOCK_ELEMENTS = 1 << 15
@@ -265,13 +261,16 @@ def _kernel_from_sqdist(family: str, output_scale: float, d2: np.ndarray) -> np.
     their order (``output_scale * exp(-0.5 d2)``, and ``output_scale *
     (1 + s5r + 5/3 d2) * exp(-s5r)`` with s5r = sqrt(5 d2) taken as
     sqrt(5) * sqrt(d2)), so the bits are theirs; Matern-5/2 needs two
-    buffers besides ``d2``.
+    buffers besides ``d2``. Matern-5/2 first clamps ``d2`` at
+    ``_MATERN_SQDIST_MAX``, where the kernel is already exactly 0, so an
+    overflowing distance gives 0, not (1 + inf) * 0.
     """
     if family == SQUARED_EXPONENTIAL:
         d2 *= -0.5
         np.exp(d2, out=d2)
         d2 *= output_scale
         return d2
+    np.minimum(d2, _MATERN_SQDIST_MAX, out=d2)
     s5r = np.sqrt(d2)
     s5r *= math.sqrt(5.0)
     decay = np.negative(s5r)
@@ -339,50 +338,38 @@ def _factor(family: str, lengthscales, output_scale: float, noise: float, data: 
     K = _kernel_from_sqdist(family, output_scale, _sqdist(data.diffs, lengthscales))
     n = K.shape[0]
     K.flat[:: n + 1] += noise / data.counts
-    try:
-        return np.linalg.cholesky(K), noise
-    except np.linalg.LinAlgError:
-        pass
     message = f"Cholesky failed for {n}x{n} matrix even with jitter up to {_JITTER_MAX:g}"
-    L, jitter = _jittered_cholesky(K, _JITTER_START, data.counts, message, np.linalg.cholesky)
+    L, jitter = _jittered_cholesky(K, 0.0, data.counts, message)
     return L, noise + jitter
 
 
-def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str, cholesky):
+def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str):
     """Lower Cholesky factor of A + diag(jitter / divisor) and the jitter
-    it took: the jitter grows tenfold after each failed factorization, and
-    past _JITTER_MAX ``NumericalError(message)`` is raised. ``cholesky``
-    factors a fresh copy, which it may overwrite, and raises
-    ``LinAlgError`` on failure; A is not changed."""
-    while jitter <= _JITTER_MAX:
-        B = A.copy()
-        B.flat[:: A.shape[0] + 1] += jitter / divisor
-        try:
-            return cholesky(B), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise NumericalError(message)
-
-
-def _lapack_cholesky(B: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a C-contiguous symmetric B, in place.
+    it took: the jitter grows tenfold after each failed factorization (a
+    zero jitter first tries A itself, then goes on from _JITTER_START), and
+    past _JITTER_MAX ``NumericalError(message)`` is raised. A is not
+    changed: each attempt factors a fresh copy B in place.
 
     LAPACK takes Fortran order, in which B's memory is B^T = B. ``potrf``
     factors that as U^T U, and U in Fortran order is L = U^T in C order,
     so B becomes L with no copy; ``clean`` zeroes the other triangle.
     """
-    _, info = dpotrf(B.T, lower=0, clean=1, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Cholesky failed (LAPACK potrf info {info})")
-    return B
+    while jitter <= _JITTER_MAX:
+        B = A.copy()
+        B.flat[:: A.shape[0] + 1] += jitter / divisor
+        _, info = dpotrf(B.T, lower=0, clean=1, overwrite_a=1)
+        if info == 0:
+            return B, jitter
+        jitter = 10.0 * jitter or _JITTER_START
+    raise NumericalError(message)
 
 
 def _solve_chol(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
     """Solve L x = b, or L^T x = b, for a lower-triangular L.
 
-    LAPACK takes Fortran order. For a C-contiguous L, as numpy's Cholesky
-    returns, L^T is an upper factor in Fortran order that it takes
-    without a copy, and ``solve_triangular`` passes it the same way.
+    LAPACK takes Fortran order. For a C-contiguous L, as ``potrf`` leaves
+    it, L^T is an upper factor in Fortran order that it takes without a
+    copy, and ``solve_triangular`` passes it the same way.
     """
     x, info = dtrtrs(L.T, b, lower=0, trans=0 if transposed else 1)
     if info != 0:
@@ -696,5 +683,5 @@ class PosteriorGp:
         if scale < 1e-14:
             return mean.copy()
         message = "posterior covariance could not be factorized for sampling"
-        L, _ = _jittered_cholesky(cov, 1e-12 * max(scale, 1.0), 1.0, message, _lapack_cholesky)
+        L, _ = _jittered_cholesky(cov, 1e-12 * max(scale, 1.0), 1.0, message)
         return mean + L @ rng.standard_normal(mean.shape[0])

@@ -304,6 +304,26 @@ class TestRunPolicy:
         assert bandit.history_from_losses(h.losses(), h.arms) == dataclasses.replace(h, gp_trace=[])
         assert len(h) == 12
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gp_ts_factors_through_lapack_alone(self, d, monkeypatch):
+        # every factor, the fit's, the posterior's and a joint sample's,
+        # goes through LAPACK potrf: numpy's Cholesky is never needed
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        if d == 1:
+            space, spec = grid_1d(), SyntheticPretrainSpec()
+        else:
+            space = bandit.make_grid(
+                [dict(lower=0.0, upper=0.4, step=0.1, name=n) for n in ("rho", "gamma", "lambda")]
+            )
+            spec = SyntheticPretrainSpec(optimum=(0.3, 0.2, 0.1), width=(0.2, 0.2, 0.2))
+        assert len(space) == {1: 9, 3: 27}[d]
+        env = SyntheticPretrainEnv(spec, seed=5)
+        h = bandit.run_policy(space, bandit.PolicySpec(bandit.GP_TS), env, T=12, u=50, seed=2)
+        assert h.error is None and len(h) == 12
+
     def test_environment_failure_returns_partial_history(self):
         space = grid_1d()
         cfg = bandit.PolicySpec(bandit.FIXED_ARM, 0)

@@ -63,6 +63,15 @@ def factor(hp, data):
     return gp._factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, data)
 
 
+def potrf_factor(A):
+    # the lower factor as the program takes it from LAPACK potrf: the upper
+    # factor of the Fortran view, which is L in C order
+    U, info = dpotrf(A.T, lower=0, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potrf info {info}")
+    return U.T
+
+
 def replicated_data(rng, d, k, T):
     # T observations at k distinct inputs, each input seen at least once
     U = rng.uniform(0, 1, (k, d))
@@ -303,7 +312,7 @@ class TestLogMarginalLikelihood:
             K[np.diag_indices_from(K)] += hp.noise_variance / data.counts
             L, noise = factor(hp, data)
             assert noise == hp.noise_variance
-            assert np.array_equal(L, np.linalg.cholesky(K))
+            assert np.array_equal(L, potrf_factor(K))
 
 
 class TestPosterior:
@@ -564,11 +573,11 @@ class TestSamplingJitterLadder:
             K = gp.kernel_matrix(hp, data.distinct_inputs)
             K[np.diag_indices_from(K)] += hp.noise_variance / data.counts
             with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(K)
+                potrf_factor(K)
             jitter = 1e-8
             while True:
                 try:
-                    L = np.linalg.cholesky(K + np.diag(jitter / data.counts))
+                    L = potrf_factor(K + np.diag(jitter / data.counts))
                     break
                 except np.linalg.LinAlgError:
                     jitter *= 10.0
@@ -672,10 +681,10 @@ class TestFitObjectiveIsLml:
 
     @pytest.mark.parametrize("family", [gp.SQUARED_EXPONENTIAL, gp.MATERN52])
     def test_objective_is_exact_negative_lml_past_first_rung(self, family):
-        # twelve inputs 1e-13 apart with 1e5 observations each: at the
+        # twelve inputs 1e-7 apart with 1e5 observations each: at the
         # largest output scale and the smallest noise the clamp allows,
         # noise/n is below the rounding in K_UU, so the first factor fails
-        X = np.repeat(0.3 + 1e-13 * np.arange(12)[:, None], 100_000, axis=0)
+        X = np.repeat(0.3 + 1e-7 * np.arange(12)[:, None], 100_000, axis=0)
         data = gp.RegressionData(X, np.random.default_rng(5).normal(size=len(X)))
         hp = make_hp(ls=(1.0,), family=family)
         vec = np.array([0.0, gp._LOG_PARAM_BOUND, -gp._LOG_PARAM_BOUND, 0.2])
@@ -683,7 +692,7 @@ class TestFitObjectiveIsLml:
         K = gp.kernel_matrix(unpacked, data.distinct_inputs)
         K[np.diag_indices_from(K)] += unpacked.noise_variance / data.counts
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(K)
+            potrf_factor(K)
         assert factor(unpacked, data)[1] > unpacked.noise_variance
         value = gp._fit_objective(data, hp)(vec)
         assert value < 1e25

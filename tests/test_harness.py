@@ -644,6 +644,19 @@ class TestCli:
         assert {row["arm_rho"] for row in rows[1:]} == {"2e+200"}
         assert len(rows) == 1 + raw["T"]
 
+    def test_gp_ts_on_arms_whose_distance_overflows_runs(self, tmp_path):
+        # the arms are so far apart in lengthscale units that the squared
+        # scaled distance overflows to inf: the Matern-5/2 covariance is 0
+        path, raw = small_config(
+            tmp_path, seeds=[0], T=10, environment={"kind": "test_function"},
+            arm_space=[{"name": "rho", "lower": 0.0, "upper": 3.0e200, "step": 1.0e200}],
+            policies=[{"kind": "gp_ts"}],
+        )
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        rows = list(csv.DictReader((Path(raw["output_dir"]) / "run_gp_ts_seed0.csv").open()))
+        assert len(rows) == 1 + 10
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -855,6 +868,20 @@ class TestCli:
         )
         res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("row,fields", [("0,1", 2), ("0,1,5.0,7", 4)], ids=["short", "long"])
+    def test_replay_row_with_wrong_field_count_exits_3(self, tmp_path, row, fields):
+        log = tmp_path / "log.csv"
+        log.write_text(f"arm_index,interaction,val_loss\n-1,0,10.0\n{row}\n")
+        path, _ = small_config(
+            tmp_path,
+            policies=[{"kind": "fixed_arm", "arm_index": 0}],
+            seeds=[0],
+            environment={"kind": "replay", "replay": {"path": str(log)}},
+        )
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 3, res.output
+        assert f"{log}: line 3: expected 3 fields, got {fields}" in res.output
 
     def test_diverged_initial_loss_exits_3(self, tmp_path, monkeypatch):
         class NanInit:
