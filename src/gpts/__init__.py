@@ -5,18 +5,9 @@ harness, and the run-CSV report.
 
 Submodules load when they are imported (``from gpts import bandit``), not
 with the package, so a trainer process that imports only ``bridge`` and
-``environments`` stays free of scipy and the GP stack.
+``environments`` stays free of scipy and the GP stack. The exceptions
+are imported from ``gpts.errors``.
 """
-
-from .errors import (
-    BridgeError,
-    ConfigError,
-    DataError,
-    EnvironmentFailure,
-    InvalidArgumentError,
-    NumericalError,
-    ProtocolError,
-)
 
 __all__ = [
     "bandit",
@@ -25,13 +16,6 @@ __all__ = [
     "gp",
     "harness",
     "report",
-    "BridgeError",
-    "ConfigError",
-    "DataError",
-    "EnvironmentFailure",
-    "InvalidArgumentError",
-    "NumericalError",
-    "ProtocolError",
 ]
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ The policy models the per-interaction reward (the decrease in validation
 loss between consecutive interactions) with a GP, draws one joint sample
 of the posterior over all arms, and plays the argmax. Fixed-arm and
 uniform-random baselines share the same run loop, which alone numbers
-the interactions. The arm-space types are defined in ``environments``
-and re-exported here.
+the interactions. The arm-space types are defined in ``environments``;
+``ArmSpace`` and ``make_grid`` are re-exported here only because
+perfbench reads them from this module.
 """
 
 from __future__ import annotations
@@ -17,26 +18,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp
-from .environments import Arm, ArmSpace, GridDim, make_grid
+from .environments import Arm, ArmSpace, make_grid
 from .errors import (RUN_FAILURES, EnvironmentFailure, InvalidArgumentError, NumericalError,
                      is_integer)
 
 __all__ = [
-    "Arm",
-    "GridDim",
-    "ArmSpace",
     "History",
     "PolicySpec",
     "GP_TS",
     "FIXED_ARM",
     "UNIFORM_RANDOM",
     "POLICY_KINDS",
-    "make_grid",
     "cumulative_reward",
-    "history_from_losses",
     "default_gp_hyperparams",
     "ts_select_arm",
     "run_policy",
+    # environments' own, re-exported because perfbench reads them from here
+    "ArmSpace",
+    "make_grid",
 ]
 
 GP_TS = "gp_ts"
@@ -84,15 +83,6 @@ def cumulative_reward(h: History) -> float:
     """Sum of rewards in interaction order; telescopes to initial loss
     minus final loss."""
     return float(sum(h.rewards()))
-
-
-def history_from_losses(losses, arms) -> History:
-    """Build a History from a loss trajectory (initial loss first)."""
-    losses = list(losses)
-    arms = [tuple(arm) for arm in arms]
-    if len(losses) != len(arms) + 1:
-        raise InvalidArgumentError("need exactly one more loss than arms")
-    return History(initial_loss=losses[0], arms=arms, losses_after=losses[1:])
 
 
 def default_gp_hyperparams(ndim: int) -> gp.GpHyperparams:

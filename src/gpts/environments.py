@@ -13,7 +13,8 @@ Each environment maps (arm, update budget) to a validation loss:
 after one more interaction; the run loop numbers the interactions. The
 arm-space types (``Arm``, ``GridDim``, ``ArmSpace``, ``make_grid``)
 live here, so a trainer process never imports the GP stack; ``bandit``
-re-exports them.
+re-exports ``ArmSpace`` and ``make_grid`` only because perfbench reads
+them from there.
 
 Environments own their random stream (seeded at construction), keeping
 environment randomness independent of policy randomness. Each instance
@@ -46,7 +47,6 @@ __all__ = [
     "NoisyTestFunctionEnv",
     "ReplaySpec",
     "ReplayEnv",
-    "PartialArmEnv",
     "efficiency",
     "test_function",
     "TEST_FUNCTION_MINIMIZER",
@@ -85,7 +85,8 @@ class ArmSpace:
 
     The dimension names, which label the CSV columns and the trainer's
     arm coordinates, must be distinct strings; an unnamed i-th dimension
-    is named ``psi<i>``."""
+    is named ``psi<i>``. A space of more than ``MAX_ARMS`` arms is
+    rejected without building its arms."""
 
     dims: tuple[GridDim, ...]
     values: tuple[tuple[float, ...], ...]
@@ -102,6 +103,9 @@ class ArmSpace:
             if not (v and all(a < b for a, b in itertools.pairwise((d.lower, *v, d.upper)))):
                 raise InvalidArgumentError(f"dimension {d.name!r}: its values (n={len(v)}) must be "
                                            f"distinct and strictly inside ({d.lower}, {d.upper})")
+        n_arms = math.prod(map(len, self.values))
+        if n_arms > MAX_ARMS:
+            raise InvalidArgumentError(f"the arm space has {n_arms} arms, more than {MAX_ARMS}")
 
     @property
     def ndim(self) -> int:
@@ -488,29 +492,3 @@ class ReplayEnv:
                 f"replay table has no entry for arm {arm_index} at interaction {self._t}"
             )
         return self.spec.table[key]
-
-
-class PartialArmEnv:
-    """Adapter exposing a lower-dimensional arm space over a wider environment.
-
-    ``template`` has one entry per inner dimension; ``None`` marks free
-    coordinates filled from the (lower-dimensional) arm in order, other
-    entries are held fixed.
-    """
-
-    def __init__(self, inner, template):
-        self.inner = inner
-        self.template = tuple(template)
-        self._free = sum(1 for v in self.template if v is None)
-
-    def init(self) -> float:
-        return self.inner.init()
-
-    def step(self, arm: Arm, u: int) -> float:
-        if len(arm) != self._free:
-            raise InvalidArgumentError(
-                f"arm has dimension {len(arm)}, template has {self._free} free slots"
-            )
-        it = iter(arm)
-        full = tuple(next(it) if v is None else v for v in self.template)
-        return self.inner.step(full, u)

@@ -41,10 +41,11 @@ runs the GP stack about 0.3 s and 20 MB, and its wrapper about 16 us
 per simplex step; of scipy, the GP stack needs only ``scipy.linalg``.
 
 Every Cholesky factorization recovers from a near-singular matrix on one
-jitter ladder, in tenfold steps up to 1e-2: from 1e-8 for the likelihood
+jitter ladder, in tenfold steps: from 1e-8 up to 1e-2 for the likelihood
 and posterior factor, where the jitter is extra noise variance (so the
-result is the exact one at noise variance plus jitter), and from 1e-12
-times the largest variance for a joint sample.
+result is the exact one at noise variance plus jitter), and for a joint
+sample from 1e-12 up to 1e-2 times the largest variance (or times 1, if
+that is smaller), so that a large posterior has a ladder too.
 
 One LAPACK ``potrf``/``trtrs`` pair, called through scipy, factors and
 solves every matrix: the k x k factor behind the likelihood, the fit and
@@ -96,6 +97,14 @@ _NM_XATOL = 1e-3
 _NM_FATOL = 1e-7
 # exp(-sqrt(5 * _MATERN_SQDIST_MAX)) is exactly 0
 _MATERN_SQDIST_MAX = 1e6
+# The largest output scale whose Matern-5/2 product output_scale * (1 +
+# sqrt(5 d2) + 5/3 d2) stays finite at the clamp; the quotient itself
+# rounds to a scale whose product overflows, hence the next float down.
+_OUTPUT_SCALE_MAX = math.nextafter(
+    sys.float_info.max
+    / (1.0 + math.sqrt(5.0 * _MATERN_SQDIST_MAX) + 5.0 / 3.0 * _MATERN_SQDIST_MAX),
+    0.0,
+)
 # kernel_matrix fills its output this many entries at a time (a block of
 # whole rows), so each block's elementwise chain runs in cache.
 _BLOCK_ELEMENTS = 1 << 15
@@ -107,7 +116,9 @@ class GpHyperparams:
     or MATERN52) with one (ARD) lengthscale per input dimension and an
     output scale, the observation noise variance and the constant prior
     mean. The fields are the keys of the ``gp`` config section; every
-    number must be finite, and all but the mean positive.
+    number must be finite, and all but the mean positive. The output
+    scale is at most about 1.077e302 (``_OUTPUT_SCALE_MAX``), so that no
+    kernel value overflows.
     """
 
     lengthscales: tuple[float, ...]
@@ -133,6 +144,10 @@ class GpHyperparams:
                 raise InvalidArgumentError(
                     f"{name} must be a finite positive number, got {value!r}"
                 )
+        if self.output_scale > _OUTPUT_SCALE_MAX:
+            raise InvalidArgumentError(
+                f"output_scale must be at most {_OUTPUT_SCALE_MAX!r}, got {self.output_scale!r}"
+            )
         if not is_finite(self.mean_constant):
             raise InvalidArgumentError(
                 f"mean_constant must be a finite number, got {self.mean_constant!r}"
@@ -343,18 +358,19 @@ def _factor(family: str, lengthscales, output_scale: float, noise: float, data: 
     return L, noise + jitter
 
 
-def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str):
+def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str,
+                       jitter_max: float = _JITTER_MAX):
     """Lower Cholesky factor of A + diag(jitter / divisor) and the jitter
     it took: the jitter grows tenfold after each failed factorization (a
     zero jitter first tries A itself, then goes on from _JITTER_START), and
-    past _JITTER_MAX ``NumericalError(message)`` is raised. A is not
+    past ``jitter_max`` ``NumericalError(message)`` is raised. A is not
     changed: each attempt factors a fresh copy B in place.
 
     LAPACK takes Fortran order, in which B's memory is B^T = B. ``potrf``
     factors that as U^T U, and U in Fortran order is L = U^T in C order,
     so B becomes L with no copy; ``clean`` zeroes the other triangle.
     """
-    while jitter <= _JITTER_MAX:
+    while jitter <= jitter_max:
         B = A.copy()
         B.flat[:: A.shape[0] + 1] += jitter / divisor
         _, info = dpotrf(B.T, lower=0, clean=1, overwrite_a=1)
@@ -464,8 +480,8 @@ def _heuristic_start(data: RegressionData, template: GpHyperparams) -> GpHyperpa
     """Moment-matched starting point: mean and output scale from the
     targets, lengthscales from the per-dimension input spread."""
     y = data.targets
-    # finite targets and inputs can overflow their moments; the record takes finite values
-    var = min(max(float(np.var(y)), 1e-4), sys.float_info.max)
+    # finite targets and inputs can overflow their moments; the record takes bounded values
+    var = min(max(float(np.var(y)), 1e-4), _OUTPUT_SCALE_MAX)
     spread = np.minimum(np.std(data.inputs, axis=0), sys.float_info.max)
     lengthscales = tuple(
         float(s) if s > 1e-6 else float(f) for s, f in zip(spread, template.lengthscales)
@@ -683,5 +699,8 @@ class PosteriorGp:
         if scale < 1e-14:
             return mean.copy()
         message = "posterior covariance could not be factorized for sampling"
-        L, _ = _jittered_cholesky(cov, 1e-12 * max(scale, 1.0), 1.0, message)
+        scale = max(scale, 1.0)
+        # ten tenfold steps from 1e-12 * scale can round to just above
+        # 1e-2 * scale (at 1e200, for one); the margin keeps that top rung
+        L, _ = _jittered_cholesky(cov, 1e-12 * scale, 1.0, message, 1.000001e-2 * scale)
         return mean + L @ rng.standard_normal(mean.shape[0])

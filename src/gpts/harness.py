@@ -36,7 +36,7 @@ DEFAULT_ENV_SEED_OFFSET = 10_000
 
 @dataclass
 class ExperimentConfig:
-    space: bandit.ArmSpace
+    space: environments.ArmSpace
     policies: list[bandit.PolicySpec]  # a fixed_arm "all" is one spec per arm
     environment: dict
     T: int
@@ -70,8 +70,9 @@ class ExperimentConfig:
                 f" + {min(self.seeds)}"
             )
 
+    # only perfbench reads this
     @property
-    def arm_dims(self) -> list[bandit.GridDim]:
+    def arm_dims(self) -> list[environments.GridDim]:
         return list(self.space.dims)
 
 
@@ -112,7 +113,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     and checks, so an unknown key is an error too."""
     raw = dict(raw)
     try:
-        space = bandit.make_grid(raw.pop("arm_space"))
+        space = environments.make_grid(raw.pop("arm_space"))
         cfg = ExperimentConfig(
             space=space,
             policies=[spec for p in raw.pop("policies") for spec in _policy_specs(p, len(space))],
@@ -173,20 +174,20 @@ def _gp_init_from_config(gp_cfg: dict, ndim: int) -> gp.GpHyperparams:
     return gp.GpHyperparams(lengthscales=lengthscales, **gp_cfg)
 
 
-def _synthetic_env(space: bandit.ArmSpace, env_seed: int, **settings):
+def _synthetic_env(space: environments.ArmSpace, env_seed: int, **settings):
     spec = environments.SyntheticPretrainSpec(**settings)
     if len(spec.optimum) != space.ndim:
         raise ConfigError(f"optimum has {len(spec.optimum)} dimensions, the arm grid {space.ndim}")
     return environments.SyntheticPretrainEnv(spec, seed=env_seed)
 
 
-def _test_function_env(space: bandit.ArmSpace, env_seed: int, **settings):
+def _test_function_env(space: environments.ArmSpace, env_seed: int, **settings):
     if space.ndim != 1:
         raise ConfigError(f"the test function is 1-D, the arm grid {space.ndim}-D")
     return environments.NoisyTestFunctionEnv(**settings, seed=env_seed)
 
 
-def _bridge_env(space: bandit.ArmSpace, env_seed: int, *, transport=None, command=None,
+def _bridge_env(space: environments.ArmSpace, env_seed: int, *, transport=None, command=None,
                 config=None, **connect):
     if transport is not None and command is not None:
         raise ConfigError("bridge takes one of transport and command, not both")
@@ -211,7 +212,7 @@ _ENVIRONMENTS = {
 }
 
 
-def _make_environment(env_cfg: dict, space: bandit.ArmSpace, env_seed: int):
+def _make_environment(env_cfg: dict, space: environments.ArmSpace, env_seed: int):
     """Build the environment for one run; bad settings raise ``ConfigError``."""
     kind = env_cfg["kind"]
     try:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 from click.testing import CliRunner
+from helpers import PartialArmEnv
 
 from gpts import bandit, bridge, cli, environments as envs, gp, harness
 
@@ -47,7 +48,8 @@ def test_criterion_1_telescoping_identity():
         losses = rng.uniform(0.0, 20.0, 1001)
         total = losses[0] - losses[-1]
         cum = bandit.cumulative_reward(
-            bandit.history_from_losses(losses, [(0.1,)] * 1000)
+            bandit.History(initial_loss=losses[0], arms=[(0.1,)] * 1000,
+                           losses_after=list(losses[1:]))
         )
         worst = max(worst, abs(cum - total) / max(abs(total), 1.0))
     elapsed = time.monotonic() - start
@@ -140,7 +142,7 @@ def test_criterion_3_fit_contract_and_lengthscale_recovery():
 
 def test_criterion_4_prior_thompson_uniformity():
     start = time.monotonic()
-    space = bandit.make_grid(GRID_1D)
+    space = envs.make_grid(GRID_1D)
     hp = gp.GpHyperparams((0.01,), gp.MATERN52, 1.0, noise_variance=1e-4)
     post = gp.PosteriorGp(hp, gp.RegressionData.empty(1))
     counts = np.zeros(9, int)
@@ -175,7 +177,7 @@ def mean_final(space, kind, env_factory, T=100, u=100, arm_index=None):
 
 def test_criterion_5_gp_ts_beats_baselines_on_benchmark():
     start = time.monotonic()
-    space = bandit.make_grid(GRID_1D)
+    space = envs.make_grid(GRID_1D)
 
     def env(seed):
         return envs.SyntheticPretrainEnv(BENCH_SPEC, seed=seed)
@@ -199,17 +201,17 @@ def test_criterion_6_three_dim_search_beats_restricted_one_dim():
     spec = envs.SyntheticPretrainSpec(
         optimum=(0.15, 0.2, 0.05), width=(0.08, 0.08, 0.08), rate=0.15
     )
-    space3 = bandit.make_grid(GRID_3D)
+    space3 = envs.make_grid(GRID_3D)
     mean3 = mean_final(
         space3, bandit.GP_TS, lambda s: envs.SyntheticPretrainEnv(spec, seed=s)
     )
     # 1-D search over rho only, with gamma and lambda pinned to defaults
     # that miss the optimum
-    space1 = bandit.make_grid(GRID_1D)
+    space1 = envs.make_grid(GRID_1D)
     mean1 = mean_final(
         space1,
         bandit.GP_TS,
-        lambda s: envs.PartialArmEnv(
+        lambda s: PartialArmEnv(
             envs.SyntheticPretrainEnv(spec, seed=s), (None, 0.1, 0.1)
         ),
     )
@@ -223,7 +225,7 @@ def test_criterion_6_three_dim_search_beats_restricted_one_dim():
 
 def test_criterion_7_stationary_regret_halves_uniform():
     start = time.monotonic()
-    space = bandit.make_grid(GRID_1D)
+    space = envs.make_grid(GRID_1D)
     h_vals = {arm: envs.test_function(arm[0]) for arm in space.arms}
     best = min(h_vals.values())
 
@@ -265,7 +267,7 @@ def test_criterion_7_stationary_regret_halves_uniform():
 
 def test_criterion_8_bridge_runs_match_in_process_bit_exactly():
     start = time.monotonic()
-    space = bandit.make_grid(GRID_1D)
+    space = envs.make_grid(GRID_1D)
     spec = BENCH_SPEC
     env_seed, policy_seed, T = ENV_OFFSET, 0, 20
 

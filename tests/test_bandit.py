@@ -14,7 +14,7 @@ from gpts.errors import RUN_FAILURES, EnvironmentFailure, InvalidArgumentError
 
 
 def grid_1d():
-    return bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+    return environments.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
 
 
 class TestMakeGrid:
@@ -27,7 +27,7 @@ class TestMakeGrid:
 
     def test_three_dim_hypercube(self):
         dims = [dict(lower=0.0, upper=0.25, step=0.05, name=n) for n in ("rho", "gamma", "lambda")]
-        space = bandit.make_grid(dims)
+        space = environments.make_grid(dims)
         assert len(space) == 64
         assert space.names == ("rho", "gamma", "lambda")
         # open interval: endpoints excluded
@@ -36,22 +36,22 @@ class TestMakeGrid:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            bandit.make_grid([dict(lower=0.0, upper=0.1, step=0.2, name="x")])
+            environments.make_grid([dict(lower=0.0, upper=0.1, step=0.2, name="x")])
 
     def test_deterministic_lexicographic_order(self):
         dims = [dict(lower=0.0, upper=0.3, step=0.1, name=n) for n in ("a", "b")]
-        space = bandit.make_grid(dims)
+        space = environments.make_grid(dims)
         assert space.arms == ((0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.2, 0.2))
 
     def test_unnamed_dimensions_are_numbered(self):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.3, step=0.1)] * 2)
+        space = environments.make_grid([dict(lower=0.0, upper=0.3, step=0.1)] * 2)
         assert space.names == ("psi0", "psi1")
 
     def test_error_names_an_unnamed_dimension_by_position(self):
         dims = [dict(lower=0.0, upper=0.3, step=0.1, name="rho"),
                 dict(lower=0.0, upper=0.3, step=-0.1)]
         with pytest.raises(InvalidArgumentError, match="dimension 1: step must be positive"):
-            bandit.make_grid(dims)
+            environments.make_grid(dims)
 
     @pytest.mark.parametrize(
         "names", [("rho", "rho"), ("psi1", None), ("rho", 3)], ids=["twice", "default", "number"]
@@ -60,15 +60,15 @@ class TestMakeGrid:
         # names label the CSV columns and the trainer's arm coordinates
         dims = [dict(lower=0.0, upper=0.3, step=0.1, name=n) for n in names]
         with pytest.raises(InvalidArgumentError, match="distinct strings"):
-            bandit.make_grid(dims)
+            environments.make_grid(dims)
 
     def test_arm_count_is_capped(self):
         # 100 values per dimension make 10 000 arms; one value more is too many
         dims = [dict(lower=0.0, upper=1.01, step=0.01, name=n) for n in ("a", "b")]
-        assert len(bandit.make_grid(dims)) == environments.MAX_ARMS == 10_000
+        assert len(environments.make_grid(dims)) == environments.MAX_ARMS == 10_000
         dims[1]["upper"] = 1.02
         with pytest.raises(InvalidArgumentError, match="more than 10000 arms"):
-            bandit.make_grid(dims)
+            environments.make_grid(dims)
 
     def test_arms_unique(self):
         space = grid_1d()
@@ -76,7 +76,7 @@ class TestMakeGrid:
 
 
 class TestArmSpace:
-    DIM = bandit.GridDim(0.0, 1.0, 0.25, "x")
+    DIM = environments.GridDim(0.0, 1.0, 0.25, "x")
 
     @pytest.mark.parametrize(
         "values",
@@ -85,21 +85,30 @@ class TestArmSpace:
     )
     def test_values_must_increase_inside_the_interval(self, values):
         with pytest.raises(InvalidArgumentError, match="dimension 'x'"):
-            bandit.ArmSpace((self.DIM,), (values,))
+            environments.ArmSpace((self.DIM,), (values,))
 
     def test_names_must_be_distinct_strings(self):
         # two arm_x CSV columns, and an arm sent to the trainer as one coordinate
         with pytest.raises(InvalidArgumentError, match="distinct strings"):
-            bandit.ArmSpace((self.DIM,) * 2, ((0.25, 0.5), (0.75,)))
+            environments.ArmSpace((self.DIM,) * 2, ((0.25, 0.5), (0.75,)))
 
     def test_unnamed_dimensions_are_numbered(self):
-        unnamed = bandit.GridDim(0.0, 1.0, 0.25)
-        space = bandit.ArmSpace((unnamed, self.DIM, unnamed), ((0.5,),) * 3)
+        unnamed = environments.GridDim(0.0, 1.0, 0.25)
+        space = environments.ArmSpace((unnamed, self.DIM, unnamed), ((0.5,),) * 3)
         assert space.names == ("psi0", "x", "psi2")
+
+    def test_arm_count_is_capped(self):
+        # make_grid is not the only way in: 9^5 = 59 049 arms would make
+        # GP-TS allocate a 59 049^2 covariance
+        values = tuple(round(0.1 * k, 1) for k in range(1, 10))
+        dim = environments.GridDim(0.0, 1.0, 0.1)
+        assert len(environments.ArmSpace((dim,) * 4, (values,) * 4)) == 9**4
+        with pytest.raises(InvalidArgumentError, match="59049 arms, more than 10000"):
+            environments.ArmSpace((dim,) * 5, (values,) * 5)
 
     def test_index_of_round_trips_every_arm(self):
         dims = [dict(lower=0.0, upper=n + 1.0, step=1.0, name=f"d{n}") for n in (3, 4, 5)]
-        space = bandit.make_grid(dims)
+        space = environments.make_grid(dims)
         assert len(space) == 60
         assert [space.index_of(arm) for arm in space.arms] == list(range(60))
         assert np.array_equal(space.array, np.array(space.arms))
@@ -108,29 +117,29 @@ class TestArmSpace:
         "arm", [(0.1, 0.1, 1.5), (0.1, 0.1), (0.1, 0.1, 0.1, 0.1)], ids=["off_grid", "short", "long"]
     )
     def test_index_of_rejects_arms_not_in_the_space(self, arm):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.3, step=0.1)] * 3)
+        space = environments.make_grid([dict(lower=0.0, upper=0.3, step=0.1)] * 3)
         with pytest.raises(InvalidArgumentError, match="not in the arm space"):
             space.index_of(arm)
 
 
 class TestRewards:
     def test_loss_drop_is_positive_reward(self):
-        h = bandit.history_from_losses([10.0, 8.0], [(0.1,)])
+        h = bandit.History(initial_loss=10.0, arms=[(0.1,)], losses_after=[8.0])
         assert h.rewards() == [2.0]
         assert h.losses() == [10.0, 8.0]
 
     def test_no_change_zero_reward(self):
-        h = bandit.history_from_losses([3.5, 3.5], [(0.1,)])
+        h = bandit.History(initial_loss=3.5, arms=[(0.1,)], losses_after=[3.5])
         assert h.rewards() == [0.0]
 
     def test_loss_regression_negative_reward(self):
-        h = bandit.history_from_losses([2.0, 2.4], [(0.1,)])
+        h = bandit.History(initial_loss=2.0, arms=[(0.1,)], losses_after=[2.4])
         assert h.rewards() == [pytest.approx(-0.4)]
 
 
 class TestCumulativeReward:
     def test_telescopes(self):
-        h = bandit.history_from_losses([10, 8, 9, 5], [(0.1,)] * 3)
+        h = bandit.History(initial_loss=10, arms=[(0.1,)] * 3, losses_after=[8, 9, 5])
         assert bandit.cumulative_reward(h) == 5.0
 
     def test_empty_history(self):
@@ -141,7 +150,8 @@ class TestCumulativeReward:
     def test_random_sequences_telescope(self, seed):
         rng = np.random.default_rng(seed)
         losses = rng.uniform(0, 20, 1001)
-        h = bandit.history_from_losses(losses, [(0.1,)] * 1000)
+        h = bandit.History(initial_loss=losses[0], arms=[(0.1,)] * 1000,
+                           losses_after=list(losses[1:]))
         total = bandit.cumulative_reward(h)
         expected = losses[0] - losses[-1]
         assert abs(total - expected) <= 1e-9 * max(abs(expected), 1.0)
@@ -301,7 +311,10 @@ class TestRunPolicy:
         env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=4)
         cfg = bandit.PolicySpec(bandit.GP_TS)
         h = bandit.run_policy(space, cfg, env, T=12, u=50, seed=3)
-        assert bandit.history_from_losses(h.losses(), h.arms) == dataclasses.replace(h, gp_trace=[])
+        initial_loss, *losses_after = h.losses()
+        rebuilt = bandit.History(initial_loss=initial_loss, arms=list(h.arms),
+                                 losses_after=losses_after)
+        assert rebuilt == dataclasses.replace(h, gp_trace=[])
         assert len(h) == 12
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -315,7 +328,7 @@ class TestRunPolicy:
         if d == 1:
             space, spec = grid_1d(), SyntheticPretrainSpec()
         else:
-            space = bandit.make_grid(
+            space = environments.make_grid(
                 [dict(lower=0.0, upper=0.4, step=0.1, name=n) for n in ("rho", "gamma", "lambda")]
             )
             spec = SyntheticPretrainSpec(optimum=(0.3, 0.2, 0.1), width=(0.2, 0.2, 0.2))
@@ -344,8 +357,8 @@ class TestRunPolicy:
 
     def test_reward_vs_loss_ordering(self):
         # equal initial losses: larger cumulative reward means smaller final loss
-        h1 = bandit.history_from_losses([10, 8, 6], [(0.1,)] * 2)
-        h2 = bandit.history_from_losses([10, 9, 7], [(0.1,)] * 2)
+        h1 = bandit.History(initial_loss=10, arms=[(0.1,)] * 2, losses_after=[8, 6])
+        h2 = bandit.History(initial_loss=10, arms=[(0.1,)] * 2, losses_after=[9, 7])
         assert bandit.cumulative_reward(h1) > bandit.cumulative_reward(h2)
         assert h1.final_loss < h2.final_loss
 

@@ -309,7 +309,7 @@ class TestAckLoss:
 
     @NOT_A_NUMBER_CASES
     def test_step_ack_without_number_gives_partial_history(self, value):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
         t = ScriptedTransport(
             [
                 json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0}),
@@ -332,7 +332,7 @@ class TestAckLoss:
         "loss,shown", [(float("nan"), "nan"), (-(10**400), "-inf")], ids=["nan", "huge_int"]
     )
     def test_non_finite_loss_is_diverged_run(self, loss, shown):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
         t = ScriptedTransport(
             [
                 json.dumps({"type": "init_ack", "v": 1, "initial_val_loss": 10.0}),
@@ -430,7 +430,7 @@ class TestSpawnedTrainerReplies:
             env.close()
 
     def test_non_utf8_reply_gives_partial_history(self):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
         argv = fake_trainer(f"recv(); send({INIT_ACK!r}); recv(); send({NOT_UTF8!r}); recv()")
         env = bridge.bridge_connect(argv, space.names, timeout_s=5.0)
         cfg = bandit.PolicySpec(bandit.FIXED_ARM, 0)
@@ -605,7 +605,7 @@ class TestEquivalence:
         return bandit.run_policy(space, cfg, env, T=T, u=100, seed=policy_seed)
 
     def test_stdio_matches_in_process(self):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
         spec = envs.SyntheticPretrainSpec(rate=0.15)
         ref = self.run_in_process(space, spec, policy_seed=1, env_seed=77, T=10)
 
@@ -617,7 +617,7 @@ class TestEquivalence:
         assert hist.initial_loss == ref.initial_loss
 
     def test_tcp_matches_in_process(self):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
         spec = envs.SyntheticPretrainSpec(rate=0.15)
         ref = self.run_in_process(space, spec, policy_seed=2, env_seed=78, T=10)
 
@@ -639,7 +639,7 @@ class TestEquivalence:
         assert hist == ref
 
     def test_trainer_crash_surfaces_as_partial_history(self):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
 
         class DyingTransport(ScriptedTransport):
             def recv_line(self, timeout_s):

@@ -39,8 +39,8 @@ def test_trainer_side_imports_no_gp_stack():
         "import gpts.cli, gpts.bridge, gpts.environments\n"
         "print(json.dumps(sorted(sys.modules)))\n"
         "from gpts import bandit, bridge, environments, gp, harness\n"
-        "for name in ('Arm', 'GridDim', 'ArmSpace', 'make_grid'):\n"
-        "    # one definition, re-exported by bandit\n"
+        "for name in ('ArmSpace', 'make_grid'):\n"
+        "    # one definition, re-exported by bandit for perfbench\n"
         "    assert getattr(bandit, name) is getattr(environments, name), name\n"
         "    assert name in bandit.__all__ and name in environments.__all__, name\n",
     )

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import PartialArmEnv
 
 from gpts import bandit, bridge, environments as envs, report
 from gpts.errors import DataError, InvalidArgumentError
@@ -122,7 +123,7 @@ class TestNoisyTestFunction:
 
 class TestReplay:
     def space(self):
-        return bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        return envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
 
     def test_lookup_verbatim(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -175,7 +176,7 @@ class TestReplay:
 
     def test_round_trip_reproduces_history_on_3d_grid(self, tmp_path):
         # every arm index a uniform policy plays goes through the CSV
-        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.1)] * 3)
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.1)] * 3)
         spec = envs.SyntheticPretrainSpec(optimum=(0.3,) * 3, width=(0.2,) * 3)
         self.check_round_trip(tmp_path, space, spec, bandit.PolicySpec(bandit.UNIFORM_RANDOM))
 
@@ -261,25 +262,6 @@ class TestArmSpaceDistances:
         assert space.distances is space.distances
 
 
-class TestPartialArmEnv:
-    def test_pads_fixed_coordinates(self):
-        spec = envs.SyntheticPretrainSpec(optimum=(0.2, 0.1, 0.1), width=(0.05,) * 3)
-        inner = envs.SyntheticPretrainEnv(spec, seed=0)
-        env = envs.PartialArmEnv(inner, (None, 0.1, 0.1))
-        env.init()
-        loss = env.step((0.2,), 100)  # equals the optimum after padding
-        ref = envs.SyntheticPretrainEnv(spec, seed=0)
-        ref.init()
-        assert loss == ref.step((0.2, 0.1, 0.1), 100)
-
-    def test_wrong_free_dimension_rejected(self):
-        inner = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=0)
-        env = envs.PartialArmEnv(inner, (None,))
-        env.init()
-        with pytest.raises(InvalidArgumentError):
-            env.step((0.1, 0.2), 1)
-
-
 class Recorder:
     """Passes calls through to an environment and keeps what it returned."""
 
@@ -307,7 +289,7 @@ def contract_env(kind, space, T):
     if kind == "bridge":
         return bridge.bridge_connect(MOCK_CMD, space.names, config={"seed": 3}, timeout_s=60.0)
     spec = envs.SyntheticPretrainSpec(optimum=(0.2, 0.1, 0.1), width=(0.05,) * 3)
-    return envs.PartialArmEnv(envs.SyntheticPretrainEnv(spec, seed=3), (None, 0.1, 0.1))
+    return PartialArmEnv(envs.SyntheticPretrainEnv(spec, seed=3), (None, 0.1, 0.1))
 
 
 @pytest.mark.parametrize("kind", ["synthetic", "test_function", "replay", "bridge", "partial_arm"])
@@ -316,7 +298,7 @@ def test_environment_contract(kind, tmp_path):
     # the interactions, so both CSVs of a run read 1..T and its replay
     # CSV plays the run back
     T = 4
-    space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+    space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
     cfg = bandit.PolicySpec(bandit.GP_TS)
     env = contract_env(kind, space, T)
     try:

@@ -1,8 +1,10 @@
 """The public surface: every name a gpts module lists in ``__all__``
-resolves, and README's library example runs."""
+resolves and is used outside the tests, and README's library example
+runs."""
 
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import gpts
 
 MODULES = ["gpts", *(f"gpts.{m.name}" for m in pkgutil.iter_modules(gpts.__path__))]
+ROOT = Path(__file__).parents[1]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -21,8 +24,25 @@ def test_every_name_in_all_resolves(module):
     assert set(getattr(importlib.import_module(module), "__all__", ())) <= namespace.keys()
 
 
+def test_every_exported_name_is_used_outside_the_tests():
+    # a name that only the tests use belongs in the tests; its own
+    # __all__ entry and its definition do not count as uses
+    modules = {m: importlib.import_module(m) for m in MODULES[1:]}
+    sources = {m: Path(module.__file__).read_text() for m, module in modules.items()}
+    readers = [p.read_text() for p in [*(ROOT / "perfbench").glob("*.py"), ROOT / "README.md"]]
+    unused = []
+    for m, module in modules.items():
+        own = re.sub(r"^__all__ = \[.*?^\]", "", sources[m], flags=re.M | re.S)
+        others = [text for other, text in sources.items() if other != m] + readers
+        for name in getattr(module, "__all__", ()):
+            uses = re.sub(rf"^(?:def |class )?{name}\b.*", "", own, count=1, flags=re.M)
+            if not any(re.search(rf"\b{name}\b", text) for text in [uses, *others]):
+                unused.append(f"{m}.{name}")
+    assert unused == []
+
+
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     example = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
     exec(example, {})
     assert len(capsys.readouterr().out.splitlines()) == 2

@@ -176,6 +176,16 @@ class TestKernels:
         with pytest.raises(InvalidArgumentError, match=field):
             replace(make_hp(), **{field: value})
 
+    def test_output_scale_bound_keeps_the_matern_kernel_finite(self):
+        # at the distance clamp the Matern-5/2 factor is largest: at the
+        # bound the kernel there is exactly 0, one float above it would
+        # be inf * 0
+        hp = make_hp(out=gp._OUTPUT_SCALE_MAX)
+        K = gp.kernel_matrix(hp, [[0.0], [1e200]])
+        assert np.array_equal(K, np.diag([hp.output_scale] * 2))
+        with pytest.raises(InvalidArgumentError, match="output_scale"):
+            make_hp(out=math.nextafter(gp._OUTPUT_SCALE_MAX, math.inf))
+
 
 def ref_grouping(X, y):
     # the np.unique grouping that RegressionData's one pass replaced:
@@ -553,6 +563,28 @@ class TestSamplingJitterLadder:
             assert np.array_equal(got, expected)
             rungs.add(jitter)
         assert len(rungs) == 5  # each case stops at a different rung
+
+    def test_large_prior_sample_climbs_a_relative_ladder(self):
+        # at output scale 1e11 the first rung, 1e-12 of the largest
+        # variance, is above 1e-2: the ladder's top must scale with it
+        space = environments.make_grid([dict(lower=0.0, upper=0.5, step=0.05)])
+        post = gp.PosteriorGp(make_hp(ls=(0.1,), out=1e11), gp.RegressionData.empty(1))
+        mean, cov = post.predict(space)
+        first_rung = 1e-12 * float(np.max(np.diag(cov)))
+        assert first_rung > 1e-2
+        L = potrf_factor(cov + first_rung * np.eye(len(space)))
+        expected = mean + L @ np.random.default_rng(3).standard_normal(len(space))
+        assert np.array_equal(post.sample_joint(space, np.random.default_rng(3)), expected)
+
+    def test_sample_reaches_the_top_rung_at_any_scale(self, monkeypatch):
+        # at scale 1e200 the tenth tenfold step from 1e-12 * 1e200 lands
+        # on 1.0000000000000002e198, a rounding above 1e-2 * 1e200, and
+        # only that rung factors this covariance
+        cov = np.diag([1e200, -5e197])
+        monkeypatch.setattr(gp.PosteriorGp, "predict", lambda self, q: (np.zeros(2), cov))
+        post = gp.PosteriorGp(make_hp(), gp.RegressionData.empty(1))
+        sample = post.sample_joint(np.zeros((2, 1)), np.random.default_rng(0))
+        assert np.all(np.isfinite(sample))
 
     def test_exhausted_ladder_raises(self, monkeypatch):
         cov = indefinite_cov(np.random.default_rng(9), 6, -0.5)

@@ -209,7 +209,7 @@ class TestRunExperiment:
         assert len(result["runs"]) == 9  # one per arm of the 9-arm grid
 
     def test_replay_environment_passthrough(self, tmp_path):
-        space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
         env = envs.SyntheticPretrainEnv(envs.SyntheticPretrainSpec(), seed=10_000)
         pc = bandit.PolicySpec(bandit.FIXED_ARM, 2)
         hist = bandit.run_policy(space, pc, env, T=5, u=20)
@@ -389,8 +389,8 @@ class TestCsvText:
     """The exact text of the run CSV and the replay CSV written from a
     hand-built History."""
 
-    SPACE = bandit.ArmSpace(
-        dims=(bandit.GridDim(0.0, 1.0, 0.25, "a"), bandit.GridDim(0.0, 1.0, 0.25, "b")),
+    SPACE = envs.ArmSpace(
+        dims=(envs.GridDim(0.0, 1.0, 0.25, "a"), envs.GridDim(0.0, 1.0, 0.25, "b")),
         values=((0.25, 0.75), (0.5,)),
     )
     HEADER = (
@@ -656,6 +656,35 @@ class TestCli:
         assert res.exit_code == 0, res.output
         rows = list(csv.DictReader((Path(raw["output_dir"]) / "run_gp_ts_seed0.csv").open()))
         assert len(rows) == 1 + 10
+
+    def test_gp_ts_at_a_large_output_scale_runs(self, tmp_path):
+        # the prior's first sampling rung, 1e-12 * 1e11, is above 1e-2
+        path, raw = small_config(
+            tmp_path, seeds=[0], environment={"kind": "test_function"},
+            policies=[{"kind": "gp_ts"}], gp={"output_scale": 1.0e11},
+        )
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        rows = list(csv.DictReader((Path(raw["output_dir"]) / "run_gp_ts_seed0.csv").open()))
+        assert len(rows) == 1 + raw["T"]
+
+    @pytest.mark.parametrize("output_scale,exit_code", [(1.0e300, 0), (1.0e302, 0), (1.0e303, 2)])
+    def test_output_scale_is_bounded_below_matern_overflow(self, tmp_path, output_scale,
+                                                             exit_code):
+        # arms far apart in lengthscale units meet the Matern-5/2 clamp,
+        # where the kernel's factor times 1e303 overflows to inf
+        path, raw = small_config(
+            tmp_path, seeds=[0], environment={"kind": "test_function"},
+            arm_space=[{"name": "rho", "lower": 0.0, "upper": 3.0e200, "step": 1.0e200}],
+            policies=[{"kind": "gp_ts"}], gp={"output_scale": output_scale},
+        )
+        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
+        assert res.exit_code == exit_code, res.output
+        run_csv = Path(raw["output_dir"]) / "run_gp_ts_seed0.csv"
+        if exit_code == 2:
+            assert "output_scale" in res.output and not run_csv.exists()
+        else:
+            assert len(list(csv.DictReader(run_csv.open()))) == 1 + raw["T"]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -999,7 +1028,7 @@ def test_bridge_init_line(tmp_path, config, sent):
         "config": config,
         "timeout_s": 30.0,
     }
-    space = bandit.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+    space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
     env = harness._make_environment({"kind": "bridge", "bridge": settings}, space, 7)
     try:
         assert env.init() == 10.0
