@@ -38,7 +38,7 @@ The fit's Nelder-Mead search is this module's own ``_nelder_mead``, a
 port of scipy's that reproduces its iterates bit for bit. It is kept
 here because importing ``scipy.optimize`` would cost every process that
 runs the GP stack about 0.3 s and 20 MB, and its wrapper about 16 us
-per simplex step; of scipy, the GP stack needs only ``scipy.linalg``.
+per simplex step; of scipy, the GP stack needs only two LAPACK routines.
 
 Every Cholesky factorization recovers from a near-singular matrix on one
 jitter ladder, in tenfold steps: from 1e-8 up to 1e-2 for the likelihood
@@ -47,22 +47,38 @@ result is the exact one at noise variance plus jitter), and for a joint
 sample from 1e-12 up to 1e-2 times the largest variance (or times 1, if
 that is smaller), so that a large posterior has a ladder too.
 
-One LAPACK ``potrf``/``trtrs`` pair, called through scipy, factors and
+One LAPACK ``potrf``/``trtrs`` pair, scipy's own wrappers, factors and
 solves every matrix: the k x k factor behind the likelihood, the fit and
 the posterior, and the m x m factor of a joint sample. They are called
 directly, as scipy's ``cholesky`` and ``solve_triangular`` call them
 inside their argument checking, so they give the same bits at a fraction
-of the overhead for these small factors.
+of the overhead for these small factors. ``_load_lapack`` loads the pair
+from scipy's ``linalg/_flapack`` extension file without importing
+``scipy.linalg``, whose import (scipy 1.17, numpy 2.4) would cost every
+process that runs the GP stack about 0.2 s and 25 MB, mostly in the
+numpy modules it loads (``numpy.f2py``, ``numpy.testing``). The
+functions are the very objects ``scipy.linalg.lapack`` exports. Where
+that file is not found, or does not load on its own (the layout is
+private to scipy), the pair comes from ``scipy.linalg.lapack`` itself.
+
+Inputs far apart in lengthscale units overflow some intermediate values
+to inf: a squared scaled distance, the spread of the heuristic start.
+The Matern clamp and the moment caps make those harmless, so
+``fit_type2_mle``, ``PosteriorGp`` and ``predict`` ignore floating-point
+overflow (not invalid values), each once per call rather than once per
+likelihood evaluation, since entering an ``np.errstate`` takes about 2 us.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .environments import ArmSpace
 from .errors import InvalidArgumentError, NumericalError, is_finite, is_integer
@@ -341,6 +357,40 @@ def _gathered_gram(hp: GpHyperparams, space: ArmSpace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # factorization
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_lapack():
+    """scipy's ``dpotrf`` and ``dtrtrs``, from its ``_flapack`` extension
+    loaded by file, without importing ``scipy`` or ``scipy.linalg``, or
+    from ``scipy.linalg.lapack`` if the file is not found or does not load
+    on its own (a platform whose extensions need the DLL directories
+    scipy's ``__init__`` adds). sys.modules is left as it was: CPython
+    files a single-phase extension there as it creates it, and a later
+    ``import scipy.linalg`` loads its own module, with the same functions.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    linalg = [os.path.join(path, "linalg")
+              for path in getattr(scipy_spec, "submodule_search_locations", None) or ()]
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, linalg)
+    if spec is not None:
+        filed = _FLAPACK in sys.modules
+        try:
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dpotrf, flapack.dtrtrs
+        except ImportError:
+            pass
+        finally:
+            if not filed:
+                sys.modules.pop(_FLAPACK, None)
+    from scipy.linalg import lapack
+
+    return lapack.dpotrf, lapack.dtrtrs
+
+
+dpotrf, dtrtrs = _load_lapack()
+
 
 def _factor(family: str, lengthscales, output_scale: float, noise: float, data: RegressionData):
     """The one factorization behind the likelihood, the fit and the
@@ -594,32 +644,33 @@ def fit_type2_mle(
     if len(data) < 2:
         return init
     budget = budget or FitBudget()
-    neg_lml = _fit_objective(data, init)
+    with np.errstate(over="ignore"):
+        neg_lml = _fit_objective(data, init)
 
-    try:
-        best_val = log_marginal_likelihood(init, data)
-    except NumericalError:
-        best_val = -math.inf
-    best_hp = init
+        try:
+            best_val = log_marginal_likelihood(init, data)
+        except NumericalError:
+            best_val = -math.inf
+        best_hp = init
 
-    x_init = _pack(init)
-    x_heur = _pack(_heuristic_start(data, init))
-    rng = np.random.default_rng(budget.seed)
-    starts = [x_init, x_heur][: budget.restarts]
-    starts += [
-        x_heur + rng.normal(0.0, 1.0, size=x_heur.shape)
-        for _ in range(budget.restarts - len(starts))
-    ]
-    for x0 in starts:
-        x, value = _nelder_mead(neg_lml, x0, budget.max_evals)
-        if value >= _FAILED_FIT_VALUE:
-            continue
-        # the objective is exactly -LML at the point it unpacks to
-        val = -value
-        if val > best_val:
-            best_val = val
-            best_hp = _unpack(x, init)
-    return best_hp
+        x_init = _pack(init)
+        x_heur = _pack(_heuristic_start(data, init))
+        rng = np.random.default_rng(budget.seed)
+        starts = [x_init, x_heur][: budget.restarts]
+        starts += [
+            x_heur + rng.normal(0.0, 1.0, size=x_heur.shape)
+            for _ in range(budget.restarts - len(starts))
+        ]
+        for x0 in starts:
+            x, value = _nelder_mead(neg_lml, x0, budget.max_evals)
+            if value >= _FAILED_FIT_VALUE:
+                continue
+            # the objective is exactly -LML at the point it unpacks to
+            val = -value
+            if val > best_val:
+                best_val = val
+                best_hp = _unpack(x, init)
+        return best_hp
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +699,9 @@ class PosteriorGp:
             self.alpha = None
         else:
             hp = hyperparams
-            L, _ = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, data)
+            with np.errstate(over="ignore"):
+                L, _ = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance,
+                               data)
             v = _solve_chol(L, data.means - hp.mean_constant)
             alpha = _solve_chol(L, v, transposed=True)
             L.setflags(write=False)
@@ -669,25 +722,26 @@ class PosteriorGp:
         zero.
         """
         hp = self.hyperparams
-        if isinstance(queries, ArmSpace):
-            # checked first: _sqdist would drop a missing dimension silently
-            Q = _as_matrix(queries.array, hp.dim)
-            Kqq = _gathered_gram(hp, queries)
-        else:
-            Q = _as_matrix(queries, hp.dim)
-            if Q.shape[0] == 0:
-                raise InvalidArgumentError("predict needs at least one query point")
-            Kqq = kernel_matrix(hp, Q)
-        prior_mean = np.full(Q.shape[0], hp.mean_constant)
-        if self.chol_factor is None:
-            return prior_mean, Kqq
-        Ks = kernel_matrix(hp, self.inputs, Q)
-        mean = prior_mean + Ks.T @ self.alpha
-        V = _solve_chol(self.chol_factor, Ks)
-        cov = Kqq
-        cov -= V.T @ V
-        np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
-        return mean, cov
+        with np.errstate(over="ignore"):
+            if isinstance(queries, ArmSpace):
+                # checked first: _sqdist would drop a missing dimension silently
+                Q = _as_matrix(queries.array, hp.dim)
+                Kqq = _gathered_gram(hp, queries)
+            else:
+                Q = _as_matrix(queries, hp.dim)
+                if Q.shape[0] == 0:
+                    raise InvalidArgumentError("predict needs at least one query point")
+                Kqq = kernel_matrix(hp, Q)
+            prior_mean = np.full(Q.shape[0], hp.mean_constant)
+            if self.chol_factor is None:
+                return prior_mean, Kqq
+            Ks = kernel_matrix(hp, self.inputs, Q)
+            mean = prior_mean + Ks.T @ self.alpha
+            V = _solve_chol(self.chol_factor, Ks)
+            cov = Kqq
+            cov -= V.T @ V
+            np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
+            return mean, cov
 
     def sample_joint(self, queries, rng: np.random.Generator) -> np.ndarray:
         """One draw from the joint posterior at the queries, points or an

@@ -255,6 +255,17 @@ class TestRunPolicy:
                           SyntheticPretrainEnv(SyntheticPretrainSpec()), T=1, u=10)
         assert "distances" in vars(space)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gp_ts_on_far_apart_arms_warns_of_no_overflow(self):
+        # the arms' squared scaled distance and the spread of the inputs
+        # overflow to inf, which the Matern clamp and the moment caps absorb
+        space = environments.make_grid([dict(lower=0.0, upper=3.0e200, step=1.0e200)])
+        theta = gp.GpHyperparams(lengthscales=(0.1,), output_scale=1.0e300)
+        env = environments.NoisyTestFunctionEnv(seed=0)
+        hist = bandit.run_policy(space, bandit.PolicySpec(bandit.GP_TS), env, T=5, u=20,
+                                 gp_init=theta)
+        assert hist.error is None and len(hist.arms) == 5
+
     def test_gp_ts_single_interaction(self):
         space = grid_1d()
         env = SyntheticPretrainEnv(SyntheticPretrainSpec(), seed=1)

@@ -99,7 +99,9 @@ def test_cli_commands_from_a_cold_start(tmp_path):
 
 
 def test_gpts_run_loads_no_scipy_optimize(tmp_path):
-    # the GP stack needs scipy.linalg only; its Nelder-Mead is its own
+    # the GP stack loads scipy's LAPACK extension from its file, not through
+    # scipy.linalg, whose import loads numpy.f2py and numpy.testing; its
+    # Nelder-Mead is its own
     raw = yaml.safe_load(python("-m", "gpts.cli", "print-default-config").stdout)
     raw.update(T=3, seeds=[0], output_dir=str(tmp_path / "runs"), policies=[{"kind": "gp_ts"}])
     config = tmp_path / "config.yaml"
@@ -107,5 +109,6 @@ def test_gpts_run_loads_no_scipy_optimize(tmp_path):
     ran = python("-c", CLI_REPORTING_MODULES, "run", "--config", str(config))
     assert ran.returncode == 0, ran.stderr
     modules = loaded_modules(ran)
-    assert "gpts.gp" in modules and "scipy.linalg" in modules
-    assert [m for m in modules if m.startswith("scipy.optimize")] == []
+    assert "gpts.gp" in modules
+    unwanted = ("scipy.linalg", "scipy.optimize", "numpy.f2py", "numpy.testing")
+    assert [m for m in modules for u in unwanted if m == u or m.startswith(u + ".")] == []

@@ -5,8 +5,10 @@ the tests (scalar kernel formulas, dense inverse-based posterior
 algebra, scipy's multivariate-normal density).
 """
 
+import importlib.machinery
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
@@ -790,6 +792,44 @@ def bit_identity_cases(family, n, seed):
         else:
             X, y = rng.uniform(0, 1, (k, d)), rng.normal(0, 1, k)
         yield gp.RegressionData(X, y), random_hp(rng, d, family)
+
+
+class TestLapackLoader:
+    def test_routines_are_scipys_own(self):
+        assert gp.dpotrf is lapack.dpotrf and gp.dtrtrs is lapack.dtrtrs
+        loaded = sys.modules[gp._FLAPACK]
+        dpotrf, dtrtrs = gp._load_lapack()
+        assert dpotrf is lapack.dpotrf and dtrtrs is lapack.dtrtrs
+        assert sys.modules[gp._FLAPACK] is loaded
+
+    def find_spec_returning(self, monkeypatch, spec):
+        find_spec = importlib.machinery.PathFinder.find_spec
+        monkeypatch.setattr(
+            importlib.machinery.PathFinder, "find_spec",
+            lambda name, path=None, target=None:
+                spec if name == gp._FLAPACK else find_spec(name, path, target),
+        )
+
+    def test_missing_extension_falls_back_to_scipy_linalg(self, monkeypatch):
+        self.find_spec_returning(monkeypatch, None)
+        assert gp._load_lapack() == (lapack.dpotrf, lapack.dtrtrs)
+        # the fallback's own objects, so not a load that merely matched them
+        monkeypatch.setattr(lapack, "dpotrf", "potrf")
+        monkeypatch.setattr(lapack, "dtrtrs", "trtrs")
+        assert gp._load_lapack() == ("potrf", "trtrs")
+
+    def test_extension_that_does_not_load_falls_back(self, monkeypatch):
+        class UnloadableLoader:
+            def create_module(self, spec):
+                raise ImportError("DLL load failed")
+
+        spec = importlib.machinery.ModuleSpec(gp._FLAPACK, UnloadableLoader())
+        self.find_spec_returning(monkeypatch, spec)
+        monkeypatch.setattr(lapack, "dpotrf", "potrf")
+        monkeypatch.setattr(lapack, "dtrtrs", "trtrs")
+        loaded = sys.modules[gp._FLAPACK]
+        assert gp._load_lapack() == ("potrf", "trtrs")
+        assert sys.modules[gp._FLAPACK] is loaded
 
 
 class TestLapackSolvesBitIdentical:
