@@ -190,7 +190,11 @@ def _distinct_distances(values) -> np.ndarray:
     distinct = np.zeros(0)
     for start in range(0, len(v), rows):
         # pairs (a, b) with b < start came as (b, a) in an earlier block
-        distinct = np.union1d(distinct, np.abs(v[start : start + rows, None] - v[start:]))
+        block = np.abs(v[start : start + rows, None] - v[start:])
+        # np.union1d's values, sorted and deduplicated here: its np.unique
+        # imports numpy.ma (numpy 2.4)
+        merged = np.sort(np.concatenate((distinct, block.ravel())))
+        distinct = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
     return distinct
 
 
@@ -206,10 +210,11 @@ def _distance_digits(values, distinct: np.ndarray, stride: int, dtype) -> np.nda
     return digits
 
 
-# The most arms a grid may have. GP-TS samples all arms jointly: at this
-# size the m x m posterior covariance alone takes 0.8 GB, and the arm
-# space's cached distance index 191 MiB (uint16) to 381 MiB (uint32: 100 x
-# 100, or the 70 471 distinct distances of 9990 values spaced 1/9991).
+# The most arms a grid may have. GP-TS samples all arms jointly, and a
+# GP-TS space keeps two m x m float64 buffers for it while it is alive:
+# 8.5 MB at 729 arms, 1.6 GB at this size. The arm space's cached distance
+# index adds 191 MiB (uint16) to 381 MiB (uint32: 100 x 100, or the 70 471
+# distinct distances of 9990 values spaced 1/9991).
 MAX_ARMS = 10_000
 
 

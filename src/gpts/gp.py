@@ -61,21 +61,40 @@ functions are the very objects ``scipy.linalg.lapack`` exports. Where
 that file is not found, or does not load on its own (the layout is
 private to scipy), the pair comes from ``scipy.linalg.lapack`` itself.
 
+A joint sample over an arm space allocates no m x m array after the
+space's first: ``sample_joint`` keeps two m x m float64 buffers per space
+for as long as the space lives (``_SAMPLE_BUFFERS``, weakly keyed, so
+they are freed with it; an equal space shares them). The prior Gram
+matrix is gathered into one and becomes the covariance in place, ``V.T
+@ V`` goes into the other, and the first rung of the jitter ladder
+factors the covariance where it stands; a failed rung leaves it
+half-factored, so each later rung rebuilds it. Arrays that large (4.25
+MB at 729 arms) are mapped afresh by the allocator each time, and every
+page of a fresh one faults once. The buffers never leave
+``sample_joint``, whose draw is a new vector, and ``predict`` returns
+fresh arrays. Draws on one space share its buffers, so they must not
+run in several threads at once.
+
 Inputs far apart in lengthscale units overflow some intermediate values
 to inf: a squared scaled distance, the spread of the heuristic start.
 The Matern clamp and the moment caps make those harmless, so
-``fit_type2_mle``, ``PosteriorGp`` and ``predict`` ignore floating-point
-overflow (not invalid values), each once per call rather than once per
-likelihood evaluation, since entering an ``np.errstate`` takes about 2 us.
+``kernel_matrix``, ``fit_type2_mle``, ``PosteriorGp`` and ``predict``
+ignore floating-point overflow (not invalid values), each once per call
+rather than once per likelihood evaluation, since entering an
+``np.errstate`` takes about 2 us. So does ``RegressionData`` for its
+within-input sum of squares, whose overflow leaves the fit at its warm
+start.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -186,7 +205,10 @@ class RegressionData:
     as first seen); ``counts`` and ``means`` the number of observations at
     each and their mean target; ``within_ss`` the sum of squared
     deviations of the targets from their input's mean, and
-    ``log_count_sum`` the sum of the log counts. ``diffs`` holds the
+    ``log_count_sum`` the sum of the log counts. Targets at one input
+    more than about 1e154 apart overflow ``within_ss`` to inf, which makes
+    the likelihood -inf at every hyperparameter, so the fit keeps its warm
+    start. ``diffs`` holds the
     (d, k, k) differences x_j - x'_j of the distinct inputs, one k x k
     array per dimension, computed once so that each factorization only
     scales, squares and sums them.
@@ -219,7 +241,8 @@ class RegressionData:
         self.diffs = U.T[:, :, None] - U.T[:, None, :]
         self.counts = np.bincount(inverse).astype(float)
         self.means = np.bincount(inverse, weights=y) / self.counts
-        self.within_ss = float(np.sum((y - self.means[inverse]) ** 2))
+        with np.errstate(over="ignore"):
+            self.within_ss = float(np.sum((y - self.means[inverse]) ** 2))
         self.log_count_sum = float(np.sum(np.log(self.counts)))
         for array in (X, y, U, self.diffs, self.counts, self.means):
             array.setflags(write=False)
@@ -329,24 +352,27 @@ def kernel_matrix(hp: GpHyperparams, X, X2=None) -> np.ndarray:
     X2 = X if X2 is None else _as_matrix(X2, hp.dim)
     out = np.empty((X.shape[0], X2.shape[0]))
     rows = max(1, _BLOCK_ELEMENTS // max(X2.shape[0], 1))
-    for start in range(0, X.shape[0], rows):
-        block = X[start : start + rows]
-        diffs = (x[:, None] - x2 for x, x2 in zip(block.T, X2.T))
-        d2 = _sqdist(diffs, hp.lengthscales, out=out[start : start + rows])
-        _kernel_from_sqdist(hp.kernel, hp.output_scale, d2)
+    with np.errstate(over="ignore"):
+        for start in range(0, X.shape[0], rows):
+            block = X[start : start + rows]
+            diffs = (x[:, None] - x2 for x, x2 in zip(block.T, X2.T))
+            d2 = _sqdist(diffs, hp.lengthscales, out=out[start : start + rows])
+            _kernel_from_sqdist(hp.kernel, hp.output_scale, d2)
     return out
 
 
-def _gathered_gram(hp: GpHyperparams, space: ArmSpace) -> np.ndarray:
+def _gathered_gram(hp: GpHyperparams, space: ArmSpace,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The m x m Gram matrix ``K[a, b] = k(table[:, index[a, b]])`` of the
-    space's ``distances``: the kernel runs once on the table's c columns
-    and is gathered a block of rows at a time, so no m x m ``intp`` array
-    exists. The space built the index into its own table, so the gather
-    need not check (nor buffer) each block."""
+    space's ``distances``, into ``out`` when given: the kernel runs once on
+    the table's c columns and is gathered a block of rows at a time, so no
+    m x m ``intp`` array exists. The space built the index into its own
+    table, so the gather need not check (nor buffer) each block."""
     table, index = space.distances
     m = len(index)
     values = _kernel_from_sqdist(hp.kernel, hp.output_scale, _sqdist(table, hp.lengthscales))
-    out = np.empty((m, m))
+    if out is None:
+        out = np.empty((m, m))
     rows = max(1, _BLOCK_ELEMENTS // m)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
@@ -404,25 +430,26 @@ def _factor(family: str, lengthscales, output_scale: float, noise: float, data: 
     n = K.shape[0]
     K.flat[:: n + 1] += noise / data.counts
     message = f"Cholesky failed for {n}x{n} matrix even with jitter up to {_JITTER_MAX:g}"
-    L, jitter = _jittered_cholesky(K, 0.0, data.counts, message)
+    L, jitter = _jittered_cholesky(K.copy, 0.0, data.counts, message)
     return L, noise + jitter
 
 
-def _jittered_cholesky(A: np.ndarray, jitter: float, divisor, message: str,
+def _jittered_cholesky(fill, jitter: float, divisor, message: str,
                        jitter_max: float = _JITTER_MAX):
     """Lower Cholesky factor of A + diag(jitter / divisor) and the jitter
     it took: the jitter grows tenfold after each failed factorization (a
     zero jitter first tries A itself, then goes on from _JITTER_START), and
-    past ``jitter_max`` ``NumericalError(message)`` is raised. A is not
-    changed: each attempt factors a fresh copy B in place.
+    past ``jitter_max`` ``NumericalError(message)`` is raised. Each attempt
+    factors ``fill()``, a C-contiguous A of its own, in place, so a failed
+    attempt leaves it half-factored.
 
     LAPACK takes Fortran order, in which B's memory is B^T = B. ``potrf``
     factors that as U^T U, and U in Fortran order is L = U^T in C order,
     so B becomes L with no copy; ``clean`` zeroes the other triangle.
     """
     while jitter <= jitter_max:
-        B = A.copy()
-        B.flat[:: A.shape[0] + 1] += jitter / divisor
+        B = fill()
+        B.flat[:: B.shape[0] + 1] += jitter / divisor
         _, info = dpotrf(B.T, lower=0, clean=1, overwrite_a=1)
         if info == 0:
             return B, jitter
@@ -676,6 +703,10 @@ def fit_type2_mle(
 # ---------------------------------------------------------------------------
 # posterior
 
+# Per arm space, the two m x m float64 buffers in which ``sample_joint``
+# builds and factors the covariance; an entry goes with its space.
+_SAMPLE_BUFFERS = weakref.WeakKeyDictionary()
+
 
 class PosteriorGp:
     """A fitted GP posterior with cached sufficient statistics.
@@ -710,7 +741,7 @@ class PosteriorGp:
             self.chol_factor = L
             self.alpha = alpha
 
-    def predict(self, queries) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, queries, _buffers=None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean vector and covariance matrix at the queries: an
         (m, d) array of points, or an ``environments.ArmSpace``, whose
         arms are the points and whose prior Gram matrix is gathered from
@@ -719,14 +750,17 @@ class PosteriorGp:
         The covariance is exactly symmetric without symmetrizing: the prior
         Gram matrix is, and numpy computes ``V.T @ V`` with BLAS ``syrk``,
         which fills one triangle and mirrors it. Its diagonal is clamped at
-        zero.
+        zero. ``sample_joint`` passes an arm space's two m x m ``_buffers``:
+        the Gram matrix, and so the covariance, is built in the first and
+        ``V.T @ V`` in the second.
         """
         hp = self.hyperparams
+        gram_out, vtv_out = _buffers or (None, None)
         with np.errstate(over="ignore"):
             if isinstance(queries, ArmSpace):
                 # checked first: _sqdist would drop a missing dimension silently
                 Q = _as_matrix(queries.array, hp.dim)
-                Kqq = _gathered_gram(hp, queries)
+                Kqq = _gathered_gram(hp, queries, out=gram_out)
             else:
                 Q = _as_matrix(queries, hp.dim)
                 if Q.shape[0] == 0:
@@ -739,7 +773,7 @@ class PosteriorGp:
             mean = prior_mean + Ks.T @ self.alpha
             V = _solve_chol(self.chol_factor, Ks)
             cov = Kqq
-            cov -= V.T @ V
+            cov -= np.matmul(V.T, V, out=vtv_out)
             np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
             return mean, cov
 
@@ -747,8 +781,25 @@ class PosteriorGp:
         """One draw from the joint posterior at the queries, points or an
         arm space as ``predict`` takes them; deterministic given the
         generator state. A numerically zero covariance degenerates to the
-        predictive mean."""
-        mean, cov = self.predict(queries)
+        predictive mean.
+
+        An arm space's covariance is built and factored in the space's
+        two m x m buffers (``_SAMPLE_BUFFERS``), which no caller sees: the
+        draw is a new vector."""
+        if not isinstance(queries, ArmSpace):
+            mean, cov = self.predict(queries)
+            fill = cov.copy
+        else:
+            buffers = _SAMPLE_BUFFERS.get(queries)
+            if buffers is None:
+                m = len(queries)
+                buffers = _SAMPLE_BUFFERS[queries] = (np.empty((m, m)), np.empty((m, m)))
+            mean, cov = self.predict(queries, buffers)
+            # no copy: the first attempt factors the covariance where it
+            # stands, and as a failed one leaves it half-factored, each
+            # later attempt rebuilds it, bit for bit
+            rebuilt = (self.predict(queries, buffers)[1] for _ in itertools.count())
+            fill = itertools.chain([cov], rebuilt).__next__
         scale = float(np.max(np.diag(cov)))
         if scale < 1e-14:
             return mean.copy()
@@ -756,5 +807,5 @@ class PosteriorGp:
         scale = max(scale, 1.0)
         # ten tenfold steps from 1e-12 * scale can round to just above
         # 1e-2 * scale (at 1e200, for one); the margin keeps that top rung
-        L, _ = _jittered_cholesky(cov, 1e-12 * scale, 1.0, message, 1.000001e-2 * scale)
+        L, _ = _jittered_cholesky(fill, 1e-12 * scale, 1.0, message, 1.000001e-2 * scale)
         return mean + L @ rng.standard_normal(mean.shape[0])

@@ -2,6 +2,7 @@
 Thompson selection, and the run loop."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -265,6 +266,28 @@ class TestRunPolicy:
         hist = bandit.run_policy(space, bandit.PolicySpec(bandit.GP_TS), env, T=5, u=20,
                                  gp_init=theta)
         assert hist.error is None and len(hist.arms) == 5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gp_ts_on_rewards_whose_squares_overflow_keeps_its_warm_start(self):
+        # rewards of +-1e200 at one arm overflow the replicate sum of
+        # squares to inf: the likelihood is -inf everywhere, so every fit
+        # keeps its warm start, and the run goes on without a warning
+        class Swinging:
+            def init(self):
+                self.loss = 0.0
+                return self.loss
+
+            def step(self, arm, u):
+                self.loss = -1e200 if self.loss == 0.0 else 0.0
+                return self.loss
+
+        space = environments.make_grid([dict(lower=0.0, upper=1.0, step=0.4)])
+        theta = bandit.default_gp_hyperparams(1)
+        hist = bandit.run_policy(space, bandit.PolicySpec(bandit.GP_TS), Swinging(), T=8, u=1)
+        assert hist.error is None and len(hist.arms) == 8
+        assert set(map(abs, hist.rewards())) == {1e200}
+        assert math.isinf(gp.RegressionData(hist.arms, hist.rewards()).within_ss)
+        assert hist.gp_trace == [theta] * 8
 
     def test_gp_ts_single_interaction(self):
         space = grid_1d()

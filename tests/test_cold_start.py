@@ -101,7 +101,8 @@ def test_cli_commands_from_a_cold_start(tmp_path):
 def test_gpts_run_loads_no_scipy_optimize(tmp_path):
     # the GP stack loads scipy's LAPACK extension from its file, not through
     # scipy.linalg, whose import loads numpy.f2py and numpy.testing; its
-    # Nelder-Mead is its own
+    # Nelder-Mead is its own, and the arm space's distance table needs no
+    # np.union1d, whose np.unique loads numpy.ma
     raw = yaml.safe_load(python("-m", "gpts.cli", "print-default-config").stdout)
     raw.update(T=3, seeds=[0], output_dir=str(tmp_path / "runs"), policies=[{"kind": "gp_ts"}])
     config = tmp_path / "config.yaml"
@@ -110,5 +111,5 @@ def test_gpts_run_loads_no_scipy_optimize(tmp_path):
     assert ran.returncode == 0, ran.stderr
     modules = loaded_modules(ran)
     assert "gpts.gp" in modules
-    unwanted = ("scipy.linalg", "scipy.optimize", "numpy.f2py", "numpy.testing")
+    unwanted = ("scipy.linalg", "scipy.optimize", "numpy.f2py", "numpy.testing", "numpy.ma")
     assert [m for m in modules for u in unwanted if m == u or m.startswith(u + ".")] == []

@@ -5,11 +5,13 @@ the tests (scalar kernel formulas, dense inverse-based posterior
 algebra, scipy's multivariate-normal density).
 """
 
+import gc
 import importlib.machinery
 import itertools
 import math
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -619,6 +621,87 @@ class TestSamplingJitterLadder:
             assert np.array_equal(got_L, L) and got_noise == hp.noise_variance + jitter
             noises.add(got_noise)
         assert len(noises) == 4  # each case stops at a different rung
+
+
+def posterior_on(space, rng, k, family=gp.MATERN52):
+    # a random posterior over k observations at arms of the space
+    A = space.array
+    hp = make_hp(ls=np.exp(rng.uniform(-2.0, 0.5, space.ndim)), out=float(rng.uniform(0.2, 2)),
+                 family=family, mean_const=float(rng.normal()))
+    return gp.PosteriorGp(hp, gp.RegressionData(A[rng.integers(0, len(A), k)], rng.normal(size=k)))
+
+
+class TestSampleBuffers:
+    # a draw over an arm space builds and factors its covariance in two
+    # buffers kept with the space; a draw over its array of points uses
+    # fresh arrays and is the reference
+    def test_second_draw_allocates_less_than_one_matrix(self):
+        space = environments.make_grid([dict(lower=0.0, upper=1.0, step=1 / 21)] * 2)
+        m = len(space)
+        assert m == 400
+        post = posterior_on(space, np.random.default_rng(1), 6)
+        post.sample_joint(space, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            post.sample_joint(space, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8
+
+    def test_spaces_of_two_sizes_in_turn_are_bit_identical(self):
+        spaces = [environments.make_grid(LATTICES["3d"]), environments.make_grid(LATTICES["1d"])]
+        rng = np.random.default_rng(2)
+        for k in range(12):
+            space = spaces[k % 2]
+            post = posterior_on(space, rng, k, [gp.MATERN52, gp.SQUARED_EXPONENTIAL][k // 2 % 2])
+            got = post.sample_joint(space, np.random.default_rng(k))
+            assert np.array_equal(got, post.sample_joint(space.array, np.random.default_rng(k)))
+
+    def test_draw_after_a_jitter_rung_is_bit_identical(self, monkeypatch):
+        # at output scale 1e6 and the noise floor, the covariance between
+        # observed arms cancels badly enough that the first rungs fail;
+        # each failed rung leaves the covariance's buffer half-factored
+        infos = []
+        real_potrf = gp.dpotrf
+
+        def potrf(*args, **kwargs):
+            factor, info = real_potrf(*args, **kwargs)
+            infos.append(info)
+            return factor, info
+
+        monkeypatch.setattr(gp, "dpotrf", potrf)
+        space = environments.make_grid([dict(lower=0.0, upper=1.0, step=0.05)])
+        hp = make_hp(ls=(0.3,), out=1e6, noise=gp.NOISE_VARIANCE_FLOOR,
+                     family=gp.SQUARED_EXPONENTIAL)
+        X = space.array[::2]
+        climbing = gp.PosteriorGp(hp, gp.RegressionData(X, np.zeros(len(X))))
+        post = posterior_on(space, np.random.default_rng(3), 5)
+        for draw in range(3):
+            for p in (climbing, post):
+                got = p.sample_joint(space, np.random.default_rng(draw))
+                assert np.array_equal(got, p.sample_joint(space.array, np.random.default_rng(draw)))
+        assert any(info > 0 for info in infos)
+
+    def test_a_draw_is_not_changed_by_later_draws(self):
+        space = environments.make_grid(LATTICES["2d"])
+        rng = np.random.default_rng(4)
+        post = posterior_on(space, rng, 3)
+        first = post.sample_joint(space, np.random.default_rng(0))
+        kept = first.copy()
+        for k in range(3):
+            posterior_on(space, rng, k).sample_joint(space, np.random.default_rng(k))
+        assert np.array_equal(first, kept)
+
+    def test_buffers_go_with_their_space(self):
+        # a grid no other test builds, so that no equal space holds the entry
+        space = environments.make_grid([dict(lower=0.0, upper=0.93, step=0.031)])
+        posterior_on(space, np.random.default_rng(5), 2).sample_joint(space, np.random.default_rng(0))
+        buffers = [weakref.ref(b) for b in gp._SAMPLE_BUFFERS[space]]
+        assert [b().shape for b in buffers] == [(len(space), len(space))] * 2
+        del space
+        gc.collect()
+        assert [b() for b in buffers] == [None, None]
 
 
 class TestFit:
