@@ -20,7 +20,13 @@ as the same only when they are exactly equal, as repeated grid arms are.
 There is one likelihood path: one distance formula, exactly symmetric;
 one factorization of K_UU + noise * diag(1/n) for the likelihood, the
 fit and the posterior; and a fit objective that is exactly the negative
-log marginal likelihood, so fitted points need no re-scoring.
+log marginal likelihood, so fitted points need no re-scoring. The path
+is stacked: it takes B hyperparameter points at once and builds, factors
+and scores a (B, k, k) stack, elementwise in the same operations and
+order as for one point, so each slice has the bits it would have alone.
+The likelihood and the posterior take it with B = 1; the fit runs its
+restarts in lockstep and sends each round's points to it together, since
+at small k a likelihood evaluation is mostly per-call overhead.
 
 On a grid the prior Gram matrix of the queries comes from a table.
 ``predict`` and ``sample_joint`` take an ``environments.ArmSpace`` as
@@ -39,6 +45,10 @@ port of scipy's that reproduces its iterates bit for bit. It is kept
 here because importing ``scipy.optimize`` would cost every process that
 runs the GP stack about 0.3 s and 20 MB, and its wrapper about 16 us
 per simplex step; of scipy, the GP stack needs only two LAPACK routines.
+It is a generator that leaves the evaluations to its caller, so that
+``_lockstep`` can advance the searches of all restarts together: one
+likelihood call per round, whatever the number of restarts, up to a
+stack of about ``_BLOCK_ELEMENTS`` matrix entries.
 
 Every Cholesky factorization recovers from a near-singular matrix on one
 jitter ladder, in tenfold steps: from 1e-8 up to 1e-2 for the likelihood
@@ -293,8 +303,10 @@ def _sqdist(diffs, lengthscales, out: np.ndarray | None = None) -> np.ndarray:
     """Squared scaled distances from the per-dimension differences
     ``diffs`` (one array of x_j - x'_j per dimension, left unchanged):
     ((x_j - x'_j) / l_j)^2 summed one dimension at a time, into ``out``
-    when given. Each term is the same for (x, x') and (x', x) and zero for
-    equal points: a Gram matrix comes out exactly symmetric."""
+    when given. A lengthscale is a number or an array that broadcasts
+    against the differences: B points' (B, 1, 1) lengthscales give a stack
+    of B distance arrays. Each term is the same for (x, x') and (x', x) and
+    zero for equal points: a Gram matrix comes out exactly symmetric."""
     terms = zip(diffs, lengthscales)
     diff, ls = next(terms)
     d2 = np.divide(diff, ls, out=out)
@@ -307,8 +319,10 @@ def _sqdist(diffs, lengthscales, out: np.ndarray | None = None) -> np.ndarray:
     return d2
 
 
-def _kernel_from_sqdist(family: str, output_scale: float, d2: np.ndarray) -> np.ndarray:
-    """Kernel values from squared lengthscale-scaled distances.
+def _kernel_from_sqdist(family: str, output_scale, d2: np.ndarray) -> np.ndarray:
+    """Kernel values from squared lengthscale-scaled distances, at an
+    output scale that is a number or, for a (B, k, k) stack, a (B, 1, 1)
+    array.
 
     Consumes ``d2``: the values are computed in place and ``d2`` is
     returned. The operations are those of the textbook expressions, in
@@ -418,30 +432,68 @@ def _load_lapack():
 dpotrf, dtrtrs = _load_lapack()
 
 
-def _factor(family: str, lengthscales, output_scale: float, noise: float, data: RegressionData):
+def _noisy_gram(family: str, lengthscales: np.ndarray, output_scales, noises,
+                data: RegressionData) -> np.ndarray:
+    """K_UU + noise * diag(1/n) over the distinct inputs for each of B
+    hyperparameter points: a (B, k, k) stack from (B, d) ``lengthscales``
+    and B output scales and noise variances. The noise goes on through a
+    strided view of the B diagonals."""
+    d2 = _sqdist(data.diffs, lengthscales.T[:, :, None, None])
+    K = _kernel_from_sqdist(family, np.array(output_scales)[:, None, None], d2)
+    B, k = K.shape[:2]
+    K.reshape(B, k * k)[:, :: k + 1] += np.divide.outer(noises, data.counts)
+    return K
+
+
+def _factor(family: str, lengthscales: np.ndarray, output_scales, noises, data: RegressionData):
     """The one factorization behind the likelihood, the fit and the
-    posterior: the lower Cholesky factor of K_UU + noise * diag(1/n), and
-    the noise variance it was factored at.
+    posterior, for B hyperparameter points at once: the (B, k, k) stack of
+    lower Cholesky factors of K_UU + noise * diag(1/n), and the noise
+    variance each slice was factored at.
 
-    On failure the jitter ladder adds escalating extra noise variance, as
-    jitter/n on the diagonal, and the returned noise includes it.
+    Each slice of the stack is factored in place. A slice that fails
+    climbs the jitter ladder alone, from a fresh rebuild of its matrix: it
+    adds escalating extra noise variance, as jitter/n on the diagonal, and
+    its returned noise includes it. A slice that does not factor even at
+    the top of the ladder is left as the identity, and its noise is None.
     """
-    K = _kernel_from_sqdist(family, output_scale, _sqdist(data.diffs, lengthscales))
-    n = K.shape[0]
-    K.flat[:: n + 1] += noise / data.counts
-    message = f"Cholesky failed for {n}x{n} matrix even with jitter up to {_JITTER_MAX:g}"
-    L, jitter = _jittered_cholesky(K.copy, 0.0, data.counts, message)
-    return L, noise + jitter
+    K = _noisy_gram(family, lengthscales, output_scales, noises, data)
+    noises = list(noises)
+    for b, A in enumerate(K):
+        if dpotrf(A.T, lower=0, clean=1, overwrite_a=1)[1] == 0:
+            continue
+        alone = slice(b, b + 1)
+        rebuilt = _noisy_gram(family, lengthscales[alone], output_scales[alone], noises[alone],
+                              data)[0]
+        factored = _jittered_cholesky(rebuilt.copy, _JITTER_START, data.counts)
+        if factored is None:
+            A[...] = np.eye(len(A))
+            noises[b] = None
+        else:
+            A[...], jitter = factored
+            noises[b] += jitter
+    return K, noises
 
 
-def _jittered_cholesky(fill, jitter: float, divisor, message: str,
-                       jitter_max: float = _JITTER_MAX):
+def _factor_point(hp: GpHyperparams, data: RegressionData):
+    """``_factor`` at one hyperparameter point: its k x k factor and the
+    noise it was factored at. Raises NumericalError if it does not factor."""
+    L, (noise,) = _factor(hp.kernel, np.array([hp.lengthscales]), [hp.output_scale],
+                          [hp.noise_variance], data)
+    if noise is None:
+        k = L.shape[1]
+        raise NumericalError(
+            f"Cholesky failed for {k}x{k} matrix even with jitter up to {_JITTER_MAX:g}"
+        )
+    return L[0], noise
+
+
+def _jittered_cholesky(fill, jitter: float, divisor, jitter_max: float = _JITTER_MAX):
     """Lower Cholesky factor of A + diag(jitter / divisor) and the jitter
-    it took: the jitter grows tenfold after each failed factorization (a
-    zero jitter first tries A itself, then goes on from _JITTER_START), and
-    past ``jitter_max`` ``NumericalError(message)`` is raised. Each attempt
-    factors ``fill()``, a C-contiguous A of its own, in place, so a failed
-    attempt leaves it half-factored.
+    it took, or None: the jitter grows tenfold after each failed
+    factorization, and past ``jitter_max`` the ladder gives up. Each
+    attempt factors ``fill()``, a C-contiguous A of its own, in place, so
+    a failed attempt leaves it half-factored.
 
     LAPACK takes Fortran order, in which B's memory is B^T = B. ``potrf``
     factors that as U^T U, and U in Fortran order is L = U^T in C order,
@@ -453,8 +505,8 @@ def _jittered_cholesky(fill, jitter: float, divisor, message: str,
         _, info = dpotrf(B.T, lower=0, clean=1, overwrite_a=1)
         if info == 0:
             return B, jitter
-        jitter = 10.0 * jitter or _JITTER_START
-    raise NumericalError(message)
+        jitter *= 10.0
+    return None
 
 
 def _solve_chol(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
@@ -470,25 +522,35 @@ def _solve_chol(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.nd
     return x
 
 
-def _collapsed_lml(L: np.ndarray, noise: float, resid: np.ndarray, data: RegressionData) -> float:
-    """Exact log marginal likelihood of all T observations from the k x k
-    factor L of K_UU + noise * diag(1/n) and the residual means
-    ``resid`` = means - prior mean:
+def _collapsed_lml(L: np.ndarray, noises, resid, data: RegressionData) -> list:
+    """Exact log marginal likelihood of all T observations for each slice
+    of a (B, k, k) stack L of factors of K_UU + noise * diag(1/n), from the
+    noise each was factored at and its residual means ``resid`` = means -
+    prior mean:
 
         log N(resid; 0, K_UU + noise diag(1/n)) - S / (2 noise)
             - (T - k)/2 log(2 pi noise) - 1/2 sum(log n)
 
-    with S the within-input sum of squares.
+    with S the within-input sum of squares; None for a slice whose noise
+    is None (one that did not factor). The logs of all the stack's
+    diagonals are taken in one call, and each row summed as ``sum()``
+    sums one; each slice then takes one triangular solve and one BLAS
+    ``ddot``. The terms are those of the formula, in its order.
     """
     T, k = len(data), data.counts.shape[0]
-    v = _solve_chol(L, resid)
-    return float(
-        -0.5 * (v @ v + data.within_ss / noise)
-        - np.log(L.diagonal()).sum()
-        - 0.5 * (T - k) * math.log(noise)
-        - 0.5 * T * math.log(2.0 * math.pi)
-        - 0.5 * data.log_count_sum
-    )
+    log_dets = np.add.reduce(np.log(L.reshape(len(L), k * k)[:, :: k + 1]), 1).tolist()
+    within_ss = data.within_ss
+    const_T = 0.5 * T * math.log(2.0 * math.pi)
+    const_n = 0.5 * data.log_count_sum
+    lmls = []
+    for factor, noise, r, log_det in zip(L, noises, resid, log_dets):
+        if noise is None:
+            lmls.append(None)
+            continue
+        v = _solve_chol(factor, r)
+        lmls.append(-0.5 * (float(v.dot(v)) + within_ss / noise) - log_det
+                    - 0.5 * (T - k) * math.log(noise) - const_T - const_n)
+    return lmls
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +561,8 @@ def log_marginal_likelihood(hp: GpHyperparams, data: RegressionData) -> float:
     """Exact Gaussian log marginal likelihood of the targets under the prior."""
     if len(data) == 0:
         raise InvalidArgumentError("log marginal likelihood needs at least one observation")
-    L, noise = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, data)
-    return _collapsed_lml(L, noise, data.means - hp.mean_constant, data)
+    L, noise = _factor_point(hp, data)
+    return _collapsed_lml(L[None], [noise], [data.means - hp.mean_constant], data)[0]
 
 
 def _pack(hp: GpHyperparams) -> np.ndarray:
@@ -511,44 +573,46 @@ def _pack(hp: GpHyperparams) -> np.ndarray:
     return np.array(vec)
 
 
-def _unpacked_values(vec: np.ndarray, template: GpHyperparams):
-    """Lengthscales, output scale, noise variance and mean constant of a
-    packed vector: the log-parameters clamped to +-_LOG_PARAM_BOUND and the
-    noise floored at NOISE_VARIANCE_FLOOR. ``_unpack`` and the fit
-    objective both read vectors through this.
+def _unpacked_values(vecs: np.ndarray, template: GpHyperparams):
+    """Lengthscales (B, d), output scales, noise variances and mean
+    constants of a (B, d + 3) stack of packed vectors: the log-parameters
+    clamped to +-_LOG_PARAM_BOUND and the noise floored at
+    NOISE_VARIANCE_FLOOR. ``_unpack`` and the fit objective both read
+    vectors through this. The lengthscales come from ``np.exp``, the output
+    scales and noise variances from ``math.exp`` as lists of floats.
     """
-    d = template.dim
-    values = vec.tolist()
-    # Python floats clamp with np.clip's values at a fraction of its call cost
-    logs = [min(max(v, -_LOG_PARAM_BOUND), _LOG_PARAM_BOUND) for v in values[: d + 2]]
-    noise = max(math.exp(logs[d + 1]), NOISE_VARIANCE_FLOOR)
-    return np.exp(logs[:d]), math.exp(logs[d]), noise, values[d + 2]
+    d, bound = template.dim, _LOG_PARAM_BOUND
+    lengthscales = np.exp(np.minimum(np.maximum(vecs[:, :d], -bound), bound))
+    # the output scales and noises clamp as Python floats, for math.exp
+    rows = vecs[:, d : d + 2].tolist()
+    output_scales = [math.exp(min(max(s, -bound), bound)) for s, _ in rows]
+    noises = [max(math.exp(min(max(n, -bound), bound)), NOISE_VARIANCE_FLOOR) for _, n in rows]
+    return lengthscales, output_scales, noises, vecs[:, d + 2]
 
 
 def _unpack(vec: np.ndarray, template: GpHyperparams) -> GpHyperparams:
-    ls, output_scale, noise, mean_constant = _unpacked_values(vec, template)
-    return replace(template, lengthscales=tuple(ls.tolist()), output_scale=output_scale,
-                   noise_variance=noise, mean_constant=mean_constant)
+    ls, (output_scale,), (noise,), (mean_constant,) = _unpacked_values(vec[None], template)
+    return replace(template, lengthscales=tuple(ls[0].tolist()), output_scale=output_scale,
+                   noise_variance=noise, mean_constant=float(mean_constant))
 
 
 def _fit_objective(data: RegressionData, template: GpHyperparams):
-    """Negative log marginal likelihood over packed log-parameters.
+    """Negative log marginal likelihood over a (B, d + 3) stack of packed
+    log-parameter vectors, a list of one value per row.
 
-    Exactly ``-log_marginal_likelihood(_unpack(vec, template), data)``:
-    the same unpacking, the same factor with its jitter ladder and the
-    same likelihood, so the value a search ends on is the LML of the
-    hyperparameters it returns. Only a matrix that does not factor even
-    at the top of the ladder scores ``_FAILED_FIT_VALUE``.
+    Row for row exactly ``-log_marginal_likelihood(_unpack(vec, template),
+    data)``: the same unpacking, the same factor with its jitter ladder and
+    the same likelihood, so the value a search ends on is the LML of the
+    hyperparameters it returns. Only a matrix that does not factor even at
+    the top of the ladder scores ``_FAILED_FIT_VALUE``.
     """
     family = template.kernel
 
-    def neg_lml(vec: np.ndarray) -> float:
-        lengthscales, output_scale, noise, mean_constant = _unpacked_values(vec, template)
-        try:
-            L, noise = _factor(family, lengthscales, output_scale, noise, data)
-        except NumericalError:
-            return _FAILED_FIT_VALUE
-        return -_collapsed_lml(L, noise, data.means - mean_constant, data)
+    def neg_lml(vecs: np.ndarray) -> list:
+        lengthscales, output_scales, noises, mean_constants = _unpacked_values(vecs, template)
+        L, noises = _factor(family, lengthscales, output_scales, noises, data)
+        lmls = _collapsed_lml(L, noises, data.means - mean_constants[:, None], data)
+        return [_FAILED_FIT_VALUE if lml is None else -lml for lml in lmls]
 
     return neg_lml
 
@@ -568,22 +632,27 @@ def _heuristic_start(data: RegressionData, template: GpHyperparams) -> GpHyperpa
                    mean_constant=float(np.mean(y)))
 
 
-def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float]:
-    """Minimize ``fun`` by the Nelder-Mead simplex method (Nelder & Mead
-    1965) from ``x0`` with at most ``max_evals`` evaluations. Returns the
-    best vertex of the final simplex and the least value on it.
+def _nelder_mead(x0: np.ndarray, max_evals: int):
+    """The Nelder-Mead simplex method (Nelder & Mead 1965) from ``x0``
+    with at most ``max_evals`` evaluations, as a generator that leaves the
+    evaluations to its caller. It yields the points it needs next, each a
+    list of floats: the initial simplex at once, then the one point of a
+    step, or all the vertices a shrink moves. It is sent their values, in
+    order, and returns the best vertex of the final simplex and the least
+    value on it.
 
     Iterate for iterate this is ``scipy.optimize.minimize(fun, x0,
     method="Nelder-Mead", options={"maxfev": max_evals, "xatol":
     _NM_XATOL, "fatol": _NM_FATOL})`` (scipy 1.17; non-adaptive, no
     bounds): the same initial simplex, step coefficients, centroid sum
-    (row after row), vertex order (``np.argsort``, so ties resolve
-    alike), stopping test and budget cut-off, so ``fun`` sees the same
-    points. The vertex arithmetic runs on Python floats, whose + - * /
-    round as numpy's do. An evaluation past the budget is refused, and
-    the step that needed it is dropped as scipy drops it: an expansion
-    or contraction is discarded, even after a better reflection, and a
-    shrink leaves the vertices it already moved with their old values.
+    (row after row), vertex order (numpy's default argsort, so ties
+    resolve alike), stopping test and budget cut-off, so ``fun`` sees the
+    same points in the same order. The vertex arithmetic runs on Python
+    floats, whose + - * / round as numpy's do. An evaluation past the
+    budget is refused, and the step that needed it is dropped as scipy
+    drops it: an expansion or contraction is discarded, even after a
+    better reflection, and a shrink leaves the vertices it already moved
+    with their old values.
     """
     n = len(x0)
     start = x0.tolist()
@@ -594,11 +663,11 @@ def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float
         sim.append(vertex)
     fsim = [math.inf] * (n + 1)
     evals = min(n + 1, max_evals)
-    for k in range(evals):
-        fsim[k] = fun(np.array(sim[k]))
+    fsim[:evals] = yield sim[:evals]
 
     def ordered(sim, fsim):
-        order = np.argsort(fsim).tolist()
+        # np.argsort(fsim)'s quicksort, without its wrapper's overhead
+        order = np.array(fsim).argsort().tolist()
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     # scipy sorts the initial simplex twice; an unstable argsort need not
@@ -616,12 +685,12 @@ def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float
             xbar = [a + b for a, b in zip(xbar, v)]
         xbar = [a / n for a in xbar]
         xr = [2 * c - w for c, w in zip(xbar, worst)]
-        fxr = fun(np.array(xr))
+        (fxr,) = yield [xr]
         evals += 1
         if fxr < fsim[0]:
             if evals < max_evals:
                 xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-                fxe = fun(np.array(xe))
+                (fxe,) = yield [xe]
                 evals += 1
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
@@ -629,24 +698,65 @@ def _nelder_mead(fun, x0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float
         elif evals < max_evals:
             if fxr < fsim[-1]:
                 xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-                fxc = fun(np.array(xc))
+                (fxc,) = yield [xc]
                 shrink = not fxc <= fxr
             else:
                 xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-                fxc = fun(np.array(xc))
+                (fxc,) = yield [xc]
                 shrink = not fxc < fsim[-1]
             evals += 1
             if not shrink:
                 sim[-1], fsim[-1] = xc, fxc
             else:
+                # the moved vertices do not depend on each other's values
+                moved = []
                 for j in range(1, n + 1):
                     sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
                     if evals == max_evals:
                         break
-                    fsim[j] = fun(np.array(sim[j]))
+                    moved.append(j)
                     evals += 1
+                if moved:
+                    values = yield [sim[j] for j in moved]
+                    for j, value in zip(moved, values):
+                        fsim[j] = value
         sim, fsim = ordered(sim, fsim)
     return np.array(sim[0]), float(np.min(fsim))
+
+
+def _lockstep(objective, starts, max_evals: int, per_call: int) -> list:
+    """Run a ``_nelder_mead`` search of ``max_evals`` from each start, as
+    many at once as one call of ``objective`` can serve: each round, the
+    points every live search waits for go to ``objective`` together, as
+    (B, n) stacks of at most ``per_call`` rows, and each search is sent its
+    own values. A round needs at most n + 1 points of a search, so at most
+    ``per_call // (n + 1)`` searches are live (at least one, whose points
+    then take several calls); a search that finishes makes room for the
+    next start. Returns each search's (x, value), in start order.
+    """
+    room = max(1, per_call // (len(starts[0]) + 1))
+    queued = enumerate(starts)
+    live = {}
+    results = [None] * len(starts)
+    while True:
+        for i, x0 in itertools.islice(queued, room - len(live)):
+            search = _nelder_mead(x0, max_evals)
+            live[i] = search, next(search)
+        if not live:
+            return results
+        points = [x for _, wanted in live.values() for x in wanted]
+        values = []
+        for first in range(0, len(points), per_call):
+            values += objective(np.array(points[first : first + per_call]))
+        taken = 0
+        for i, (search, wanted) in list(live.items()):
+            sent = values[taken : taken + len(wanted)]
+            taken += len(wanted)
+            try:
+                live[i] = search, search.send(sent)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del live[i]
 
 
 def fit_type2_mle(
@@ -662,18 +772,20 @@ def fit_type2_mle(
     runs ``_nelder_mead``, this module's port of scipy's Nelder-Mead
     with the same iterates, so that the GP stack does not import
     ``scipy.optimize``; it stops on the simplex spread (_NM_XATOL,
-    _NM_FATOL) or after ``budget.max_evals`` evaluations. Never returns
-    hyperparameters with a lower marginal likelihood than ``init``; for
-    fewer than two observations ``init`` is returned unchanged. A
-    candidate replaces the incumbent only on strict improvement, so ties
-    resolve to the earliest restart.
+    _NM_FATOL) or after ``budget.max_evals`` evaluations. The searches
+    run in lockstep (``_lockstep``): each round's points go to the
+    stacked objective in one call of at most ``_BLOCK_ELEMENTS`` matrix
+    entries (k^2 per point, at least one point), and every search takes
+    the steps it would take alone. Never returns hyperparameters with a
+    lower marginal likelihood than ``init``; for fewer than two
+    observations ``init`` is returned unchanged. A candidate replaces the
+    incumbent only on strict improvement, so ties resolve to the earliest
+    restart.
     """
     if len(data) < 2:
         return init
     budget = budget or FitBudget()
     with np.errstate(over="ignore"):
-        neg_lml = _fit_objective(data, init)
-
         try:
             best_val = log_marginal_likelihood(init, data)
         except NumericalError:
@@ -688,8 +800,9 @@ def fit_type2_mle(
             x_heur + rng.normal(0.0, 1.0, size=x_heur.shape)
             for _ in range(budget.restarts - len(starts))
         ]
-        for x0 in starts:
-            x, value = _nelder_mead(neg_lml, x0, budget.max_evals)
+        k = data.counts.shape[0]
+        per_call = max(1, _BLOCK_ELEMENTS // (k * k))
+        for x, value in _lockstep(_fit_objective(data, init), starts, budget.max_evals, per_call):
             if value >= _FAILED_FIT_VALUE:
                 continue
             # the objective is exactly -LML at the point it unpacks to
@@ -731,8 +844,7 @@ class PosteriorGp:
         else:
             hp = hyperparams
             with np.errstate(over="ignore"):
-                L, _ = _factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance,
-                               data)
+                L, _ = _factor_point(hp, data)
             v = _solve_chol(L, data.means - hp.mean_constant)
             alpha = _solve_chol(L, v, transposed=True)
             L.setflags(write=False)
@@ -803,9 +915,10 @@ class PosteriorGp:
         scale = float(np.max(np.diag(cov)))
         if scale < 1e-14:
             return mean.copy()
-        message = "posterior covariance could not be factorized for sampling"
         scale = max(scale, 1.0)
         # ten tenfold steps from 1e-12 * scale can round to just above
         # 1e-2 * scale (at 1e200, for one); the margin keeps that top rung
-        L, _ = _jittered_cholesky(fill, 1e-12 * scale, 1.0, message, 1.000001e-2 * scale)
-        return mean + L @ rng.standard_normal(mean.shape[0])
+        factored = _jittered_cholesky(fill, 1e-12 * scale, 1.0, 1.000001e-2 * scale)
+        if factored is None:
+            raise NumericalError("posterior covariance could not be factorized for sampling")
+        return mean + factored[0] @ rng.standard_normal(mean.shape[0])

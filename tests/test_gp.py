@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,7 +65,13 @@ def make_hp(ls=(0.3,), out=1.0, noise=0.01, mean_const=0.0, family=gp.MATERN52):
 
 def factor(hp, data):
     # the likelihood and posterior factor of hp over the distinct inputs
-    return gp._factor(hp.kernel, hp.lengthscales, hp.output_scale, hp.noise_variance, data)
+    return gp._factor_point(hp, data)
+
+
+def stacked_factor(hps, data):
+    # the factors of several hyperparameter points, in one stack
+    return gp._factor(hps[0].kernel, np.array([hp.lengthscales for hp in hps]),
+                      [hp.output_scale for hp in hps], [hp.noise_variance for hp in hps], data)
 
 
 def potrf_factor(A):
@@ -316,17 +323,21 @@ class TestLogMarginalLikelihood:
 
     @BOTH_KERNELS
     def test_factor_from_cached_differences_is_bit_identical(self, family):
+        # each slice of a stack is the factor of its point alone
         rng = np.random.default_rng(21)
         for d in (1, 2, 3):
             X, y = replicated_data(rng, d, 12, 30)
             data = gp.RegressionData(X, y)
             assert data.diffs.shape == (d, 12, 12)
-            hp = random_hp(rng, d, family)
-            K = gp.kernel_matrix(hp, data.distinct_inputs)
-            K[np.diag_indices_from(K)] += hp.noise_variance / data.counts
-            L, noise = factor(hp, data)
-            assert noise == hp.noise_variance
-            assert np.array_equal(L, potrf_factor(K))
+            hps = [random_hp(rng, d, family) for _ in range(4)]
+            L, noises = stacked_factor(hps, data)
+            assert L.shape == (4, 12, 12)
+            assert noises == [hp.noise_variance for hp in hps]
+            for hp, got in zip(hps, L):
+                K = gp.kernel_matrix(hp, data.distinct_inputs)
+                K[np.diag_indices_from(K)] += hp.noise_variance / data.counts
+                assert np.array_equal(got, potrf_factor(K))
+            assert np.array_equal(factor(hps[0], data)[0], L[0])
 
 
 class TestPosterior:
@@ -788,32 +799,86 @@ class TestFitObjectiveIsLml:
                     hp = random_hp(rng, d, family)
                     objective = gp._fit_objective(data, hp)
                     x0 = gp._pack(hp)
-                    # spread wide enough that the log-parameter clamp binds
-                    for vec in [x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(90))]:
+                    # spread wide enough that the log-parameter clamp binds;
+                    # all points in one stack
+                    vecs = np.array([x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(90))])
+                    values = objective(vecs)
+                    assert len(values) == len(vecs)
+                    for vec, value in zip(vecs, values):
                         lml = gp.log_marginal_likelihood(gp._unpack(vec, hp), data)
-                        assert objective(vec) == -lml
+                        assert value == -lml
                         checked += 1
                         clamped += bool(np.any(np.abs(vec[: d + 2]) > gp._LOG_PARAM_BOUND))
         assert checked >= 1000 and clamped >= 100
 
     @pytest.mark.parametrize("family", [gp.SQUARED_EXPONENTIAL, gp.MATERN52])
     def test_objective_is_exact_negative_lml_past_first_rung(self, family):
-        # twelve inputs 1e-7 apart with 1e5 observations each: at the
-        # largest output scale and the smallest noise the clamp allows,
-        # noise/n is below the rounding in K_UU, so the first factor fails
-        X = np.repeat(0.3 + 1e-7 * np.arange(12)[:, None], 100_000, axis=0)
-        data = gp.RegressionData(X, np.random.default_rng(5).normal(size=len(X)))
+        data = near_duplicate_data(1)
         hp = make_hp(ls=(1.0,), family=family)
-        vec = np.array([0.0, gp._LOG_PARAM_BOUND, -gp._LOG_PARAM_BOUND, 0.2])
+        vec = past_first_rung_vec(1)
         unpacked = gp._unpack(vec, hp)
         K = gp.kernel_matrix(unpacked, data.distinct_inputs)
         K[np.diag_indices_from(K)] += unpacked.noise_variance / data.counts
         with pytest.raises(np.linalg.LinAlgError):
             potrf_factor(K)
         assert factor(unpacked, data)[1] > unpacked.noise_variance
-        value = gp._fit_objective(data, hp)(vec)
+        (value,) = gp._fit_objective(data, hp)(vec[None])
         assert value < 1e25
         assert value == -gp.log_marginal_likelihood(unpacked, data)
+
+
+def near_duplicate_data(d):
+    # twelve inputs 1e-7 apart in the first dimension with 1e5 observations
+    # each: at the largest output scale and the smallest noise the clamp
+    # allows (past_first_rung_vec), noise/n is below the rounding in K_UU,
+    # so the first factor fails
+    U = np.full((12, d), 0.5)
+    U[:, 0] = 0.3 + 1e-7 * np.arange(12)
+    X = np.repeat(U, 100_000, axis=0)
+    return gp.RegressionData(X, np.random.default_rng(5).normal(size=len(X)))
+
+
+def past_first_rung_vec(d):
+    return np.array([0.0] * d + [gp._LOG_PARAM_BOUND, -gp._LOG_PARAM_BOUND, 0.2])
+
+
+def nan_rejecting(potrf):
+    # LAPACK potrf as reference LAPACK has it, which stops at a NaN pivot;
+    # OpenBLAS's potrf factors on through one
+    def checked(a, **kwargs):
+        c, info = potrf(a, **kwargs)
+        nan = np.flatnonzero(np.isnan(np.diagonal(c)))
+        return c, info or (int(nan[0]) + 1 if nan.size else 0)
+
+    return checked
+
+
+class TestStackedObjective:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_matches_per_point_reference(self, d, monkeypatch):
+        # plain points, clamped points, a point past the first rung and a
+        # point that does not factor at all (a NaN noise, whose pivot
+        # potrf rejects), in one stack, against the reference objective of
+        # each point alone
+        monkeypatch.setattr(gp, "dpotrf", nan_rejecting(gp.dpotrf))
+        monkeypatch.setitem(globals(), "dpotrf", nan_rejecting(dpotrf))
+        data = near_duplicate_data(d)
+        rng = np.random.default_rng(50 + d)
+        for family in (gp.SQUARED_EXPONENTIAL, gp.MATERN52):
+            hp = make_hp(ls=(1.0,) * d, family=family)
+            x0 = gp._pack(hp)
+            plain = [x0, *(x0 + rng.normal(0, 0.3, x0.shape) for _ in range(4))]
+            clamped = [x0 + rng.normal(0, 8, x0.shape) for _ in range(4)]
+            for i, vec in enumerate(clamped):
+                vec[i % (d + 2)] = (-1) ** i * 20.0
+            unfactorable = np.array([0.0] * (d + 1) + [math.nan, 0.0])
+            vecs = np.array([*plain, *clamped, past_first_rung_vec(d), unfactorable])
+            reference = ref_fit_objective(data, hp)
+            values = gp._fit_objective(data, hp)(vecs)
+            assert [bits(v) for v in values] == [bits(reference(vec)) for vec in vecs]
+            assert values[-1] == gp._FAILED_FIT_VALUE
+            assert ref_factor(ref_point(vecs[-2], hp), data)[2] > 0.0
+            assert all(ref_factor(ref_point(vec, hp), data)[2] == 0.0 for vec in plain)
 
 
 # ---------------------------------------------------------------------------
@@ -834,18 +899,44 @@ def ref_collapsed_lml(L, noise, resid, data):
     )
 
 
-def ref_fit_objective(data, template):
-    d = template.dim
-    family = template.kernel
-
-    def neg_lml(vec):
-        logs = np.clip(vec[: d + 2], -gp._LOG_PARAM_BOUND, gp._LOG_PARAM_BOUND)
-        noise = max(math.exp(logs[d + 1]), gp.NOISE_VARIANCE_FLOOR)
+def ref_factor(hp, data):
+    # the collapsed factor of one point without the stacked _factor:
+    # kernel_matrix, LAPACK potrf and the jitter ladder, rung by rung;
+    # returns the factor, the noise it was factored at and the jitter
+    K = gp.kernel_matrix(hp, data.distinct_inputs)
+    K[np.diag_indices_from(K)] += hp.noise_variance / data.counts
+    jitter = 0.0
+    while jitter <= 1e-2:
         try:
-            L, noise = gp._factor(family, np.exp(logs[:d]), math.exp(logs[d]), noise, data)
+            return potrf_factor(K + np.diag(jitter / data.counts)), hp.noise_variance + jitter, jitter
+        except np.linalg.LinAlgError:
+            jitter = 10.0 * jitter or 1e-8
+    raise NumericalError("no rung of the ladder factors")
+
+
+def ref_point(vec, template):
+    # a packed vector's hyperparameters, clamped with np.clip, as a plain
+    # record that also holds values GpHyperparams refuses (NaN)
+    d = template.dim
+    logs = np.clip(vec[: d + 2], -gp._LOG_PARAM_BOUND, gp._LOG_PARAM_BOUND)
+    return SimpleNamespace(kernel=template.kernel, dim=d, lengthscales=np.exp(logs[:d]),
+                           output_scale=math.exp(logs[d]),
+                           noise_variance=max(math.exp(logs[d + 1]), gp.NOISE_VARIANCE_FLOOR),
+                           mean_constant=vec[d + 2])
+
+
+def ref_log_marginal_likelihood(hp, data):
+    L, noise, _ = ref_factor(hp, data)
+    return ref_collapsed_lml(L, noise, data.means - hp.mean_constant, data)
+
+
+def ref_fit_objective(data, template):
+    # the negative LML of one packed vector, or 1e25 where no rung factors
+    def neg_lml(vec):
+        try:
+            return -ref_log_marginal_likelihood(ref_point(vec, template), data)
         except NumericalError:
             return 1e25
-        return -ref_collapsed_lml(L, noise, data.means - vec[d + 2], data)
 
     return neg_lml
 
@@ -922,9 +1013,10 @@ class TestLapackSolvesBitIdentical:
         for data, hp in bit_identity_cases(family, 30, 1):
             ours, ref = gp._fit_objective(data, hp), ref_fit_objective(data, hp)
             x0 = gp._pack(hp)
-            # spread wide enough that the log-parameter clamp binds
-            for vec in [x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(20))]:
-                assert ours(vec) == ref(vec)
+            # spread wide enough that the log-parameter clamp binds; the
+            # points go to the objective in one stack
+            vecs = np.array([x0, *(x0 + rng.normal(0, 8, x0.shape) for _ in range(20))])
+            assert ours(vecs) == [ref(vec) for vec in vecs]
 
     @BOTH_KERNELS
     def test_log_marginal_likelihood(self, family):
@@ -950,28 +1042,27 @@ class TestLapackSolvesBitIdentical:
         # Nelder-Mead only compares values, so a last-bit change rarely
         # moves its result; every point it evaluates and the value there
         # are compared as well.
-        nelder_mead = gp._nelder_mead
-
-        def fits():
+        def fits(objective_of):
             evaluations = []
 
-            def recording_nelder_mead(fun, x0, max_evals):
-                def traced(x):
-                    value = fun(x)
-                    evaluations.append((x.tobytes(), value))
-                    return value
+            def recording_objective(data, hp):
+                objective = objective_of(data, hp)
 
-                return nelder_mead(traced, x0, max_evals)
+                def traced(vecs):
+                    values = objective(vecs)
+                    evaluations.extend((vec.tobytes(), value) for vec, value in zip(vecs, values))
+                    return values
 
-            monkeypatch.setattr(gp, "_nelder_mead", recording_nelder_mead)
+                return traced
+
+            monkeypatch.setattr(gp, "_fit_objective", recording_objective)
             budget = gp.FitBudget(restarts=2, max_evals=60)
             cases = bit_identity_cases(family, 6, 4)
             return [gp.fit_type2_mle(data, hp, budget) for data, hp in cases], evaluations
 
-        ours = fits()
-        monkeypatch.setattr(gp, "_collapsed_lml", ref_collapsed_lml)
-        monkeypatch.setattr(gp, "_fit_objective", ref_fit_objective)
-        assert ours == fits()
+        ours = fits(gp._fit_objective)
+        monkeypatch.setattr(gp, "log_marginal_likelihood", ref_log_marginal_likelihood)
+        assert ours == fits(lambda data, hp: per_point(ref_fit_objective(data, hp)))
 
     def test_singular_factor_raises(self):
         L = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.3, 2.0]])
@@ -979,6 +1070,11 @@ class TestLapackSolvesBitIdentical:
             gp._solve_chol(L, np.ones(3))
         with pytest.raises(np.linalg.LinAlgError):
             gp._solve_chol(L, np.ones((3, 4)), transposed=True)
+
+
+def per_point(fun):
+    # a stacked objective from a function of one point
+    return lambda vecs: [fun(vec) for vec in vecs]
 
 
 def ref_unpacked_values(vec, template):
@@ -1005,31 +1101,33 @@ def bits(value):
 def test_unpacked_values_match_numpy_clamp(family):
     rng = np.random.default_rng(43)
     special = (math.inf, -math.inf, math.nan)
-    for _ in range(500):
+    for _ in range(100):
         d = int(rng.integers(1, 4))
         template = random_hp(rng, d, family)
-        # spread wide enough to cross +-_LOG_PARAM_BOUND
-        vec = rng.normal(0, 10, d + 3)
-        for i in rng.choice(vec.size, size=int(rng.integers(0, 3)), replace=False):
-            vec[i] = special[rng.integers(0, 3)]
-        ours, ref = gp._unpacked_values(vec, template), ref_unpacked_values(vec, template)
-        assert [bits(v) for v in ours] == [bits(v) for v in ref]
-        assert all(type(v) is float for v in ours[1:])
+        # a stack of five, spread wide enough to cross +-_LOG_PARAM_BOUND
+        vecs = rng.normal(0, 10, (5, d + 3))
+        for vec in vecs:
+            for i in rng.choice(vec.size, size=int(rng.integers(0, 3)), replace=False):
+                vec[i] = special[rng.integers(0, 3)]
+        ours = gp._unpacked_values(vecs, template)
+        assert ours[0].shape == (5, d)
+        for row, vec in zip(zip(*ours), vecs):
+            assert [bits(v) for v in row] == [bits(v) for v in ref_unpacked_values(vec, template)]
+        assert all(type(v) is float for v in ours[1] + ours[2])
+        unpacked = gp._unpack(rng.normal(0, 10, d + 3), template)
+        assert all(type(v) is float for v in (*unpacked.lengthscales, unpacked.output_scale,
+                                              unpacked.noise_variance, unpacked.mean_constant))
 
 
 # ---------------------------------------------------------------------------
 # The fit's Nelder-Mead is a port of scipy's. Against scipy.optimize as
 # the reference it must give the same result bits and evaluate the same
-# points, with the same values, in the same order.
+# points, with the same values, in the same order. The fit runs several
+# searches in lockstep; each must do exactly what scipy does with its
+# start alone.
 
 
-def scipy_nelder_mead(fun, x0, max_evals):
-    options = {"maxfev": max_evals, "xatol": gp._NM_XATOL, "fatol": gp._NM_FATOL}
-    res = minimize(fun, x0, method="Nelder-Mead", options=options)
-    return res.x, res.fun
-
-
-def nelder_mead_run(search, fun, x0, max_evals):
+def scipy_run(fun, x0, max_evals):
     # the result's bits and every (point, value) evaluated, as bytes
     evaluations = []
 
@@ -1038,15 +1136,54 @@ def nelder_mead_run(search, fun, x0, max_evals):
         evaluations.append((bits(x), bits(value)))
         return value
 
-    x, value = search(traced, np.array(x0, dtype=float), max_evals)
-    return bits(x), bits(value), evaluations
+    options = {"maxfev": max_evals, "xatol": gp._NM_XATOL, "fatol": gp._NM_FATOL}
+    res = minimize(traced, np.array(x0, dtype=float), method="Nelder-Mead", options=options)
+    return bits(res.x), bits(res.fun), evaluations
 
 
-def assert_matches_scipy(fun, x0, max_evals):
-    ours = nelder_mead_run(gp._nelder_mead, fun, x0, max_evals)
-    assert ours == nelder_mead_run(scipy_nelder_mead, fun, x0, max_evals)
-    x, value, evaluations = ours
-    return np.frombuffer(x), float(np.frombuffer(value)[0]), len(evaluations)
+def lockstep_runs(objective, starts, max_evals, per_call):
+    # the searches from all starts driven together by gp._lockstep, each
+    # search's own (point, value) sequence recorded between it and the driver
+    traces = []
+    nelder_mead = gp._nelder_mead
+
+    def recording(x0, max_evals):
+        trace = []
+        traces.append(trace)
+        search = nelder_mead(x0, max_evals)
+        wanted = next(search)
+        while True:
+            values = yield wanted
+            trace.extend((bits(x), bits(value)) for x, value in zip(wanted, values))
+            try:
+                wanted = search.send(values)
+            except StopIteration as stop:
+                return stop.value
+
+    calls = []
+
+    def counted(vecs):
+        calls.append(len(vecs))
+        return objective(vecs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp, "_nelder_mead", recording)
+        starts = [np.array(x0, dtype=float) for x0 in starts]
+        results = gp._lockstep(counted, starts, max_evals, per_call)
+    assert max(calls) <= per_call
+    return [(bits(x), bits(value), trace) for (x, value), trace in zip(results, traces)]
+
+
+def assert_matches_scipy(objective, starts, max_evals):
+    # ``objective`` takes a stack of points; scipy evaluates it one point
+    # at a time. The driver serves one point per call, one whole simplex,
+    # or every start at once.
+    expected = [scipy_run(lambda x: objective(x[None])[0], x0, max_evals) for x0 in starts]
+    n = len(starts[0])
+    for per_call in (1, n + 1, 10**6):
+        assert lockstep_runs(objective, starts, max_evals, per_call) == expected
+    return [(np.frombuffer(x), float(np.frombuffer(value)[0]), len(evaluations))
+            for x, value, evaluations in expected]
 
 
 def fit_objectives(family, seed):
@@ -1069,17 +1206,28 @@ class TestNelderMeadMatchesScipy:
         rng = np.random.default_rng(44)
         for objective, x_hp in fit_objectives(family, 5):
             n = x_hp.size
-            # from the packed point itself to far from it
-            for spread in (0.0, 0.3, 3.0):
-                x0 = x_hp + rng.normal(0, spread, n)
-                # budgets that run out inside the initial simplex, and the fit's
-                for max_evals in (*range(1, n + 2), 40, 60, 100):
-                    assert_matches_scipy(objective, x0, max_evals)
+            # from the packed point itself to far from it, all at once
+            starts = [x_hp + rng.normal(0, spread, n) for spread in (0.0, 0.3, 3.0)]
+            # budgets that run out inside the initial simplex, and the fit's
+            for max_evals in (*range(1, n + 2), 40, 60, 100):
+                assert_matches_scipy(objective, starts, max_evals)
+
+    def test_searches_of_unequal_length(self):
+        # a start whose simplex is already within the tolerances stops
+        # after it; the others go on, one of them alone
+        fun = per_point(lambda x: float(x @ x))
+        starts = [[0.7, 0.7], [0.0, 0.0], [2.0, -1.0]]
+        runs = assert_matches_scipy(fun, starts, 200)
+        nfev = [evaluations for _, _, evaluations in runs]
+        assert nfev[1] == 3 < nfev[0] < nfev[2] < 200
+        # a budget below the simplex, and a single start
+        assert [r[2] for r in assert_matches_scipy(fun, starts, 2)] == [2, 2, 2]
+        assert assert_matches_scipy(fun, starts[2:], 200)[0][2] == nfev[2]
 
     def test_expansion_cut_off_discards_the_better_reflection(self):
         # simplex {1, 1.05}; the reflection 0.95 improves, so an expansion
         # follows, and the budget refuses it
-        x, value, nfev = assert_matches_scipy(lambda x: float(x[0]), [1.0], 3)
+        [(x, value, nfev)] = assert_matches_scipy(per_point(lambda x: float(x[0])), [[1.0]], 3)
         assert (x.tolist(), value, nfev) == ([1.0], 1.0, 3)
 
     @pytest.mark.parametrize(
@@ -1093,10 +1241,10 @@ class TestNelderMeadMatchesScipy:
         ids=["outside", "inside"],
     )
     def test_contraction_cut_off_is_discarded(self, fun):
-        x, value, nfev = assert_matches_scipy(fun, [1.0], 3)
+        [(x, value, nfev)] = assert_matches_scipy(per_point(fun), [[1.0]], 3)
         assert (x.tolist(), value, nfev) == ([1.0], fun([1.0]), 3)
         # with one more evaluation the contraction is taken
-        assert assert_matches_scipy(fun, [1.0], 4)[2] == 4
+        assert assert_matches_scipy(per_point(fun), [[1.0]], 4)[0][2] == 4
 
     def test_shrink_cut_off(self):
         # a plateau at 1.0 but for one strip at x = (1, 1.025), where the
@@ -1106,9 +1254,9 @@ class TestNelderMeadMatchesScipy:
 
         # evaluations: simplex 3, reflection, contraction, then the shrink's
         # second vertex; the budget refuses the third, so its 0.0 is not seen
-        x, value, nfev = assert_matches_scipy(fun, [1.0, 1.0], 6)
+        [(x, value, nfev)] = assert_matches_scipy(per_point(fun), [[1.0, 1.0]], 6)
         assert (x.tolist(), value, nfev) == ([1.0, 1.0], 1.0, 6)
-        x, value, nfev = assert_matches_scipy(fun, [1.0, 1.0], 7)
+        [(x, value, nfev)] = assert_matches_scipy(per_point(fun), [[1.0, 1.0]], 7)
         assert (x.tolist(), value, nfev) == ([1.0, 1.025], 0.0, 7)
 
     def test_plateaus_and_ties(self):
@@ -1116,7 +1264,7 @@ class TestNelderMeadMatchesScipy:
         bound = x_hp[0] + 0.02
 
         def failed_above(x):
-            return gp._FAILED_FIT_VALUE if x[0] > bound else objective(x)
+            return gp._FAILED_FIT_VALUE if x[0] > bound else objective(x[None])[0]
 
         def nan_above(x):
             return math.nan if x[0] > 1.02 else float(np.floor(3.0 * x.sum()))
@@ -1130,16 +1278,75 @@ class TestNelderMeadMatchesScipy:
             nan_above,
         ]
         for max_evals in range(1, 50):
-            assert_matches_scipy(failed_above, x_hp, max_evals)
+            assert_matches_scipy(per_point(failed_above), [x_hp], max_evals)
+            # the plateaus from the same start, searched together
             for fun in plateaus:
-                assert_matches_scipy(fun, [1.0, 2.0, 0.5], max_evals)
+                assert_matches_scipy(per_point(fun), [[1.0, 2.0, 0.5]], max_evals)
 
     def test_zero_entries_in_the_start(self):
         objective, x_hp = next(fit_objectives(gp.SQUARED_EXPONENTIAL, 7))
         starts = [np.zeros_like(x_hp), np.where(np.arange(x_hp.size) % 2, x_hp, 0.0)]
-        for x0 in starts:
-            for max_evals in (*range(1, x_hp.size + 2), 60):
-                assert_matches_scipy(objective, x0, max_evals)
+        for max_evals in (*range(1, x_hp.size + 2), 60):
+            assert_matches_scipy(objective, starts, max_evals)
         # -0.0 counts as zero when the initial simplex is built
         for max_evals in range(1, 40):
-            assert_matches_scipy(lambda x: float(np.floor(4.0 * x[-1])), [0.0, -0.0, 1.0], max_evals)
+            assert_matches_scipy(per_point(lambda x: float(np.floor(4.0 * x[-1]))),
+                                 [[0.0, -0.0, 1.0]], max_evals)
+
+
+def regret_1d_data(T):
+    # T noisy observations of a 1-D function on nine arms
+    rng = np.random.default_rng(T)
+    X = np.linspace(0.1, 0.9, 9)[rng.integers(0, 9, T), None]
+    return gp.RegressionData(X, np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(T))
+
+
+class TestLockstepFit:
+    def spy(self, monkeypatch):
+        # the number of points in each call of the fit objective
+        calls = []
+        fit_objective = gp._fit_objective
+
+        def counting(data, hp):
+            objective = fit_objective(data, hp)
+
+            def counted(vecs):
+                calls.append(len(vecs))
+                return objective(vecs)
+
+            return counted
+
+        monkeypatch.setattr(gp, "_fit_objective", counting)
+        return calls
+
+    @pytest.mark.parametrize("T", [20, 60, 100])
+    def test_two_restarts_take_one_call_per_round(self, T, monkeypatch):
+        # two searches of at most 40 points each: one call for both initial
+        # simplices (five points each in 1-D), then at most 35 rounds
+        calls = self.spy(monkeypatch)
+        gp.fit_type2_mle(regret_1d_data(T), make_hp(), gp.FitBudget(2, 40))
+        assert len(calls) <= 36 < sum(calls)
+        assert calls[0] == 10
+
+    def test_stack_is_bounded_by_the_input(self, monkeypatch):
+        # 60 distinct 3-D inputs: 3600 entries a point, so a call holds at
+        # most nine points, and only one search (seven simplex points) is
+        # live at a time
+        rng = np.random.default_rng(60)
+        data = gp.RegressionData(rng.uniform(0, 1, (60, 3)), rng.normal(size=60))
+        init, budget = make_hp(ls=(0.3, 0.3, 0.3)), gp.FitBudget(restarts=50, seed=2)
+        sizes = []
+        kernel_from_sqdist = gp._kernel_from_sqdist
+
+        def spying(family, output_scale, d2):
+            sizes.append(d2.size)
+            return kernel_from_sqdist(family, output_scale, d2)
+
+        monkeypatch.setattr(gp, "_kernel_from_sqdist", spying)
+        fitted = gp.fit_type2_mle(data, init, budget)
+        assert max(sizes) <= gp._BLOCK_ELEMENTS and max(sizes) == 7 * 3600
+        # one point per call, so one search after another
+        sizes.clear()
+        monkeypatch.setattr(gp, "_BLOCK_ELEMENTS", 1)
+        assert gp.fit_type2_mle(data, init, budget) == fitted
+        assert set(sizes) == {3600}
