@@ -5,20 +5,15 @@ serve the mock trainer.
 inside the commands that use them, so ``mock-trainer`` starts quickly;
 ``summarize`` needs only ``report``, which loads neither.
 
-Exit codes: 0 success; 2 a config error, found when the config is read,
-when the output directory or a run's environment is made, or when an
-output CSV cannot be written; 3 one or more runs ended by an
-``errors.RUN_FAILURES`` failure (environment, data or bridge failure, a
-diverged run or a numerical breakdown of the GP; the other runs still
-complete), or unreadable run CSVs. A traceback means a bug in gpts.
+Exit codes, as README details them: 0 success; 1 interrupted (Ctrl-C:
+``Aborted!``) or stdout closed; 2 a usage or config error; 3 a run ended
+by one of ``errors.RUN_FAILURES`` (the other runs still complete), or
+unreadable run CSVs. A traceback means a bug in gpts.
 """
 
-from __future__ import annotations
-
+import argparse
 import json
 import sys
-
-import click
 
 from . import bridge
 from .errors import BridgeError, ConfigError, DataError
@@ -27,81 +22,85 @@ EXIT_CONFIG = 2
 EXIT_ENVIRONMENT = 3
 
 
-@click.group()
-def main():
-    """GP Thompson-sampling toolkit for online hyperparameter tuning."""
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=False))
-@click.option("--seed-override", default=None, help="Comma-separated seeds replacing the config's.")
-@click.option("--out", "out_dir", default=None, type=click.Path(), help="Output directory override.")
-def run(config_path, seed_override, out_dir):
+def run(config_path, seed_override, out_dir) -> int:
     """Run every (policy, seed) pair of an experiment config."""
     from . import harness
 
     try:
         cfg = harness.load_config(config_path)
-        seeds = None
-        if seed_override:
-            seeds = [int(s) for s in seed_override.split(",") if s.strip()]
-    except (ConfigError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
-        result = harness.run_experiment(cfg, out_dir=out_dir, seeds=seeds)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        seeds = [int(s) for s in seed_override.split(",") if s.strip()] if seed_override else None
+    except ValueError as exc:  # a ConfigError, or a seed that is not an integer
+        raise ConfigError(exc) from exc
+    result = harness.run_experiment(cfg, out_dir=out_dir, seeds=seeds)
     for r in result["runs"]:
-        click.echo(f"wrote {r['path']}")
-    click.echo(f"wrote {result['summary']}")
-    if result["failures"]:
-        for f in result["failures"]:
-            click.echo(f"FAILED {f['policy']} seed {f['seed']}: {f['error']}", err=True)
-        sys.exit(EXIT_ENVIRONMENT)
+        print(f"wrote {r['path']}")
+    print(f"wrote {result['summary']}", flush=True)  # ahead of the failures in a shared file
+    for f in result["failures"]:
+        print(f"FAILED {f['policy']} seed {f['seed']}: {f['error']}", file=sys.stderr)
+    return EXIT_ENVIRONMENT if result["failures"] else 0
 
 
-@main.command()
-@click.option("--dir", "run_dir", required=True, type=click.Path())
-def summarize(run_dir):
+def summarize(run_dir) -> int:
     """Summarize the run CSVs in a directory."""
     from . import report
 
-    try:
-        result = report.summarize(run_dir)
-    except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_ENVIRONMENT)
-    click.echo(report.format_report(result))
-    click.echo(json.dumps(result["policies"], indent=2))
+    result = report.summarize(run_dir)
+    print(report.format_report(result), json.dumps(result["policies"], indent=2), sep="\n")
+    return 0
 
 
-@main.command("mock-trainer")
-@click.option("--transport", default="stdio", help="stdio or tcp:<port>.")
-def mock_trainer(transport):
+def mock_trainer(transport) -> int:
     """Serve the trainer wire protocol backed by the synthetic simulator,
     set up by each Init message's config."""
     try:
-        code = bridge.mock_trainer_main(transport=transport)
+        return bridge.mock_trainer_main(transport=transport)
     except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        raise ConfigError(exc) from exc
     except (OSError, BridgeError) as exc:
-        click.echo(f"transport failure: {exc}", err=True)
-        sys.exit(EXIT_ENVIRONMENT)
-    sys.exit(code)
+        print(f"transport failure: {exc}", file=sys.stderr)
+        return EXIT_ENVIRONMENT
 
 
-@main.command("print-default-config")
-def print_default_config():
+def print_default_config() -> int:
     """Print the default experiment configuration (YAML)."""
     import yaml
 
     from . import harness
 
-    click.echo(yaml.safe_dump(harness.default_config_dict(), sort_keys=False))
+    print(yaml.safe_dump(harness.default_config_dict(), sort_keys=False))
+    return 0
+
+
+def main(argv=None) -> int:
+    """GP Thompson-sampling toolkit for online hyperparameter tuning."""
+    parser = argparse.ArgumentParser(prog="gpts", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    sub = {}
+    for command in (run, summarize, mock_trainer, print_default_config):
+        name, doc = command.__name__.replace("_", "-"), command.__doc__
+        sub[command] = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub[command].set_defaults(command=command)
+    sub[run].add_argument("--config", dest="config_path", required=True)
+    sub[run].add_argument("--seed-override", help="Comma-separated seeds replacing the config's.")
+    sub[run].add_argument("--out", dest="out_dir", help="Output directory override.")
+    sub[summarize].add_argument("--dir", dest="run_dir", required=True)
+    sub[mock_trainer].add_argument("--transport", default="stdio", help="stdio or tcp:<port>.")
+    args = vars(parser.parse_args(argv))
+    try:
+        return args.pop("command")(**args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_ENVIRONMENT
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # as in `gpts summarize | head`: nothing more is written
+        sys.stdout = None  # nor flushed at exit
+        return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -621,6 +621,10 @@ def _heuristic_start(data: RegressionData, template: GpHyperparams) -> GpHyperpa
     """Moment-matched starting point: mean and output scale from the
     targets, lengthscales from the per-dimension input spread."""
     y = data.targets
+    with np.errstate(invalid="ignore"):  # a sum can overflow both ways: inf - inf
+        mean = float(np.mean(y))
+    if not math.isfinite(mean):
+        raise NumericalError(f"the targets' mean overflows to {mean}")
     # finite targets and inputs can overflow their moments; the record takes bounded values
     var = min(max(float(np.var(y)), 1e-4), _OUTPUT_SCALE_MAX)
     spread = np.minimum(np.std(data.inputs, axis=0), sys.float_info.max)
@@ -629,7 +633,7 @@ def _heuristic_start(data: RegressionData, template: GpHyperparams) -> GpHyperpa
     )
     return replace(template, lengthscales=lengthscales, output_scale=var,
                    noise_variance=max(0.1 * var, NOISE_VARIANCE_FLOOR),
-                   mean_constant=float(np.mean(y)))
+                   mean_constant=mean)
 
 
 def _nelder_mead(x0: np.ndarray, max_evals: int):
@@ -780,7 +784,7 @@ def fit_type2_mle(
     lower marginal likelihood than ``init``; for fewer than two
     observations ``init`` is returned unchanged. A candidate replaces the
     incumbent only on strict improvement, so ties resolve to the earliest
-    restart.
+    restart. Finite targets whose mean overflows raise ``NumericalError``.
     """
     if len(data) < 2:
         return init

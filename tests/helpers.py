@@ -1,6 +1,23 @@
-"""Test doubles shared by more than one test module."""
+"""Test doubles and a CLI runner shared by more than one test module."""
 
+import contextlib
+import io
+
+from gpts import cli
 from gpts.errors import InvalidArgumentError
+
+
+def run_cli(argv):
+    """Run ``gpts`` with ``argv`` in this process: (exit code, stdout,
+    stderr). Only ``SystemExit`` (argparse's usage errors and ``--help``)
+    is caught, so any other exception fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class PartialArmEnv:

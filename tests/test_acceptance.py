@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from click.testing import CliRunner
-from helpers import PartialArmEnv
+from helpers import PartialArmEnv, run_cli
 
-from gpts import bandit, bridge, cli, environments as envs, gp, harness
+from gpts import bandit, bridge, environments as envs, gp, harness
 
 GRID_1D = [dict(lower=0.0, upper=0.5, step=0.05, name="rho")]
 GRID_3D = [
@@ -325,14 +324,11 @@ def test_criterion_9_cli_reruns_byte_identical(tmp_path):
     ]
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
-    runner = CliRunner()
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        res = runner.invoke(
-            cli.main, ["run", "--config", str(cfg_path), "--out", str(out)]
-        )
-        assert res.exit_code == 0, res.output
+        code, _, err = run_cli(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 0, err
         outputs.append({p.name: p.read_bytes() for p in Path(out).glob("*.csv")})
     same = outputs[0] == outputs[1] and len(outputs[0]) == 7
     report(9, same, f"{len(outputs[0])} CSVs byte-identical across repeated runs")

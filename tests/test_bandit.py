@@ -2,6 +2,7 @@
 Thompson selection, and the run loop."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -426,6 +427,26 @@ class TestRunPolicy:
         h = bandit.run_policy(grid_1d(), cfg, OverflowEnv(), T=5, u=1)
         assert h.error == "interaction 1: diverged (reward inf from validation loss -1e+308)"
         assert len(h) == 0 and h.losses() == [1e308]
+
+    @pytest.mark.parametrize(
+        "losses,t,mean", [((1e308, 0.0, -1e308, 0.0), 3, "inf"), ((1e308, 0.0), 17, "nan")],
+        ids=["inf", "nan"],
+    )
+    def test_rewards_whose_mean_overflows_end_the_run(self, losses, t, mean):
+        # every reward is finite (+-1e308), but the fit's mean of them is not
+        class CyclingEnv:
+            def __init__(self):
+                self.losses = itertools.cycle(losses)
+
+            def init(self):
+                return next(self.losses)
+
+            def step(self, arm, u):
+                return next(self.losses)
+
+        h = bandit.run_policy(grid_1d(), bandit.PolicySpec(bandit.GP_TS), CyclingEnv(), T=30, u=1)
+        assert h.error == f"interaction {t}: numerical: the targets' mean overflows to {mean}"
+        assert len(h) == t - 1 and len(h.gp_trace) == t - 1
 
     @pytest.mark.parametrize("kind", [bandit.GP_TS, bandit.FIXED_ARM])
     def test_replay_gap_returns_partial_history(self, kind):

@@ -76,7 +76,9 @@ def test_mock_trainer_session_loads_no_scipy():
         "init_ack",
         "step_ack",
     ]
-    assert gp_stack_modules(loaded_modules(proc)) == []
+    modules = loaded_modules(proc)
+    assert gp_stack_modules(modules) == []
+    assert "click" not in modules
 
 
 def test_cli_commands_from_a_cold_start(tmp_path):
@@ -101,8 +103,8 @@ def test_cli_commands_from_a_cold_start(tmp_path):
 def test_gpts_run_loads_no_scipy_optimize(tmp_path):
     # the GP stack loads scipy's LAPACK extension from its file, not through
     # scipy.linalg, whose import loads numpy.f2py and numpy.testing; its
-    # Nelder-Mead is its own, and the arm space's distance table needs no
-    # np.union1d, whose np.unique loads numpy.ma
+    # Nelder-Mead is its own, the arm space's distance table needs no
+    # np.union1d, whose np.unique loads numpy.ma, and the CLI is argparse
     raw = yaml.safe_load(python("-m", "gpts.cli", "print-default-config").stdout)
     raw.update(T=3, seeds=[0], output_dir=str(tmp_path / "runs"), policies=[{"kind": "gp_ts"}])
     config = tmp_path / "config.yaml"
@@ -111,5 +113,15 @@ def test_gpts_run_loads_no_scipy_optimize(tmp_path):
     assert ran.returncode == 0, ran.stderr
     modules = loaded_modules(ran)
     assert "gpts.gp" in modules
-    unwanted = ("scipy.linalg", "scipy.optimize", "numpy.f2py", "numpy.testing", "numpy.ma")
+    unwanted = ("scipy.linalg", "scipy.optimize", "numpy.f2py", "numpy.testing", "numpy.ma",
+                "click")
     assert [m for m in modules for u in unwanted if m == u or m.startswith(u + ".")] == []
+
+
+def test_console_script_form():
+    # what the `gpts` script of pyproject.toml's [project.scripts] runs
+    script = python("-c", "import sys; from gpts.cli import main; sys.exit(main())",
+                    "print-default-config")
+    module = python("-m", "gpts.cli", "print-default-config")
+    assert script.returncode == module.returncode == 0, script.stderr
+    assert script.stdout == module.stdout != ""

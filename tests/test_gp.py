@@ -772,6 +772,16 @@ class TestFit:
         data = gp.RegressionData([[2e200], [-2e200], [2e200]], [0.1, -0.2, 0.3])
         assert isinstance(gp.fit_type2_mle(data, make_hp()), gp.GpHyperparams)
 
+    @pytest.mark.parametrize(
+        "targets,mean", [([1e308] * 3, "inf"), ([1e308, -1e308] * 8, "nan")], ids=["inf", "nan"]
+    )
+    def test_targets_whose_mean_overflows_raise_numerical_error(self, targets, mean):
+        # finite targets whose sum overflows: to inf, or, in numpy's pairwise
+        # sum of 16 alternating targets, both ways to inf - inf
+        X = np.linspace(0.1, 0.9, len(targets))[:, None]
+        with pytest.raises(NumericalError, match=f"the targets' mean overflows to {mean}"):
+            gp.fit_type2_mle(gp.RegressionData(X, targets), make_hp())
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, (12, 1))

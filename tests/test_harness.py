@@ -5,16 +5,19 @@ import csv
 import dataclasses
 import itertools
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
+from helpers import run_cli
 
-from gpts import bandit, bridge, cli, environments as envs, gp, harness, report
+from gpts import bandit, bridge, environments as envs, gp, harness, report
 from gpts.errors import ConfigError, DataError, InvalidArgumentError, NumericalError
 
 
@@ -370,9 +373,9 @@ class TestRunExperiment:
             ("uniform_random", "2"),
         }
 
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 3
-        assert f"FAILED gp_ts seed 0: {error}" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 3
+        assert f"FAILED gp_ts seed 0: {error}" in err
 
 
 def hand_history(gp_trace=()):
@@ -492,22 +495,21 @@ class TestSummarize:
 class TestCli:
     def test_run_and_summarize_succeed(self, tmp_path):
         path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
-        runner = CliRunner()
-        res = runner.invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 0, res.output
-        res = runner.invoke(cli.main, ["summarize", "--dir", raw["output_dir"]])
-        assert res.exit_code == 0, res.output
-        assert "uniform_random" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 0, err
+        code, out, err = run_cli(["summarize", "--dir", raw["output_dir"]])
+        assert code == 0, err
+        assert "uniform_random" in out
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("arm_space: []\n")
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2
+        code, _, _ = run_cli(["run", "--config", str(path)])
+        assert code == 2
 
     def test_missing_config_file_exits_2(self, tmp_path):
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(tmp_path / "nope.yaml")])
-        assert res.exit_code == 2
+        code, _, _ = run_cli(["run", "--config", str(tmp_path / "nope.yaml")])
+        assert code == 2
 
     @pytest.mark.parametrize(
         "environment",
@@ -522,8 +524,8 @@ class TestCli:
         path, _ = small_config(
             tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0], environment=environment
         )
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
 
     @pytest.mark.parametrize("timeout_s", [math.inf, -1.0, math.nan, 1e10])
     def test_bad_bridge_timeout_exits_2(self, tmp_path, timeout_s):
@@ -533,17 +535,16 @@ class TestCli:
         path, raw = small_config(
             tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0], environment=environment
         )
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert "config error:" in res.output and "timeout_s" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error:" in err and "timeout_s" in err
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
     @pytest.mark.parametrize("transport", ["tcp:99999", "tcp:-5", "tcp:x"])
     def test_mock_trainer_bad_port_exits_2(self, transport):
-        res = CliRunner().invoke(cli.main, ["mock-trainer", "--transport", transport])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output and "[0, 65535]" in res.output
+        code, _, err = run_cli(["mock-trainer", "--transport", transport])
+        assert code == 2, err
+        assert "config error:" in err and "[0, 65535]" in err
 
     @pytest.mark.parametrize(
         "overrides",
@@ -566,10 +567,9 @@ class TestCli:
     )
     def test_invalid_config_value_exits_2(self, tmp_path, overrides):
         path, _ = small_config(tmp_path, seeds=[0], **overrides)
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error: invalid experiment config" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error: invalid experiment config" in err
 
     @pytest.mark.parametrize(
         "overrides",
@@ -592,40 +592,36 @@ class TestCli:
     )
     def test_environment_not_matching_grid_exits_2(self, tmp_path, overrides):
         path, raw = small_config(tmp_path, seeds=[0], **overrides)
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert f"config error: invalid {overrides['environment']['kind']} environment" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert f"config error: invalid {overrides['environment']['kind']} environment" in err
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
     def test_output_directory_that_cannot_be_made_exits_2(self, tmp_path):
         path, _ = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
         blocker = tmp_path / "a_file"
         blocker.write_text("")
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path), "--out", str(blocker / "sub")])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error: cannot create output directory" in res.output
+        code, _, err = run_cli(["run", "--config", str(path), "--out", str(blocker / "sub")])
+        assert code == 2, err
+        assert "config error: cannot create output directory" in err
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_run_csv_that_cannot_be_written_exits_2(self, tmp_path):
         path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0, 1])
         blocker = Path(raw["output_dir"]) / "run_uniform_random_seed0.csv"
         blocker.mkdir(parents=True)
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert f"config error: cannot write {blocker}" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert f"config error: cannot write {blocker}" in err
         assert list(tmp_path.rglob("*.csv")) == [blocker]  # no further run, no summary
 
     def test_summary_csv_that_cannot_be_written_exits_2(self, tmp_path):
         path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
         blocker = Path(raw["output_dir"]) / "summary.csv"
         blocker.mkdir(parents=True)
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert f"config error: cannot write {blocker}" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert f"config error: cannot write {blocker}" in err
         # the run finished before the summary keeps its CSV
         assert (blocker.parent / "run_uniform_random_seed0.csv").is_file()
 
@@ -638,8 +634,8 @@ class TestCli:
             arm_space=[{"name": "rho", "lower": 1.0e200, "upper": 3.0e200, "step": 1.0e200}],
             policies=[{"kind": "gp_ts"}, {"kind": "fixed_arm", "arm_index": 0}],
         )
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 0, res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 0, err
         rows = list(csv.DictReader((Path(raw["output_dir"]) / "run_gp_ts_seed0.csv").open()))
         assert {row["arm_rho"] for row in rows[1:]} == {"2e+200"}
         assert len(rows) == 1 + raw["T"]
@@ -652,8 +648,8 @@ class TestCli:
             arm_space=[{"name": "rho", "lower": 0.0, "upper": 3.0e200, "step": 1.0e200}],
             policies=[{"kind": "gp_ts"}],
         )
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 0, res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 0, err
         rows = list(csv.DictReader((Path(raw["output_dir"]) / "run_gp_ts_seed0.csv").open()))
         assert len(rows) == 1 + 10
 
@@ -663,8 +659,8 @@ class TestCli:
             tmp_path, seeds=[0], environment={"kind": "test_function"},
             policies=[{"kind": "gp_ts"}], gp={"output_scale": 1.0e11},
         )
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 0, res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 0, err
         rows = list(csv.DictReader((Path(raw["output_dir"]) / "run_gp_ts_seed0.csv").open()))
         assert len(rows) == 1 + raw["T"]
 
@@ -678,11 +674,11 @@ class TestCli:
             arm_space=[{"name": "rho", "lower": 0.0, "upper": 3.0e200, "step": 1.0e200}],
             policies=[{"kind": "gp_ts"}], gp={"output_scale": output_scale},
         )
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == exit_code, res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == exit_code, err
         run_csv = Path(raw["output_dir"]) / "run_gp_ts_seed0.csv"
         if exit_code == 2:
-            assert "output_scale" in res.output and not run_csv.exists()
+            assert "output_scale" in err and not run_csv.exists()
         else:
             assert len(list(csv.DictReader(run_csv.open()))) == 1 + raw["T"]
 
@@ -710,10 +706,9 @@ class TestCli:
     )
     def test_out_of_range_or_truncated_value_exits_2(self, tmp_path, overrides):
         path, _ = small_config(tmp_path, **{"seeds": [0], **overrides})
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error:" in err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
@@ -732,10 +727,9 @@ class TestCli:
     def test_boolean_for_integer_exits_2(self, tmp_path, overrides):
         # operator.index takes True as 1; a config's integers must not
         path, _ = small_config(tmp_path, **{"seeds": [0], **overrides})
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output and "got True" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error:" in err and "got True" in err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
@@ -754,10 +748,9 @@ class TestCli:
     def test_boolean_for_float_exits_2(self, tmp_path, overrides):
         # Python compares a bool as 0 or 1; a config must not take it as a number
         path, raw = small_config(tmp_path, **{"seeds": [0], **overrides})
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output and ("True" in res.output or "False" in res.output)
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error:" in err and ("True" in err or "False" in err)
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
     @pytest.mark.parametrize(
@@ -776,10 +769,9 @@ class TestCli:
     )
     def test_non_finite_number_exits_2(self, tmp_path, overrides):
         path, raw = small_config(tmp_path, **{"seeds": [0], **overrides})
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output and "finite" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error:" in err and "finite" in err
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
     @pytest.mark.parametrize(
@@ -816,10 +808,9 @@ class TestCli:
     def test_repeated_policy_seed_pair_exits_2(self, tmp_path, overrides, args):
         # the pair's run CSV would be written twice and counted twice in the summary
         path, raw = small_config(tmp_path, **{"seeds": [0], **overrides})
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path), *args])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output and "distinct" in res.output
+        code, _, err = run_cli(["run", "--config", str(path), *args])
+        assert code == 2, err
+        assert "config error:" in err and "distinct" in err
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
     def test_bridge_with_transport_and_command_exits_2(self, tmp_path, monkeypatch):
@@ -828,10 +819,9 @@ class TestCli:
         monkeypatch.setattr(bridge, "bridge_connect", lambda *a, **k: connects.append(a))
         trainer = [sys.executable, "-m", "gpts.cli", "mock-trainer"]
         path, raw = small_config(tmp_path, seeds=[0], **mock_bridge(transport=trainer))
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output and "transport and command" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error:" in err and "transport and command" in err
         assert connects == []
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
@@ -855,16 +845,15 @@ class TestCli:
         # a typo that fell back to a default could waste an hours-long run;
         # the replay log need not exist, as the key is rejected before it is read
         path, raw = small_config(tmp_path, **{"seeds": [0], **overrides})
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output and key in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error:" in err and key in err
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
     def test_print_default_config_text(self):
-        res = CliRunner().invoke(cli.main, ["print-default-config"])
-        assert res.exit_code == 0
-        assert res.output == DEFAULT_CONFIG_TEXT
+        code, out, _ = run_cli(["print-default-config"])
+        assert code == 0
+        assert out == DEFAULT_CONFIG_TEXT
 
     def test_summarize_policy_without_interactions(self, tmp_path):
         # what a run that fails at interaction 1 leaves: the initial row only
@@ -873,13 +862,13 @@ class TestCli:
             "gp_lengthscales,gp_output_scale,gp_noise_variance,gp_mean_constant\n"
             "0,gp_ts,0,,10.0,,0.0,,,,\n"
         )
-        res = CliRunner().invoke(cli.main, ["summarize", "--dir", str(tmp_path)])
-        assert res.exit_code == 0, res.output
-        assert f"{'gp_ts':<26}    1  n/a   n/a" in res.output.splitlines()
+        code, out, err = run_cli(["summarize", "--dir", str(tmp_path)])
+        assert code == 0, err
+        assert f"{'gp_ts':<26}    1  n/a   n/a" in out.splitlines()
 
     def test_summarize_empty_dir_exits_3(self, tmp_path):
-        res = CliRunner().invoke(cli.main, ["summarize", "--dir", str(tmp_path)])
-        assert res.exit_code == 3
+        code, _, _ = run_cli(["summarize", "--dir", str(tmp_path)])
+        assert code == 3
 
     @pytest.mark.parametrize(
         "rows",
@@ -895,8 +884,8 @@ class TestCli:
             seeds=[0],
             environment={"kind": "replay", "replay": {"path": str(log)}},
         )
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 3
+        code, _, _ = run_cli(["run", "--config", str(path)])
+        assert code == 3
 
     @pytest.mark.parametrize("row,fields", [("0,1", 2), ("0,1,5.0,7", 4)], ids=["short", "long"])
     def test_replay_row_with_wrong_field_count_exits_3(self, tmp_path, row, fields):
@@ -908,9 +897,9 @@ class TestCli:
             seeds=[0],
             environment={"kind": "replay", "replay": {"path": str(log)}},
         )
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 3, res.output
-        assert f"{log}: line 3: expected 3 fields, got {fields}" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 3, err
+        assert f"{log}: line 3: expected 3 fields, got {fields}" in err
 
     def test_diverged_initial_loss_exits_3(self, tmp_path, monkeypatch):
         class NanInit:
@@ -919,35 +908,30 @@ class TestCli:
 
         monkeypatch.setattr(harness, "_make_environment", lambda *args: NanInit())
         path, _ = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
-        res = CliRunner().invoke(cli.main, ["run", "--config", str(path)])
-        assert res.exit_code == 3
-        assert "FAILED uniform_random seed 0: init: diverged (validation loss nan)" in res.output
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 3
+        assert "FAILED uniform_random seed 0: init: diverged (validation loss nan)" in err
 
     def test_seed_override(self, tmp_path):
         path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}])
-        res = CliRunner().invoke(
-            cli.main, ["run", "--config", str(path), "--seed-override", "7"]
-        )
-        assert res.exit_code == 0, res.output
+        code, _, err = run_cli(["run", "--config", str(path), "--seed-override", "7"])
+        assert code == 0, err
         out = Path(raw["output_dir"])
         assert [p.name for p in out.glob("run_*.csv")] == ["run_uniform_random_seed7.csv"]
 
     @pytest.mark.parametrize("override", ["0,-1", " , "])
     def test_negative_or_empty_seed_override_exits_2(self, tmp_path, override):
         path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}])
-        res = CliRunner().invoke(
-            cli.main, ["run", "--config", str(path), "--seed-override", override]
-        )
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)  # not a traceback
-        assert "config error:" in res.output
+        code, _, err = run_cli(["run", "--config", str(path), "--seed-override", override])
+        assert code == 2, err
+        assert "config error:" in err
         assert not Path(raw["output_dir"]).exists()
 
     def test_print_default_config_is_loadable(self, tmp_path):
-        res = CliRunner().invoke(cli.main, ["print-default-config"])
-        assert res.exit_code == 0
+        code, out, _ = run_cli(["print-default-config"])
+        assert code == 0
         path = tmp_path / "default.yaml"
-        path.write_text(res.output)
+        path.write_text(out)
         cfg = harness.load_config(path)
         assert cfg.T == 100
 
@@ -957,6 +941,85 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "mock-trainer" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["train"],
+            ["run"],
+            ["summarize"],
+            ["run", "--conf", "config.yaml"],  # no abbreviated options
+            ["print-default-config", "extra"],
+            # a value starting with "-" reads as an option, so the seed list is missing
+            ["run", "--config", "config.yaml", "--seed-override", "-1,2"],
+        ],
+        ids=["no_command", "unknown_command", "no_config", "no_dir", "abbreviation",
+             "extra_argument", "dash_seed_override"],
+    )
+    def test_usage_error_exits_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: gpts") and "error:" in err
+
+    def test_interrupt_exits_1_and_closes_the_trainer(self, tmp_path):
+        # Ctrl-C while gpts waits on its trainer, which blocks on its stdin
+        pending, started, ended = (str(tmp_path / name) for name in ("pending", "started", "ended"))
+        trainer = tmp_path / "trainer.py"
+        trainer.write_text(
+            "import os, pathlib, sys\n"
+            f"pathlib.Path({pending!r}).write_text(str(os.getpid()))\n"
+            f"os.replace({pending!r}, {started!r})  # complete once it exists\n"
+            "sys.stdin.read()\n"
+            f"pathlib.Path({ended!r}).touch()\n"
+        )
+        path, raw = small_config(
+            tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0],
+            environment={"kind": "bridge", "bridge": {"command": [sys.executable, str(trainer)]}},
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gpts.cli", "run", "--config", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            # Python raises KeyboardInterrupt on SIGINT only where SIGINT is not
+            # ignored, and a shell starts background jobs with it ignored
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not os.path.exists(started) and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert os.path.exists(started), proc.stderr.read() if proc.poll() is not None else ""
+            interrupted = time.monotonic()
+            os.kill(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=20)
+            elapsed = time.monotonic() - interrupted
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 1, stderr
+        assert stderr.endswith("\nAborted!\n") and "Traceback" not in stderr
+        assert elapsed < 5.0
+        # the trainer read to the end of its stdin and exited, and gpts reaped it
+        assert os.path.exists(ended)
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(Path(started).read_text()), 0)
+        # the interrupted run and summary.csv are not written
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # as in `gpts print-default-config | head -0`: the reader left before the write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gpts.cli", "print-default-config"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 DEFAULT_CONFIG_TEXT = """\
