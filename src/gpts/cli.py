@@ -5,14 +5,15 @@ serve the mock trainer.
 inside the commands that use them, so ``mock-trainer`` starts quickly;
 ``summarize`` needs only ``report``, which loads neither.
 
-Exit codes, as README details them: 0 success; 1 interrupted (Ctrl-C:
-``Aborted!``) or stdout closed; 2 a usage or config error; 3 a run ended
-by one of ``errors.RUN_FAILURES`` (the other runs still complete), or
-unreadable run CSVs. A traceback means a bug in gpts.
+Exit codes, as README details them: 0 success; 1 Ctrl-C (``Aborted!``)
+or a closed stdout; 2 a usage or config error; 3 a run ended by one of
+``errors.RUN_FAILURES`` (the other runs still complete) or unreadable run
+CSVs. A traceback means a bug in gpts.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import bridge
@@ -26,10 +27,10 @@ def run(config_path, seed_override, out_dir) -> int:
     """Run every (policy, seed) pair of an experiment config."""
     from . import harness
 
+    cfg = harness.load_config(config_path)
     try:
-        cfg = harness.load_config(config_path)
         seeds = [int(s) for s in seed_override.split(",") if s.strip()] if seed_override else None
-    except ValueError as exc:  # a ConfigError, or a seed that is not an integer
+    except ValueError as exc:  # a seed that is not an integer
         raise ConfigError(exc) from exc
     result = harness.run_experiment(cfg, out_dir=out_dir, seeds=seeds)
     for r in result["runs"]:
@@ -87,7 +88,9 @@ def main(argv=None) -> int:
     sub[mock_trainer].add_argument("--transport", default="stdio", help="stdio or tcp:<port>.")
     args = vars(parser.parse_args(argv))
     try:
-        return args.pop("command")(**args)
+        code = args.pop("command")(**args)
+        sys.stdout.flush()  # a closed stdout raises here, not when Python exits
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -98,7 +101,7 @@ def main(argv=None) -> int:
         print("\nAborted!", file=sys.stderr)
         return 1
     except BrokenPipeError:  # as in `gpts summarize | head`: nothing more is written
-        sys.stdout = None  # nor flushed at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit's flush
         return 1
 
 

@@ -1007,14 +1007,21 @@ class TestCli:
         # the interrupted run and summary.csv are not written
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
-    def test_closed_stdout_exits_1_without_traceback(self):
-        # as in `gpts print-default-config | head -0`: the reader left before the write
+    @pytest.mark.parametrize("command", ["print-default-config", "summarize", "run"])
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path, command):
+        # as in `gpts summarize | head -0`: the reader left before the write
+        path, raw = small_config(tmp_path, policies=[{"kind": "uniform_random"}], seeds=[0])
+        if command == "summarize":
+            assert run_cli(["run", "--config", str(path)])[0] == 0
+        argv = {"summarize": ["--dir", raw["output_dir"]], "run": ["--config", str(path)]}
+        # a pipe block-buffers stdout unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "gpts.cli", "print-default-config"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                [sys.executable, "-m", "gpts.cli", command, *argv.get(command, [])],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
             )
         finally:
             os.close(write_end)
