@@ -6,84 +6,18 @@ maximum-likelihood hyperparameter fitting, closed-form posterior
 inference with cached Cholesky statistics, and joint posterior sampling
 at finite candidate sets. ``GpHyperparams`` is the one hyperparameter
 record: the fit returns one, and the posterior and the run CSV read it.
-
 ``RegressionData`` is the one data record, from the run loop through the
-fit to the posterior. It collapses observations whose inputs repeat
-(arms played again from a finite grid) to their distinct inputs: the
-likelihood, the fit and the posterior all work from its k distinct
-inputs, their replicate counts, the per-input target means and the
-within-input sum of squares. This is exact, not an approximation (the
-replicate identity of Binois, Gramacy & Ludkovski 2018), and makes each
-factorization k x k however many observations there are. Inputs count
-as the same only when they are exactly equal, as repeated grid arms are.
+fit to the posterior, collapsed to its distinct inputs.
 
-There is one likelihood path: one distance formula, exactly symmetric;
-one factorization of K_UU + noise * diag(1/n) for the likelihood, the
-fit and the posterior; and a fit objective that is exactly the negative
-log marginal likelihood, so fitted points need no re-scoring. The path
-is stacked: it takes B hyperparameter points at once and builds, factors
-and scores a (B, k, k) stack, elementwise in the same operations and
-order as for one point, so each slice has the bits it would have alone.
-The likelihood and the posterior take it with B = 1; the fit runs its
-restarts in lockstep and sends each round's points to it together, since
-at small k a likelihood evaluation is mostly per-call overhead.
-
-On a grid the prior Gram matrix of the queries comes from a table.
-``predict`` and ``sample_joint`` take an ``environments.ArmSpace`` as
-their queries, and read its ``distances``, built once per grid: a table
-of the c distinct combinations of per-dimension distances |x_j - x'_j|
-(9261 on a 9 x 9 x 9 grid, against its 531 441 pairs) and an m x m index
-of the combination of each pair. The kernel runs on the c combinations
-and the m x m matrix is gathered from them. Its bits are ``kernel_matrix``'s:
-the squared scaled term of -d equals that of d, ``_sqdist`` sums the
-dimensions in the same order, and the kernel chain is elementwise.
-``kernel_matrix`` serves the cross matrices and arbitrary points.
-
-All positive hyperparameters are handled in log space during fitting.
-The fit's Nelder-Mead search is this module's own ``_nelder_mead``, a
-port of scipy's that reproduces its iterates bit for bit. It is kept
-here because importing ``scipy.optimize`` would cost every process that
-runs the GP stack about 0.3 s and 20 MB, and its wrapper about 16 us
-per simplex step; of scipy, the GP stack needs only two LAPACK routines.
-It is a generator that leaves the evaluations to its caller, so that
-``_lockstep`` can advance the searches of all restarts together: one
-likelihood call per round, whatever the number of restarts, up to a
-stack of about ``_BLOCK_ELEMENTS`` matrix entries.
-
-Every Cholesky factorization recovers from a near-singular matrix on one
-jitter ladder, in tenfold steps: from 1e-8 up to 1e-2 for the likelihood
-and posterior factor, where the jitter is extra noise variance (so the
-result is the exact one at noise variance plus jitter), and for a joint
-sample from 1e-12 up to 1e-2 times the largest variance (or times 1, if
-that is smaller), so that a large posterior has a ladder too.
-
-One LAPACK ``potrf``/``trtrs`` pair, scipy's own wrappers, factors and
-solves every matrix: the k x k factor behind the likelihood, the fit and
-the posterior, and the m x m factor of a joint sample. They are called
-directly, as scipy's ``cholesky`` and ``solve_triangular`` call them
-inside their argument checking, so they give the same bits at a fraction
-of the overhead for these small factors. ``_load_lapack`` loads the pair
-from scipy's ``linalg/_flapack`` extension file without importing
-``scipy.linalg``, whose import (scipy 1.17, numpy 2.4) would cost every
-process that runs the GP stack about 0.2 s and 25 MB, mostly in the
-numpy modules it loads (``numpy.f2py``, ``numpy.testing``). The
-functions are the very objects ``scipy.linalg.lapack`` exports. Where
-that file is not found, or does not load on its own (the layout is
-private to scipy), the pair comes from ``scipy.linalg.lapack`` itself.
-
-A joint sample over an arm space allocates no m x m array after the
-space's first: ``sample_joint`` keeps two m x m float64 buffers per space
-for as long as the space lives (``_SAMPLE_BUFFERS``, weakly keyed, so
-they are freed with it; an equal space shares them). The prior Gram
-matrix is gathered into one and becomes the covariance in place, ``V.T
-@ V`` goes into the other, and the first rung of the jitter ladder
-factors the covariance where it stands; a failed rung leaves it
-half-factored, so each later rung rebuilds it. Arrays that large (4.25
-MB at 729 arms) are mapped afresh by the allocator each time, and every
-page of a fresh one faults once. The buffers never leave
-``sample_joint``, whose draw is a new vector, and ``predict`` returns
-fresh arrays. Draws on one space share its buffers, so they must not
-run in several threads at once.
+There is one likelihood path, ``_factor`` and ``_collapsed_lml``, stacked
+over B hyperparameter points: the likelihood and the posterior take it
+with one point, and the fit (``fit_type2_mle``) with each round's points
+of its Nelder-Mead searches (``_nelder_mead``, ``_lockstep``). Every
+Cholesky factor, of the likelihood and of a joint sample, goes through
+one jitter ladder (``_jittered_cholesky``) and LAPACK's ``potrf`` and
+``trtrs``, which ``_load_lapack`` loads without importing scipy.linalg.
+On a grid, the queries' prior Gram matrix is gathered from a table of
+the distinct distances (``_gathered_gram``).
 
 Inputs far apart in lengthscale units overflow some intermediate values
 to inf: a squared scaled distance, the spread of the heuristic start.
@@ -98,6 +32,7 @@ start.
 
 from __future__ import annotations
 
+import bisect
 import importlib.machinery
 import importlib.util
 import itertools
@@ -206,7 +141,11 @@ class GpHyperparams:
 class RegressionData:
     """Immutable GP data: the raw observations and their statistics
     collapsed to the distinct inputs, which the likelihood, the fit and
-    the posterior work from.
+    the posterior work from. The collapse is exact, not an approximation
+    (the replicate identity of Binois, Gramacy & Ludkovski 2018), and
+    makes each factorization k x k however many observations there are.
+    Inputs count as the same only when they are exactly equal, as repeated
+    grid arms are.
 
     ``inputs`` (T, d) and ``targets`` (T,) hold the observations; empty
     data keep the dimension of (0, d) inputs. ``distinct_inputs`` holds
@@ -218,10 +157,11 @@ class RegressionData:
     ``log_count_sum`` the sum of the log counts. Targets at one input
     more than about 1e154 apart overflow ``within_ss`` to inf, which makes
     the likelihood -inf at every hyperparameter, so the fit keeps its warm
-    start. ``diffs`` holds the
-    (d, k, k) differences x_j - x'_j of the distinct inputs, one k x k
-    array per dimension, computed once so that each factorization only
-    scales, squares and sums them.
+    start. An input whose targets sum past the float range has an infinite
+    mean, which ``PosteriorGp`` refuses. ``diffs`` holds the (d, k, k)
+    differences x_j - x'_j of the distinct inputs, one k x k array per
+    dimension, computed once so that each factorization only scales,
+    squares and sums them.
     """
 
     __slots__ = ("inputs", "targets", "distinct_inputs", "diffs", "counts", "means",
@@ -378,10 +318,17 @@ def kernel_matrix(hp: GpHyperparams, X, X2=None) -> np.ndarray:
 def _gathered_gram(hp: GpHyperparams, space: ArmSpace,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The m x m Gram matrix ``K[a, b] = k(table[:, index[a, b]])`` of the
-    space's ``distances``, into ``out`` when given: the kernel runs once on
-    the table's c columns and is gathered a block of rows at a time, so no
-    m x m ``intp`` array exists. The space built the index into its own
-    table, so the gather need not check (nor buffer) each block."""
+    space's ``distances``, into ``out`` when given. The table holds the c
+    distinct combinations of per-dimension distances |x_j - x'_j| (9261 on
+    a 9 x 9 x 9 grid, against its 531 441 pairs), and the index the
+    combination of each pair. The kernel runs once on the table's c
+    columns and is gathered a block of rows at a time, so no m x m
+    ``intp`` array exists. The space built the index into its own table,
+    so the gather need not check (nor buffer) each block.
+
+    The bits are ``kernel_matrix``'s: the squared scaled term of -d
+    equals that of d, ``_sqdist`` sums the dimensions in the same order,
+    and the kernel chain is elementwise."""
     table, index = space.distances
     m = len(index)
     values = _kernel_from_sqdist(hp.kernel, hp.output_scale, _sqdist(table, hp.lengthscales))
@@ -408,6 +355,14 @@ def _load_lapack():
     scipy's ``__init__`` adds). sys.modules is left as it was: CPython
     files a single-phase extension there as it creates it, and a later
     ``import scipy.linalg`` loads its own module, with the same functions.
+
+    This pair factors and solves every matrix of the module. It is called
+    directly, as scipy's ``cholesky`` and ``solve_triangular`` call it
+    inside their argument checking, so it gives the same bits at a
+    fraction of the overhead for small factors. Importing ``scipy.linalg``
+    (scipy 1.17, numpy 2.4) would cost every process that runs the GP
+    stack about 0.2 s and 25 MB, mostly in the numpy modules it loads
+    (``numpy.f2py``, ``numpy.testing``).
     """
     scipy_spec = importlib.util.find_spec("scipy")
     linalg = [os.path.join(path, "linalg")
@@ -432,54 +387,81 @@ def _load_lapack():
 dpotrf, dtrtrs = _load_lapack()
 
 
-def _noisy_gram(family: str, lengthscales: np.ndarray, output_scales, noises,
+def _noisy_gram(family: str, lengthscales, output_scale, noises,
                 data: RegressionData) -> np.ndarray:
     """K_UU + noise * diag(1/n) over the distinct inputs for each of B
-    hyperparameter points: a (B, k, k) stack from (B, d) ``lengthscales``
-    and B output scales and noise variances. The noise goes on through a
-    strided view of the B diagonals."""
-    d2 = _sqdist(data.diffs, lengthscales.T[:, :, None, None])
-    K = _kernel_from_sqdist(family, np.array(output_scales)[:, None, None], d2)
-    B, k = K.shape[:2]
+    hyperparameter points, a (B, k, k) stack: from d per-dimension
+    ``lengthscales`` and an ``output_scale``, each a number for one point
+    or a (B, 1, 1) array for B, and a list of B noise variances. The noise
+    goes on through a strided view of the B diagonals."""
+    K = _kernel_from_sqdist(family, output_scale, _sqdist(data.diffs, lengthscales))
+    B, k = len(noises), data.counts.shape[0]
     K.reshape(B, k * k)[:, :: k + 1] += np.divide.outer(noises, data.counts)
-    return K
+    return K.reshape(B, k, k)
 
 
-def _factor(family: str, lengthscales: np.ndarray, output_scales, noises, data: RegressionData):
+def _factored_in_place(A: np.ndarray) -> bool:
+    """Whether LAPACK ``potrf`` factored the C-contiguous A in place into
+    its lower Cholesky factor; a failed attempt leaves A half-factored.
+
+    LAPACK takes Fortran order, in which A's memory is A^T = A. ``potrf``
+    factors that as U^T U, and U in Fortran order is L = U^T in C order,
+    so A becomes L with no copy; ``clean`` zeroes the other triangle.
+
+    A NaN pivot fails as a non-positive one does. Reference LAPACK stops
+    at it; OpenBLAS's ``potrf`` factors on through it with ``info = 0``.
+    Each later pivot subtracts the square of an entry that was divided by
+    the NaN one, so it is NaN too: the diagonal holds a NaN exactly when
+    the last pivot is one.
+    """
+    return dpotrf(A.T, lower=0, clean=1, overwrite_a=1)[1] == 0 and not math.isnan(A[-1, -1])
+
+
+def _factor(family: str, lengthscales, output_scales, noises, data: RegressionData):
     """The one factorization behind the likelihood, the fit and the
     posterior, for B hyperparameter points at once: the (B, k, k) stack of
     lower Cholesky factors of K_UU + noise * diag(1/n), and the noise
-    variance each slice was factored at.
+    variance each slice was factored at. ``lengthscales`` holds B rows of
+    d (a (B, d) array, or any sequence of one row); ``output_scales`` and
+    ``noises`` B numbers each.
 
-    Each slice of the stack is factored in place. A slice that fails
+    The stack is built elementwise in the same operations and order as one
+    point's matrix, so each slice has the bits it would have alone; one
+    point's values go in as numbers, which broadcast as its (1, 1, 1)
+    arrays would. Each slice is factored in place. A slice that fails
     climbs the jitter ladder alone, from a fresh rebuild of its matrix: it
-    adds escalating extra noise variance, as jitter/n on the diagonal, and
-    its returned noise includes it. A slice that does not factor even at
-    the top of the ladder is left as the identity, and its noise is None.
+    adds escalating extra noise variance, from ``_JITTER_START`` to
+    ``_JITTER_MAX``, as jitter/n on the diagonal, so it is factored
+    exactly at the larger noise, and its returned noise includes it. A
+    slice that does not factor even at the top of the ladder is left as
+    the identity, and its noise is None.
     """
-    K = _noisy_gram(family, lengthscales, output_scales, noises, data)
-    noises = list(noises)
+    if len(noises) == 1:
+        K = _noisy_gram(family, lengthscales[0], output_scales[0], noises, data)
+    else:
+        K = _noisy_gram(family, lengthscales.T[:, :, None, None],
+                        np.array(output_scales)[:, None, None], noises, data)
+    factored = list(noises)
     for b, A in enumerate(K):
-        if dpotrf(A.T, lower=0, clean=1, overwrite_a=1)[1] == 0:
+        if _factored_in_place(A):
             continue
-        alone = slice(b, b + 1)
-        rebuilt = _noisy_gram(family, lengthscales[alone], output_scales[alone], noises[alone],
+        rebuilt = _noisy_gram(family, lengthscales[b], output_scales[b], noises[b : b + 1],
                               data)[0]
-        factored = _jittered_cholesky(rebuilt.copy, _JITTER_START, data.counts)
-        if factored is None:
+        ladder = _jittered_cholesky(rebuilt.copy, _JITTER_START, data.counts)
+        if ladder is None:
             A[...] = np.eye(len(A))
-            noises[b] = None
+            factored[b] = None
         else:
-            A[...], jitter = factored
-            noises[b] += jitter
-    return K, noises
+            A[...], jitter = ladder
+            factored[b] += jitter
+    return K, factored
 
 
 def _factor_point(hp: GpHyperparams, data: RegressionData):
     """``_factor`` at one hyperparameter point: its k x k factor and the
     noise it was factored at. Raises NumericalError if it does not factor."""
-    L, (noise,) = _factor(hp.kernel, np.array([hp.lengthscales]), [hp.output_scale],
-                          [hp.noise_variance], data)
+    L, (noise,) = _factor(hp.kernel, [hp.lengthscales], [hp.output_scale], [hp.noise_variance],
+                          data)
     if noise is None:
         k = L.shape[1]
         raise NumericalError(
@@ -490,20 +472,16 @@ def _factor_point(hp: GpHyperparams, data: RegressionData):
 
 def _jittered_cholesky(fill, jitter: float, divisor, jitter_max: float = _JITTER_MAX):
     """Lower Cholesky factor of A + diag(jitter / divisor) and the jitter
-    it took, or None: the jitter grows tenfold after each failed
-    factorization, and past ``jitter_max`` the ladder gives up. Each
-    attempt factors ``fill()``, a C-contiguous A of its own, in place, so
-    a failed attempt leaves it half-factored.
-
-    LAPACK takes Fortran order, in which B's memory is B^T = B. ``potrf``
-    factors that as U^T U, and U in Fortran order is L = U^T in C order,
-    so B becomes L with no copy; ``clean`` zeroes the other triangle.
+    it took, or None: the one jitter ladder of every factor in this
+    module. The jitter grows tenfold after each failed factorization, and
+    past ``jitter_max`` the ladder gives up. Each attempt factors
+    ``fill()``, a C-contiguous A of its own, in place
+    (``_factored_in_place``), so a failed attempt leaves it half-factored.
     """
     while jitter <= jitter_max:
         B = fill()
         B.flat[:: B.shape[0] + 1] += jitter / divisor
-        _, info = dpotrf(B.T, lower=0, clean=1, overwrite_a=1)
-        if info == 0:
+        if _factored_in_place(B):
             return B, jitter
         jitter *= 10.0
     return None
@@ -522,34 +500,40 @@ def _solve_chol(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.nd
     return x
 
 
-def _collapsed_lml(L: np.ndarray, noises, resid, data: RegressionData) -> list:
+def _record_terms(data: RegressionData) -> tuple:
+    """What ``_collapsed_lml`` takes from the record alone: the means, k,
+    (T - k)/2, the within-input sum of squares S, T/2 log(2 pi) and 1/2
+    sum(log n). The fit takes them once for all its likelihood calls."""
+    T, k = len(data), data.counts.shape[0]
+    return (data.means, k, 0.5 * (T - k), data.within_ss, 0.5 * T * math.log(2.0 * math.pi),
+            0.5 * data.log_count_sum)
+
+
+def _collapsed_lml(L: np.ndarray, noises, mean_constants, terms: tuple) -> list:
     """Exact log marginal likelihood of all T observations for each slice
     of a (B, k, k) stack L of factors of K_UU + noise * diag(1/n), from the
-    noise each was factored at and its residual means ``resid`` = means -
-    prior mean:
+    noise each was factored at, its prior mean constant and the record's
+    ``_record_terms``:
 
-        log N(resid; 0, K_UU + noise diag(1/n)) - S / (2 noise)
-            - (T - k)/2 log(2 pi noise) - 1/2 sum(log n)
+        log N(means - mean constant; 0, K_UU + noise diag(1/n))
+            - S / (2 noise) - (T - k)/2 log(2 pi noise) - 1/2 sum(log n)
 
-    with S the within-input sum of squares; None for a slice whose noise
-    is None (one that did not factor). The logs of all the stack's
-    diagonals are taken in one call, and each row summed as ``sum()``
-    sums one; each slice then takes one triangular solve and one BLAS
-    ``ddot``. The terms are those of the formula, in its order.
+    None for a slice whose noise is None (one that did not factor). The
+    logs of all the stack's diagonals are taken in one call, and each row
+    summed as ``sum()`` sums one; each slice then takes one triangular
+    solve and one BLAS ``ddot``. The terms are those of the formula, in
+    its order.
     """
-    T, k = len(data), data.counts.shape[0]
+    means, k, half_dof, within_ss, const_T, const_n = terms
     log_dets = np.add.reduce(np.log(L.reshape(len(L), k * k)[:, :: k + 1]), 1).tolist()
-    within_ss = data.within_ss
-    const_T = 0.5 * T * math.log(2.0 * math.pi)
-    const_n = 0.5 * data.log_count_sum
     lmls = []
-    for factor, noise, r, log_det in zip(L, noises, resid, log_dets):
+    for factor, noise, mean_constant, log_det in zip(L, noises, mean_constants, log_dets):
         if noise is None:
             lmls.append(None)
             continue
-        v = _solve_chol(factor, r)
+        v = _solve_chol(factor, means - mean_constant)
         lmls.append(-0.5 * (float(v.dot(v)) + within_ss / noise) - log_det
-                    - 0.5 * (T - k) * math.log(noise) - const_T - const_n)
+                    - half_dof * math.log(noise) - const_T - const_n)
     return lmls
 
 
@@ -562,7 +546,7 @@ def log_marginal_likelihood(hp: GpHyperparams, data: RegressionData) -> float:
     if len(data) == 0:
         raise InvalidArgumentError("log marginal likelihood needs at least one observation")
     L, noise = _factor_point(hp, data)
-    return _collapsed_lml(L[None], [noise], [data.means - hp.mean_constant], data)[0]
+    return _collapsed_lml(L[None], [noise], [hp.mean_constant], _record_terms(data))[0]
 
 
 def _pack(hp: GpHyperparams) -> np.ndarray:
@@ -578,22 +562,24 @@ def _unpacked_values(vecs: np.ndarray, template: GpHyperparams):
     constants of a (B, d + 3) stack of packed vectors: the log-parameters
     clamped to +-_LOG_PARAM_BOUND and the noise floored at
     NOISE_VARIANCE_FLOOR. ``_unpack`` and the fit objective both read
-    vectors through this. The lengthscales come from ``np.exp``, the output
-    scales and noise variances from ``math.exp`` as lists of floats.
+    vectors through this. The lengthscales come from ``np.exp``; the output
+    scales and noise variances from ``math.exp``, and the mean constants,
+    are lists of floats, read in one pass.
     """
     d, bound = template.dim, _LOG_PARAM_BOUND
     lengthscales = np.exp(np.minimum(np.maximum(vecs[:, :d], -bound), bound))
-    # the output scales and noises clamp as Python floats, for math.exp
-    rows = vecs[:, d : d + 2].tolist()
-    output_scales = [math.exp(min(max(s, -bound), bound)) for s, _ in rows]
-    noises = [max(math.exp(min(max(n, -bound), bound)), NOISE_VARIANCE_FLOOR) for _, n in rows]
-    return lengthscales, output_scales, noises, vecs[:, d + 2]
+    output_scales, noises, mean_constants = [], [], []
+    for scale, noise, mean_constant in vecs[:, d:].tolist():
+        output_scales.append(math.exp(min(max(scale, -bound), bound)))
+        noises.append(max(math.exp(min(max(noise, -bound), bound)), NOISE_VARIANCE_FLOOR))
+        mean_constants.append(mean_constant)
+    return lengthscales, output_scales, noises, mean_constants
 
 
 def _unpack(vec: np.ndarray, template: GpHyperparams) -> GpHyperparams:
     ls, (output_scale,), (noise,), (mean_constant,) = _unpacked_values(vec[None], template)
     return replace(template, lengthscales=tuple(ls[0].tolist()), output_scale=output_scale,
-                   noise_variance=noise, mean_constant=float(mean_constant))
+                   noise_variance=noise, mean_constant=mean_constant)
 
 
 def _fit_objective(data: RegressionData, template: GpHyperparams):
@@ -607,11 +593,12 @@ def _fit_objective(data: RegressionData, template: GpHyperparams):
     the top of the ladder scores ``_FAILED_FIT_VALUE``.
     """
     family = template.kernel
+    terms = _record_terms(data)
 
     def neg_lml(vecs: np.ndarray) -> list:
         lengthscales, output_scales, noises, mean_constants = _unpacked_values(vecs, template)
         L, noises = _factor(family, lengthscales, output_scales, noises, data)
-        lmls = _collapsed_lml(L, noises, data.means - mean_constants[:, None], data)
+        lmls = _collapsed_lml(L, noises, mean_constants, terms)
         return [_FAILED_FIT_VALUE if lml is None else -lml for lml in lmls]
 
     return neg_lml
@@ -657,6 +644,18 @@ def _nelder_mead(x0: np.ndarray, max_evals: int):
     drops it: an expansion or contraction is discarded, even after a
     better reflection, and a shrink leaves the vertices it already moved
     with their old values.
+
+    It is kept here because importing ``scipy.optimize`` would cost every
+    process that runs the GP stack about 0.3 s and 20 MB, and its wrapper
+    about 16 us per simplex step. As a generator, it lets ``_lockstep``
+    advance the searches of all restarts together.
+
+    scipy sorts the simplex after every step. After a step that replaced
+    only the worst vertex, the others are still in order, and where no
+    value is NaN or tied the order is unique, so the new vertex is
+    inserted where it belongs (``bisect``) instead: argsort would give the
+    same order. The initial simplex, a shrink, and any step where the
+    order is not unique are sorted by argsort.
     """
     n = len(x0)
     start = x0.tolist()
@@ -670,35 +669,41 @@ def _nelder_mead(x0: np.ndarray, max_evals: int):
     fsim[:evals] = yield sim[:evals]
 
     def ordered(sim, fsim):
-        # np.argsort(fsim)'s quicksort, without its wrapper's overhead
+        # np.argsort(fsim)'s quicksort, without its wrapper's overhead;
+        # and whether the n best values strictly increase (no NaN, no tie)
         order = np.array(fsim).argsort().tolist()
-        return [sim[i] for i in order], [fsim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+        return [sim[i] for i in order], fsim, all(a < b for a, b in zip(fsim, fsim[1:n]))
 
     # scipy sorts the initial simplex twice; an unstable argsort need not
     # leave sorted ties in place
-    sim, fsim = ordered(*ordered(sim, fsim))
+    sim, fsim, strict = ordered(*ordered(sim, fsim)[:2])
     while evals < max_evals:
         best, worst = sim[0], sim[-1]
-        if all(abs(a - b) <= _NM_XATOL for v in sim[1:] for a, b in zip(v, best)) and all(
-            abs(fsim[0] - f) <= _NM_FATOL for f in fsim[1:]
+        # fsim is sorted, NaN last: its spread is its last value less its first
+        if fsim[-1] - fsim[0] <= _NM_FATOL and all(
+            abs(a - b) <= _NM_XATOL for v in sim[1:] for a, b in zip(v, best)
         ):
             break
         # np.add.reduce's order, from its identity +0.0 (so -0.0 sums to 0.0)
-        xbar = [0.0] * n
-        for v in sim[:-1]:
-            xbar = [a + b for a, b in zip(xbar, v)]
-        xbar = [a / n for a in xbar]
+        xbar = []
+        for column in zip(*sim[:-1]):
+            total = 0.0
+            for a in column:
+                total += a
+            xbar.append(total / n)
         xr = [2 * c - w for c, w in zip(xbar, worst)]
         (fxr,) = yield [xr]
         evals += 1
+        new = None  # the vertex that replaces the worst, and its value
         if fxr < fsim[0]:
             if evals < max_evals:
                 xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
                 (fxe,) = yield [xe]
                 evals += 1
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+                new = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            new = xr, fxr
         elif evals < max_evals:
             if fxr < fsim[-1]:
                 xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
@@ -710,7 +715,7 @@ def _nelder_mead(x0: np.ndarray, max_evals: int):
                 shrink = not fxc < fsim[-1]
             evals += 1
             if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
+                new = xc, fxc
             else:
                 # the moved vertices do not depend on each other's values
                 moved = []
@@ -724,7 +729,19 @@ def _nelder_mead(x0: np.ndarray, max_evals: int):
                     values = yield [sim[j] for j in moved]
                     for j, value in zip(moved, values):
                         fsim[j] = value
-        sim, fsim = ordered(sim, fsim)
+        if new is not None and strict:
+            x, f = new
+            # every value before i is below f; f < fsim[i] is false for a
+            # NaN f and for a tie
+            i = bisect.bisect_left(fsim, f, 0, n)
+            if i == n or f < fsim[i]:
+                del sim[-1], fsim[-1]
+                sim.insert(i, x)
+                fsim.insert(i, f)
+                continue
+        if new is not None:
+            sim[-1], fsim[-1] = new
+        sim, fsim, strict = ordered(sim, fsim)
     return np.array(sim[0]), float(np.min(fsim))
 
 
@@ -736,31 +753,34 @@ def _lockstep(objective, starts, max_evals: int, per_call: int) -> list:
     own values. A round needs at most n + 1 points of a search, so at most
     ``per_call // (n + 1)`` searches are live (at least one, whose points
     then take several calls); a search that finishes makes room for the
-    next start. Returns each search's (x, value), in start order.
+    next start. Returns each search's (x, value), in start order. At a
+    handful of distinct inputs a likelihood evaluation is mostly per-call
+    overhead, which the searches then share.
     """
     room = max(1, per_call // (len(starts[0]) + 1))
     queued = enumerate(starts)
-    live = {}
+    live = []  # (start index, search, the points it waits for)
     results = [None] * len(starts)
     while True:
         for i, x0 in itertools.islice(queued, room - len(live)):
             search = _nelder_mead(x0, max_evals)
-            live[i] = search, next(search)
+            live.append((i, search, next(search)))
         if not live:
             return results
-        points = [x for _, wanted in live.values() for x in wanted]
+        points = [x for _, _, wanted in live for x in wanted]
         values = []
         for first in range(0, len(points), per_call):
             values += objective(np.array(points[first : first + per_call]))
+        waiting = []
         taken = 0
-        for i, (search, wanted) in list(live.items()):
+        for i, search, wanted in live:
             sent = values[taken : taken + len(wanted)]
-            taken += len(wanted)
+            taken += len(sent)
             try:
-                live[i] = search, search.send(sent)
+                waiting.append((i, search, search.send(sent)))
             except StopIteration as stop:
                 results[i] = stop.value
-                del live[i]
+        live = waiting
 
 
 def fit_type2_mle(
@@ -798,12 +818,11 @@ def fit_type2_mle(
 
         x_init = _pack(init)
         x_heur = _pack(_heuristic_start(data, init))
-        rng = np.random.default_rng(budget.seed)
         starts = [x_init, x_heur][: budget.restarts]
-        starts += [
-            x_heur + rng.normal(0.0, 1.0, size=x_heur.shape)
-            for _ in range(budget.restarts - len(starts))
-        ]
+        if budget.restarts > 2:
+            rng = np.random.default_rng(budget.seed)
+            starts += [x_heur + rng.normal(0.0, 1.0, size=x_heur.shape)
+                       for _ in range(budget.restarts - 2)]
         k = data.counts.shape[0]
         per_call = max(1, _BLOCK_ELEMENTS // (k * k))
         for x, value in _lockstep(_fit_objective(data, init), starts, budget.max_evals, per_call):
@@ -821,7 +840,8 @@ def fit_type2_mle(
 # posterior
 
 # Per arm space, the two m x m float64 buffers in which ``sample_joint``
-# builds and factors the covariance; an entry goes with its space.
+# builds and factors the covariance; weakly keyed, so an entry goes with
+# its space, and an equal space shares them.
 _SAMPLE_BUFFERS = weakref.WeakKeyDictionary()
 
 
@@ -834,7 +854,9 @@ class PosteriorGp:
     ``alpha`` solves that system for the per-input target means minus
     the prior mean. Immutable after construction; safe to share
     read-only. With empty data the posterior reproduces the prior
-    exactly.
+    exactly. Finite targets at one input whose sum overflows leave no
+    finite mean there to condition on: they raise ``NumericalError``
+    naming the input.
     """
 
     __slots__ = ("hyperparams", "inputs", "chol_factor", "alpha")
@@ -846,6 +868,12 @@ class PosteriorGp:
             self.chol_factor = None
             self.alpha = None
         else:
+            if not np.isfinite(data.means).all():
+                i = int(np.flatnonzero(~np.isfinite(data.means))[0])
+                raise NumericalError(
+                    f"the targets' mean at input {tuple(data.distinct_inputs[i].tolist())}"
+                    f" overflows to {data.means[i]}"
+                )
             hp = hyperparams
             with np.errstate(over="ignore"):
                 L, _ = _factor_point(hp, data)
@@ -897,11 +925,17 @@ class PosteriorGp:
         """One draw from the joint posterior at the queries, points or an
         arm space as ``predict`` takes them; deterministic given the
         generator state. A numerically zero covariance degenerates to the
-        predictive mean.
+        predictive mean. The covariance's jitter ladder is relative: from
+        1e-12 up to 1e-2 times its largest variance (or times 1, if that
+        is smaller), so that a large posterior has a ladder too.
 
         An arm space's covariance is built and factored in the space's
-        two m x m buffers (``_SAMPLE_BUFFERS``), which no caller sees: the
-        draw is a new vector."""
+        two m x m buffers (``_SAMPLE_BUFFERS``), so a draw allocates no
+        m x m array after the space's first: arrays that large (4.25 MB at
+        729 arms) are mapped afresh by the allocator each time, and every
+        page of a fresh one faults once. The buffers never leave this
+        method, whose draw is a new vector. Draws on one space share its
+        buffers, so they must not run in several threads at once."""
         if not isinstance(queries, ArmSpace):
             mean, cov = self.predict(queries)
             fill = cov.copy

@@ -448,6 +448,33 @@ class TestRunPolicy:
         assert h.error == f"interaction {t}: numerical: the targets' mean overflows to {mean}"
         assert len(h) == t - 1 and len(h.gp_trace) == t - 1
 
+    def test_rewards_whose_mean_at_one_arm_overflows_end_the_run(self, monkeypatch):
+        # rewards +1e308, -1e308, +1e308 at arms a, b, a: their mean is
+        # finite, but a's replicate sum overflows. GP-TS draws as usual and
+        # then plays a, b, a, b in turn
+        class Swinging:
+            def init(self):
+                self.loss = 0.0
+                return self.loss
+
+            def step(self, arm, u):
+                self.loss = -1e308 if self.loss == 0.0 else 0.0
+                return self.loss
+
+        order = itertools.cycle([2, 6])
+        select = bandit.ts_select_arm
+
+        def scripted(space, post, rng):
+            select(space, post, rng)
+            return next(order)
+
+        monkeypatch.setattr(bandit, "ts_select_arm", scripted)
+        space = grid_1d()
+        h = bandit.run_policy(space, bandit.PolicySpec(bandit.GP_TS), Swinging(), T=10, u=1)
+        assert h.error == (f"interaction 4: numerical: the targets' mean at input "
+                           f"{space.arms[2]} overflows to inf")
+        assert [space.index_of(arm) for arm in h.arms] == [2, 6, 2]
+
     @pytest.mark.parametrize("kind", [bandit.GP_TS, bandit.FIXED_ARM])
     def test_replay_gap_returns_partial_history(self, kind):
         # every arm has interactions 1, 2, 4 and 5 logged, none has 3

@@ -349,6 +349,16 @@ class TestPosterior:
         assert np.array_equal(mean, np.full(3, 0.7))
         assert np.array_equal(cov, gp.kernel_matrix(hp, Q))
 
+    def test_input_mean_that_overflows_raises_numerical_error(self):
+        # finite targets whose sum at one input overflows, though the mean
+        # of all of them is finite: no finite mean there to condition on
+        X = [[0.1], [0.2], [0.1], [0.2]]
+        data = gp.RegressionData(X, [1e308, -1e308, 1e308, -1e308])
+        assert data.means.tolist() == [math.inf, -math.inf]
+        message = r"the targets' mean at input \(0\.1,\) overflows to inf"
+        with pytest.raises(NumericalError, match=message):
+            gp.PosteriorGp(make_hp(), data)
+
     def test_noiseless_interpolation(self):
         hp = make_hp(noise=gp.NOISE_VARIANCE_FLOOR)
         data = gp.RegressionData([[0.3]], [1.7])
@@ -890,6 +900,29 @@ class TestStackedObjective:
             assert ref_factor(ref_point(vecs[-2], hp), data)[2] > 0.0
             assert all(ref_factor(ref_point(vec, hp), data)[2] == 0.0 for vec in plain)
 
+    @BOTH_KERNELS
+    def test_nan_point_fails_on_this_lapack(self, family):
+        # no potrf wrapper: a NaN log-noise, log-output-scale or
+        # log-lengthscale scores _FAILED_FIT_VALUE though the LAPACK
+        # factors on through a NaN pivot, alone or in a stack, and the
+        # finite points of the stack keep their values
+        rng = np.random.default_rng(52)
+        data = gp.RegressionData(*replicated_data(rng, 2, 6, 20))
+        hp = make_hp(ls=(0.5, 0.5), family=family)
+        objective = gp._fit_objective(data, hp)
+        x0 = gp._pack(hp)
+        finite = [x0, x0 + rng.normal(0, 0.3, x0.shape)]
+        nan_points = []
+        for i in (3, 2, 0):
+            vec = x0.copy()
+            vec[i] = math.nan
+            nan_points.append(vec)
+            assert objective(vec[None]) == [gp._FAILED_FIT_VALUE]
+        values = objective(np.array([finite[0], *nan_points, finite[1]]))
+        assert values[1:4] == [gp._FAILED_FIT_VALUE] * 3
+        assert [values[0], values[4]] == objective(np.array(finite))
+        assert gp._jittered_cholesky(np.full((3, 3), math.nan).copy, 1e-8, 1.0) is None
+
 
 # ---------------------------------------------------------------------------
 # Bit-identity of the direct LAPACK solves. The references below are the
@@ -1279,6 +1312,12 @@ class TestNelderMeadMatchesScipy:
         def nan_above(x):
             return math.nan if x[0] > 1.02 else float(np.floor(3.0 * x.sum()))
 
+        def four_d(x):
+            # with five vertices, numpy's argsort can reorder tied values
+            # among the vertices a step keeps, even where the new vertex's
+            # value is not tied
+            return float(np.floor(10.0 * (x @ [2.0, -3.0, 2.0, -1.0])))
+
         # on these step functions a stable sort of tied values takes other
         # steps than np.argsort does
         plateaus = [
@@ -1292,6 +1331,7 @@ class TestNelderMeadMatchesScipy:
             # the plateaus from the same start, searched together
             for fun in plateaus:
                 assert_matches_scipy(per_point(fun), [[1.0, 2.0, 0.5]], max_evals)
+            assert_matches_scipy(per_point(four_d), [[1.0, 2.0, 0.5, -1.0]], max_evals)
 
     def test_zero_entries_in_the_start(self):
         objective, x_hp = next(fit_objectives(gp.SQUARED_EXPONENTIAL, 7))
