@@ -5,8 +5,8 @@ loss between consecutive interactions) with a GP, draws one joint sample
 of the posterior over all arms, and plays the argmax. Fixed-arm and
 uniform-random baselines share the same run loop, which alone numbers
 the interactions. The arm-space types are defined in ``environments``;
-``ArmSpace`` and ``make_grid`` are re-exported here only because
-perfbench reads them from this module.
+``make_grid`` is re-exported here only because perfbench calls it from
+this module.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ __all__ = [
     "default_gp_hyperparams",
     "ts_select_arm",
     "run_policy",
-    # environments' own, re-exported because perfbench reads them from here
-    "ArmSpace",
+    # environments' own, re-exported because perfbench calls it from here
     "make_grid",
 ]
 

@@ -74,7 +74,7 @@ def _decode(line: str) -> dict:
     object with a ``type``."""
     try:
         msg = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:  # not JSON, too long an integer, too deep
         raise ProtocolError(f"malformed message: {line[:200]!r}") from exc
     if not isinstance(msg, dict) or "type" not in msg:
         raise ProtocolError(f"message has no type: {line[:200]!r}")
@@ -206,9 +206,10 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
     ``transport`` is either an argv list (the trainer is spawned and
     spoken to over stdio) or a string ``"tcp:HOST:PORT"``, with an IPv6
     host in brackets (``"tcp:[::1]:9000"``); anything else, or a
-    ``timeout_s`` outside [0, ``threading.TIMEOUT_MAX``], raises
-    ``InvalidArgumentError``. The Init handshake is performed lazily by
-    the returned environment's ``init()``.
+    ``timeout_s`` outside [0, ``threading.TIMEOUT_MAX``], or a ``config``
+    that JSON cannot encode, raises ``InvalidArgumentError`` before a
+    trainer is spawned or reached. The Init handshake is performed lazily
+    by the returned environment's ``init()``.
     """
     # select() overflows past Python's longest blocking timeout; NaN fails too
     if isinstance(timeout_s, bool) or not (
@@ -218,6 +219,10 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
             f"timeout_s must be a number of seconds in [0, {threading.TIMEOUT_MAX}],"
             f" got {timeout_s!r}"
         )
+    try:
+        json.dumps(config)
+    except (TypeError, ValueError) as exc:  # a type JSON lacks, or a cycle
+        raise InvalidArgumentError(f"the trainer config cannot be sent as JSON: {exc}") from exc
     if isinstance(transport, list) and transport and all(isinstance(a, str) for a in transport):
         try:
             proc = subprocess.Popen(transport, stdin=subprocess.PIPE, stdout=subprocess.PIPE)

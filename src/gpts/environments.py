@@ -13,8 +13,7 @@ Each environment maps (arm, update budget) to a validation loss:
 after one more interaction; the run loop numbers the interactions. The
 arm-space types (``Arm``, ``GridDim``, ``ArmSpace``, ``make_grid``)
 live here, so a trainer process never imports the GP stack; ``bandit``
-re-exports ``ArmSpace`` and ``make_grid`` only because perfbench reads
-them from there.
+re-exports ``make_grid`` only because perfbench calls it from there.
 
 Environments own their random stream (seeded at construction), keeping
 environment randomness independent of policy randomness. Each instance
@@ -29,7 +28,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
@@ -41,7 +39,6 @@ __all__ = [
     "ArmSpace",
     "make_grid",
     "MAX_ARMS",
-    "Environment",
     "SyntheticPretrainSpec",
     "SyntheticPretrainEnv",
     "NoisyTestFunctionEnv",
@@ -49,8 +46,6 @@ __all__ = [
     "ReplayEnv",
     "efficiency",
     "test_function",
-    "TEST_FUNCTION_MINIMIZER",
-    "TEST_FUNCTION_MINIMUM",
     "TEST_FUNCTION_BASELINE",
     "load_replay_csv",
     "write_replay_csv",
@@ -60,7 +55,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the Environment protocol and the types it speaks
+# the arm space
 
 Arm = tuple[float, ...]
 
@@ -78,10 +73,7 @@ class ArmSpace:
     """Finite arm set: the Cartesian product of dimension j's ``values[j]``,
     which strictly increase inside its open interval. Arm i is ``arms[i]``
     (lexicographic order, last dimension fastest) and row i of the read-only
-    m x d ``array``; ``index_of(arms[i])`` is i. ``distances`` holds the
-    arm pairs' per-dimension distances as a small table and an m x m index
-    into it, from which GP-TS gathers the arms' prior Gram matrix; it is
-    built on first use, so a baseline run never builds it.
+    m x d ``array``; ``index_of(arms[i])`` is i.
 
     The dimension names, which label the CSV columns and the trainer's
     arm coordinates, must be distinct strings; an unnamed i-th dimension
@@ -141,80 +133,9 @@ class ArmSpace:
             raise InvalidArgumentError(f"arm {arm!r} is not in the arm space") from None
         return index
 
-    @functools.cached_property
-    def distances(self) -> tuple[np.ndarray, np.ndarray]:
-        """The arm pairs' per-dimension distances as ``(table, index)``,
-        both read-only: ``table[j][index[a, b]]`` is |array[a, j] -
-        array[b, j]| bit for bit.
 
-        Column i of the (d, c) ``table`` is one combination of distinct
-        per-dimension distances, in the order of the Cartesian product of
-        each dimension's distinct distances (last dimension fastest), and
-        ``index`` is the (m, m) array of combinations in the smallest
-        unsigned type that holds c - 1. A grid has few distinct distances
-        per dimension (21 on a 9-value one), so a stationary kernel need
-        only be evaluated on the table. Built on first use, a block of
-        rows at a time, with no m x m array but the index itself.
-        """
-        distinct = [_distinct_distances(v) for v in self.values]
-        dtype = np.min_scalar_type(math.prod(map(len, distinct)) - 1)
-        table = np.stack(np.meshgrid(*distinct, indexing="ij")).reshape(self.ndim, -1)
-        # Kronecker-style, from the last dimension: a pair's combination
-        # is its mixed-radix digits summed, digit j scaled by the number
-        # of combinations of the dimensions after j
-        *lead, (values, dists) = zip(self.values, distinct)
-        index = _distance_digits(values, dists, 1, dtype)
-        stride = len(dists)
-        for values, dists in reversed(lead):
-            digits = _distance_digits(values, dists, stride, dtype)
-            n, k = len(values), len(index)
-            block = np.empty((n, k, n, k), dtype)
-            np.add(digits[:, None, :, None], index[None, :, None, :], out=block)
-            index = block.reshape(n * k, n * k)
-            stride *= len(dists)
-        table.setflags(write=False)
-        index.setflags(write=False)
-        return table, index
-
-
-# _distinct_distances and _distance_digits work on this many differences
-# at a time, so that a dimension of 10^4 values never holds its n x n
-# differences as floats.
-_DISTANCE_BLOCK = 1 << 16
-
-
-def _distinct_distances(values) -> np.ndarray:
-    """The sorted distinct |v_a - v_b| of one dimension's values."""
-    v = np.array(values, dtype=float)
-    rows = max(1, _DISTANCE_BLOCK // len(v))
-    distinct = np.zeros(0)
-    for start in range(0, len(v), rows):
-        # pairs (a, b) with b < start came as (b, a) in an earlier block
-        block = np.abs(v[start : start + rows, None] - v[start:])
-        # np.union1d's values, sorted and deduplicated here: its np.unique
-        # imports numpy.ma (numpy 2.4)
-        merged = np.sort(np.concatenate((distinct, block.ravel())))
-        distinct = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
-    return distinct
-
-
-def _distance_digits(values, distinct: np.ndarray, stride: int, dtype) -> np.ndarray:
-    """The n x n positions of |v_a - v_b| among ``distinct``, times
-    ``stride``, in ``dtype``."""
-    v = np.array(values, dtype=float)
-    digits = np.empty((len(v), len(v)), dtype)
-    rows = max(1, _DISTANCE_BLOCK // len(v))
-    for start in range(0, len(v), rows):
-        block = np.abs(v[start : start + rows, None] - v)
-        digits[start : start + rows] = np.searchsorted(distinct, block) * stride
-    return digits
-
-
-# The most arms a grid may have. GP-TS samples all arms jointly, and a
-# GP-TS space keeps two m x m float64 buffers for it while it is alive:
-# 8.5 MB at 729 arms, 1.6 GB at this size. The arm space's cached distance
-# index adds 191 MiB (uint16) to 381 MiB (uint32: 100 x 100, or the 70 471
-# distinct distances of 9990 values spaced 1/9991).
+# The most arms an arm space may have: ``ArmSpace`` and ``make_grid``
+# reject a larger one before making its arms.
 MAX_ARMS = 10_000
 
 
@@ -259,12 +180,6 @@ def make_grid(dims) -> ArmSpace:
         value_lists.append(tuple(values))
         n_arms *= len(values)
     return ArmSpace(dims, tuple(value_lists))
-
-
-class Environment(Protocol):
-    def init(self) -> float: ...
-
-    def step(self, arm: Arm, u: int) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -350,9 +265,8 @@ class SyntheticPretrainEnv:
 
 # h(x) = BASELINE - 1.2 exp(-((x - 0.35)/0.07)^2) - 0.6 exp(-((x - 0.12)/0.05)^2)
 # Two wells on (0, 0.5); the global minimizer is x = 0.35 (the shallow well at
-# 0.12 contributes ~e^-21 there), with minimum value TEST_FUNCTION_MINIMUM.
+# 0.12 contributes ~e^-21 there).
 TEST_FUNCTION_BASELINE = 2.0
-TEST_FUNCTION_MINIMIZER = 0.35
 
 
 def test_function(x: float) -> float:
@@ -367,9 +281,6 @@ def test_function(x: float) -> float:
         # |x| > 6.7e152: both wells are 0 there, as exp(-inf) is, or as
         # exp underflows for the square that does not overflow
         return TEST_FUNCTION_BASELINE
-
-
-TEST_FUNCTION_MINIMUM = test_function(TEST_FUNCTION_MINIMIZER)
 
 
 class NoisyTestFunctionEnv:

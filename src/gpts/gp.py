@@ -16,8 +16,8 @@ of its Nelder-Mead searches (``_nelder_mead``, ``_lockstep``). Every
 Cholesky factor, of the likelihood and of a joint sample, goes through
 one jitter ladder (``_jittered_cholesky``) and LAPACK's ``potrf`` and
 ``trtrs``, which ``_load_lapack`` loads without importing scipy.linalg.
-On a grid, the queries' prior Gram matrix is gathered from a table of
-the distinct distances (``_gathered_gram``).
+On an arm space, the prior Gram matrix is gathered from a table of the
+distinct distances that ``gp`` keeps per space (``_SpaceRecord``).
 
 Inputs far apart in lengthscale units overflow some intermediate values
 to inf: a squared scaled distance, the spread of the heuristic start.
@@ -315,29 +315,112 @@ def kernel_matrix(hp: GpHyperparams, X, X2=None) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# arm spaces
+
+# _distinct_distances and _distance_digits work on this many differences
+# at a time, so that a dimension of 10^4 values never holds its n x n
+# differences as floats.
+_DISTANCE_BLOCK = 1 << 16
+
+
+def _distinct_distances(values) -> np.ndarray:
+    """The sorted distinct |v_a - v_b| of one dimension's values."""
+    v = np.array(values, dtype=float)
+    rows = max(1, _DISTANCE_BLOCK // len(v))
+    distinct = np.zeros(0)
+    for start in range(0, len(v), rows):
+        # pairs (a, b) with b < start came as (b, a) in an earlier block
+        block = np.abs(v[start : start + rows, None] - v[start:])
+        # np.union1d's values, sorted and deduplicated here: its np.unique
+        # imports numpy.ma (numpy 2.4)
+        merged = np.sort(np.concatenate((distinct, block.ravel())))
+        distinct = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    return distinct
+
+
+def _distance_digits(values, distinct: np.ndarray, dtype) -> np.ndarray:
+    """The n x n positions of |v_a - v_b| among ``distinct``, in ``dtype``."""
+    v = np.array(values, dtype=float)
+    digits = np.empty((len(v), len(v)), dtype)
+    rows = max(1, _DISTANCE_BLOCK // len(v))
+    for start in range(0, len(v), rows):
+        digits[start : start + rows] = np.searchsorted(
+            distinct, np.abs(v[start : start + rows, None] - v))
+    return digits
+
+
+class _SpaceRecord:
+    """GP-TS's memory of one arm space, kept in ``_SPACE_RECORDS`` (weakly
+    keyed: it goes with its space, and equal spaces share it). The first
+    gathered Gram matrix or joint sample on the space builds it, so a
+    baseline run builds none.
+
+    ``table[j][index[a, b]]`` is |array[a, j] - array[b, j]| bit for bit,
+    both read-only. Column i of the (d, c) ``table`` is one combination of
+    distinct per-dimension distances, in product order (last dimension
+    fastest), and the m x m ``index``, in the smallest unsigned type that
+    holds c - 1, gives each arm pair's. A grid has few distinct distances
+    per dimension (21 on a 9-value one), so a stationary kernel need only
+    be evaluated on the table. ``buffers``, None until the space's first
+    ``sample_joint``, are the two m x m float64 arrays that each draw
+    builds and factors the covariance in. At ``environments.MAX_ARMS``
+    arms they take 1.6 GB, and the index 191 MiB (uint16) to 381 MiB
+    (uint32: 100 x 100, or 9990 values spaced 1/9991).
+    """
+
+    __slots__ = ("table", "index", "buffers")
+
+    def __init__(self, space: ArmSpace):
+        distinct = [_distinct_distances(v) for v in space.values]
+        dtype = np.min_scalar_type(math.prod(map(len, distinct)) - 1)
+        self.table = np.stack(np.meshgrid(*distinct, indexing="ij")).reshape(space.ndim, -1)
+        self.table.setflags(write=False)
+        # each pair's combination in mixed radix from the first dimension:
+        # index * c_j + digits_j, a (k, n, k, n) block. One-value dimensions
+        # (digit 0, radix 1) are skipped, so each c_j < c fits in ``dtype``.
+        dims = [(v, d) for v, d in zip(space.values, distinct) if len(v) > 1]
+        (values, dists), *rest = dims or [(space.values[0], distinct[0])]
+        index = _distance_digits(values, dists, dtype)
+        for values, dists in rest:
+            k, n = len(index), len(values)
+            block = np.multiply(index[:, None, :, None], len(dists),
+                                out=np.empty((k, n, k, n), dtype))
+            block += _distance_digits(values, dists, dtype)[None, :, None, :]
+            index = block.reshape(k * n, k * n)
+        index.setflags(write=False)
+        self.index, self.buffers = index, None
+
+
+_SPACE_RECORDS = weakref.WeakKeyDictionary()
+
+
+def _space_record(space: ArmSpace) -> _SpaceRecord:
+    if (record := _SPACE_RECORDS.get(space)) is None:
+        record = _SPACE_RECORDS[space] = _SpaceRecord(space)
+    return record
+
+
 def _gathered_gram(hp: GpHyperparams, space: ArmSpace,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """The m x m Gram matrix ``K[a, b] = k(table[:, index[a, b]])`` of the
-    space's ``distances``, into ``out`` when given. The table holds the c
-    distinct combinations of per-dimension distances |x_j - x'_j| (9261 on
-    a 9 x 9 x 9 grid, against its 531 441 pairs), and the index the
-    combination of each pair. The kernel runs once on the table's c
-    columns and is gathered a block of rows at a time, so no m x m
-    ``intp`` array exists. The space built the index into its own table,
-    so the gather need not check (nor buffer) each block.
-
-    The bits are ``kernel_matrix``'s: the squared scaled term of -d
-    equals that of d, ``_sqdist`` sums the dimensions in the same order,
-    and the kernel chain is elementwise."""
-    table, index = space.distances
-    m = len(index)
-    values = _kernel_from_sqdist(hp.kernel, hp.output_scale, _sqdist(table, hp.lengthscales))
+    """The m x m prior Gram matrix of the space's arms, into ``out`` when
+    given: the kernel on the c columns of its record's ``table``, gathered
+    through the ``index`` a block of rows at a time, so no m x m ``intp``
+    array exists. The record built the index into its own table, so the
+    gather need not check (nor buffer) each block. The bits are
+    ``kernel_matrix``'s: the squared scaled term of -d equals that of d,
+    ``_sqdist`` sums the dimensions in the same order, and the kernel
+    chain is elementwise."""
+    record = _space_record(space)
+    m = len(record.index)
+    values = _kernel_from_sqdist(hp.kernel, hp.output_scale,
+                                 _sqdist(record.table, hp.lengthscales))
     if out is None:
         out = np.empty((m, m))
     rows = max(1, _BLOCK_ELEMENTS // m)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        np.take(values, index[block], out=out[block], mode="clip")
+        np.take(values, record.index[block], out=out[block], mode="clip")
     return out
 
 
@@ -839,12 +922,6 @@ def fit_type2_mle(
 # ---------------------------------------------------------------------------
 # posterior
 
-# Per arm space, the two m x m float64 buffers in which ``sample_joint``
-# builds and factors the covariance; weakly keyed, so an entry goes with
-# its space, and an equal space shares them.
-_SAMPLE_BUFFERS = weakref.WeakKeyDictionary()
-
-
 class PosteriorGp:
     """A fitted GP posterior with cached sufficient statistics.
 
@@ -888,8 +965,8 @@ class PosteriorGp:
     def predict(self, queries, _buffers=None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean vector and covariance matrix at the queries: an
         (m, d) array of points, or an ``environments.ArmSpace``, whose
-        arms are the points and whose prior Gram matrix is gathered from
-        its ``distances``, with the same bits as ``kernel_matrix``.
+        arms are the points and whose prior Gram matrix is gathered
+        (``_gathered_gram``), with the same bits as ``kernel_matrix``.
 
         The covariance is exactly symmetric without symmetrizing: the prior
         Gram matrix is, and numpy computes ``V.T @ V`` with BLAS ``syrk``,
@@ -929,26 +1006,25 @@ class PosteriorGp:
         1e-12 up to 1e-2 times its largest variance (or times 1, if that
         is smaller), so that a large posterior has a ladder too.
 
-        An arm space's covariance is built and factored in the space's
-        two m x m buffers (``_SAMPLE_BUFFERS``), so a draw allocates no
-        m x m array after the space's first: arrays that large (4.25 MB at
-        729 arms) are mapped afresh by the allocator each time, and every
-        page of a fresh one faults once. The buffers never leave this
-        method, whose draw is a new vector. Draws on one space share its
-        buffers, so they must not run in several threads at once."""
+        An arm space's covariance is built and factored in the ``buffers``
+        of its ``_SpaceRecord``, so a draw allocates no m x m array after
+        the space's first: arrays that large (4.25 MB at 729 arms) are
+        mapped afresh by the allocator each time, and every page of a fresh
+        one faults once. The buffers never leave this method, whose draw is
+        a new vector. Draws on one space share its buffers, so they must
+        not run in several threads at once."""
         if not isinstance(queries, ArmSpace):
             mean, cov = self.predict(queries)
             fill = cov.copy
         else:
-            buffers = _SAMPLE_BUFFERS.get(queries)
-            if buffers is None:
-                m = len(queries)
-                buffers = _SAMPLE_BUFFERS[queries] = (np.empty((m, m)), np.empty((m, m)))
-            mean, cov = self.predict(queries, buffers)
+            record = _space_record(queries)
+            if record.buffers is None:
+                record.buffers = (np.empty(record.index.shape), np.empty(record.index.shape))
+            mean, cov = self.predict(queries, record.buffers)
             # no copy: the first attempt factors the covariance where it
             # stands, and as a failed one leaves it half-factored, each
             # later attempt rebuilds it, bit for bit
-            rebuilt = (self.predict(queries, buffers)[1] for _ in itertools.count())
+            rebuilt = (self.predict(queries, record.buffers)[1] for _ in itertools.count())
             fill = itertools.chain([cov], rebuilt).__next__
         scale = float(np.max(np.diag(cov)))
         if scale < 1e-14:

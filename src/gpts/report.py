@@ -100,7 +100,14 @@ def write_summary_csv(path, curves: dict[str, list[list[float]]]) -> None:
 def _read_run_csv(path: Path) -> dict:
     try:
         with path.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = []
+            for fields in filter(None, reader):  # blank lines hold no row
+                if len(fields) != len(header):
+                    raise DataError(f"{path}: line {reader.line_num}: expected {len(header)}"
+                                    f" fields, got {len(fields)}")
+                rows.append(dict(zip(header, fields)))
     except OSError as exc:
         raise DataError(f"cannot read run CSV {path}: {exc}") from exc
     if not rows:

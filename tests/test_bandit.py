@@ -4,6 +4,7 @@ Thompson selection, and the run loop."""
 import dataclasses
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -249,13 +250,15 @@ class TestRunPolicy:
     @pytest.mark.parametrize("policy", [bandit.PolicySpec(bandit.FIXED_ARM, 2),
                                         bandit.PolicySpec(bandit.UNIFORM_RANDOM)],
                              ids=["fixed_arm", "uniform_random"])
-    def test_baselines_build_no_distance_table(self, policy):
+    def test_baselines_build_no_distance_table(self, policy, monkeypatch):
+        # nor any other GP state: no record of the space at all
+        monkeypatch.setattr(gp, "_SPACE_RECORDS", weakref.WeakKeyDictionary())
         space = grid_1d()
         bandit.run_policy(space, policy, SyntheticPretrainEnv(SyntheticPretrainSpec()), T=3, u=10)
-        assert "distances" not in vars(space)
+        assert not gp._SPACE_RECORDS
         bandit.run_policy(space, bandit.PolicySpec(bandit.GP_TS),
                           SyntheticPretrainEnv(SyntheticPretrainSpec()), T=1, u=10)
-        assert "distances" in vars(space)
+        assert gp._SPACE_RECORDS[space].buffers is not None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gp_ts_on_far_apart_arms_warns_of_no_overflow(self):

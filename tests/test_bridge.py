@@ -81,6 +81,9 @@ GOLDEN_INIT = '{"type": "init", "v": 1, "arm_names": ["rho"], "config": {"seed":
 GOLDEN_STEP = '{"type": "step", "v": 1, "interaction": 1, "arm": {"rho": 0.2}, "updates": 100}'
 STEP_2 = GOLDEN_STEP.replace('"interaction": 1', '"interaction": 2')
 BAD_STEP = GOLDEN_STEP.replace('"updates": 100', '"updates": 0')
+# Python parses no integer of more than 4300 digits
+HUGE_INTEGER = "9" * 5000
+HUGE_STEP = GOLDEN_STEP.replace('"interaction": 1', f'"interaction": {HUGE_INTEGER}')
 
 # Every error code the mock trainer sends: (code, lines served before,
 # the refused line, its detail, the next line, which is served).
@@ -97,6 +100,7 @@ REFUSALS = [
      "interaction 1 already served", STEP_2),
     ("bad_interaction", [GOLDEN_INIT], STEP_2, "expected interaction 1, got 2", GOLDEN_STEP),
     ("unknown_type", [], '{"type": "ping", "v": 1}', "unknown message type 'ping'", GOLDEN_INIT),
+    ("malformed", [GOLDEN_INIT], HUGE_STEP, f"malformed message: {HUGE_STEP[:200]!r}", GOLDEN_STEP),
 ]
 
 
@@ -440,6 +444,19 @@ class TestSpawnedTrainerReplies:
             env.close()
         assert len(hist) == 0
         assert "UTF-8" in hist.error
+
+    def test_oversized_integer_reply_gives_partial_history(self):
+        space = envs.make_grid([dict(lower=0.0, upper=0.5, step=0.05, name="rho")])
+        huge_ack = STEP_ACK.replace(b"9.0", HUGE_INTEGER.encode())
+        argv = fake_trainer(f"recv(); send({INIT_ACK!r}); recv(); send({huge_ack!r}); recv()")
+        env = bridge.bridge_connect(argv, space.names, timeout_s=5.0)
+        cfg = bandit.PolicySpec(bandit.FIXED_ARM, 0)
+        try:
+            hist = bandit.run_policy(space, cfg, env, T=3, u=10)
+        finally:
+            env.close()
+        assert len(hist) == 0
+        assert hist.error.startswith("interaction 1: malformed message")
 
 
 class TestTransportSpec:

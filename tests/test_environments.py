@@ -4,12 +4,13 @@ pre-training dynamics, the stationary test function, and CSV replay."""
 import csv
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from helpers import PartialArmEnv
 
-from gpts import bandit, bridge, environments as envs, report
+from gpts import bandit, bridge, environments as envs, gp, report
 from gpts.errors import DataError, InvalidArgumentError
 
 MOCK_CMD = [sys.executable, "-m", "gpts.cli", "mock-trainer", "--transport", "stdio"]
@@ -82,13 +83,16 @@ class TestSyntheticPretrain:
         assert 0.0 < envs.efficiency(spec, (0.4, 0.4)) < 1.0
 
 
+# the test function's minimizer, as its definition documents it
+TEST_FUNCTION_MINIMIZER = 0.35
+
+
 class TestNoisyTestFunction:
     def test_minimum_at_documented_minimizer(self):
         h = envs.test_function
         xs = np.linspace(0.001, 0.499, 4999)
         vals = [h(x) for x in xs]
-        assert min(vals) >= envs.TEST_FUNCTION_MINIMUM - 1e-9
-        assert h(envs.TEST_FUNCTION_MINIMIZER) == envs.TEST_FUNCTION_MINIMUM
+        assert min(vals) >= h(TEST_FUNCTION_MINIMIZER) - 1e-9
 
     def test_point_whose_square_overflows_is_at_the_baseline(self):
         # each well is 0 there, as exp(-inf) is
@@ -98,8 +102,8 @@ class TestNoisyTestFunction:
     def test_noiseless_env_returns_h(self):
         env = envs.NoisyTestFunctionEnv(noise_sd=0.0, seed=0)
         env.init()
-        loss = env.step((envs.TEST_FUNCTION_MINIMIZER,), 1)
-        assert loss == envs.TEST_FUNCTION_MINIMUM
+        loss = env.step((TEST_FUNCTION_MINIMIZER,), 1)
+        assert loss == envs.test_function(TEST_FUNCTION_MINIMIZER)
 
     def test_expected_ordering_matches_h(self):
         good, bad = (0.35,), (0.2,)
@@ -204,20 +208,28 @@ LATTICES = {
 
 
 def build_peak(space):
-    """The tracemalloc peak of building the space's distances."""
+    """The tracemalloc peak of building the space's distance table."""
     tracemalloc.start()
     try:
-        space.distances
+        gp._SpaceRecord(space)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def distances(space):
+    """The space's distance table and index, as GP-TS's record of it holds them."""
+    record = gp._space_record(space)
+    return record.table, record.index
+
+
 class TestArmSpaceDistances:
+    # gp keeps the table per arm space, from which it gathers the prior
+    # Gram matrix; the arm space itself holds no GP state
     @pytest.mark.parametrize("shape", LATTICES)
     def test_table_gathers_every_pair_distance_exactly(self, shape):
         space = envs.make_grid(LATTICES[shape])
-        table, index = space.distances
+        table, index = distances(space)
         A = space.array
         assert table.shape[0] == space.ndim and index.shape == (len(space),) * 2
         for j in range(space.ndim):
@@ -229,37 +241,45 @@ class TestArmSpaceDistances:
 
     def test_nine_value_dimensions_have_21_distances(self):
         # equal index lags differ in the last bits: 21 distances, not 17
-        table, index = envs.make_grid(LATTICES["3d"]).distances
+        table, index = distances(envs.make_grid(LATTICES["3d"]))
         assert table.shape == (3, 21**3)
 
     def test_index_dtype_is_the_smallest_that_holds_the_combinations(self):
-        assert envs.make_grid([dict(lower=0.0, upper=1.0, step=0.1)]).distances[1].dtype == np.uint8
-        assert envs.make_grid(LATTICES["3d"]).distances[1].dtype == np.uint16
+        assert distances(envs.make_grid([dict(lower=0.0, upper=1.0, step=0.1)]))[1].dtype == np.uint8
+        assert distances(envs.make_grid(LATTICES["3d"]))[1].dtype == np.uint16
+        # 256 combinations, all of them the second dimension's, after a
+        # one-value first dimension: the largest, 255, still fits in uint8
+        space = envs.ArmSpace((envs.GridDim(0.0, 1.0, 1.0), envs.GridDim(0.0, 1.0, 1 / 512)),
+                              ((0.5,), tuple(k / 512 for k in range(1, 257))))
+        table, index = distances(space)
+        assert index.dtype == np.uint8 and table.shape == (2, 256)
+        assert np.array_equal(table[1][index], np.abs(space.array[:, 1, None] - space.array[:, 1]))
 
     def test_build_memory_is_the_index(self):
         space = envs.make_grid(LATTICES["3d"])
         space.array
         peak = build_peak(space)
-        assert peak <= space.distances[1].nbytes + 2**20
+        assert peak <= distances(space)[1].nbytes + 2**20
         line = envs.make_grid([dict(lower=0.0, upper=1.0, step=0.0005)])
         assert len(line) == 1999
         peak = build_peak(line)
-        assert peak <= 2 * line.distances[1].nbytes + 2**20
+        assert peak <= 2 * distances(line)[1].nbytes + 2**20
 
     def test_one_value_dimensions(self):
         # a dimension of one value has the one distance 0
         space = envs.make_grid([dict(lower=0.0, upper=1.0, step=0.6), dict(lower=0.0, upper=0.4, step=0.1),
                                 dict(lower=-1.0, upper=0.0, step=0.9)])
-        table, index = space.distances
+        table, index = distances(space)
         assert len(space) == 3 and set(table[0].tolist()) == set(table[2].tolist()) == {0.0}
         for j in range(3):
             assert np.array_equal(table[j][index], np.abs(space.array[:, j, None] - space.array[:, j]))
 
-    def test_built_on_first_use_only(self):
+    def test_built_on_first_use_only(self, monkeypatch):
+        monkeypatch.setattr(gp, "_SPACE_RECORDS", weakref.WeakKeyDictionary())
         space = envs.make_grid(LATTICES["2d"])
         space.arms, space.array, space.index_of(space.arms[-1])
-        assert "distances" not in vars(space)
-        assert space.distances is space.distances
+        assert not gp._SPACE_RECORDS
+        assert gp._space_record(space) is gp._space_record(space)
 
 
 class Recorder:

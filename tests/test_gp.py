@@ -714,15 +714,24 @@ class TestSampleBuffers:
             posterior_on(space, rng, k).sample_joint(space, np.random.default_rng(k))
         assert np.array_equal(first, kept)
 
+    def test_predict_builds_no_buffers(self, monkeypatch):
+        monkeypatch.setattr(gp, "_SPACE_RECORDS", weakref.WeakKeyDictionary())
+        space = environments.make_grid(LATTICES["2d"])
+        posterior_on(space, np.random.default_rng(6), 2).predict(space)
+        assert gp._SPACE_RECORDS[space].buffers is None
+
     def test_buffers_go_with_their_space(self):
-        # a grid no other test builds, so that no equal space holds the entry
-        space = environments.make_grid([dict(lower=0.0, upper=0.93, step=0.031)])
+        # a grid no other test builds, so that no equal space holds the record
+        grid = [dict(lower=0.0, upper=0.93, step=0.031)]
+        space = environments.make_grid(grid)
         posterior_on(space, np.random.default_rng(5), 2).sample_joint(space, np.random.default_rng(0))
-        buffers = [weakref.ref(b) for b in gp._SAMPLE_BUFFERS[space]]
-        assert [b().shape for b in buffers] == [(len(space), len(space))] * 2
-        del space
+        record = gp._SPACE_RECORDS[space]
+        assert gp._space_record(environments.make_grid(grid)) is record  # equal spaces share it
+        arrays = [weakref.ref(a) for a in (record.index, *record.buffers)]
+        assert [a().shape for a in arrays] == [(len(space), len(space))] * 3
+        del space, record
         gc.collect()
-        assert [b() for b in buffers] == [None, None]
+        assert [a() for a in arrays] == [None] * 3
 
 
 class TestFit:

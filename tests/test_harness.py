@@ -3,6 +3,7 @@ consistency, reproducibility, and exit codes."""
 
 import csv
 import dataclasses
+import datetime
 import itertools
 import math
 import os
@@ -11,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -75,10 +77,11 @@ class TestLoadConfig:
         assert [d.name for d in cfg.arm_dims] == ["rho"]
         assert cfg.environment["kind"] == "synthetic"
 
-    def test_load_builds_no_distance_table(self, tmp_path):
+    def test_load_builds_no_distance_table(self, tmp_path, monkeypatch):
         # the first GP-TS selection builds it, inside a timed decision
-        cfg = harness.load_config(small_config(tmp_path)[0])
-        assert "distances" not in vars(cfg.space)
+        monkeypatch.setattr(gp, "_SPACE_RECORDS", weakref.WeakKeyDictionary())
+        harness.load_config(small_config(tmp_path)[0])
+        assert not gp._SPACE_RECORDS
 
     def test_missing_key_is_config_error(self, tmp_path):
         path, raw = small_config(tmp_path)
@@ -825,6 +828,20 @@ class TestCli:
         assert connects == []
         assert not list(Path(raw["output_dir"]).glob("*.csv"))
 
+    def test_bridge_config_json_cannot_encode_exits_2(self, tmp_path, monkeypatch):
+        # YAML reads 2024-01-01 as a date, which JSON has no type for; the
+        # config is checked before a trainer is spawned
+        spawns = []
+        monkeypatch.setattr(bridge.subprocess, "Popen", lambda *a, **k: spawns.append(a))
+        overrides = mock_bridge(config={"started": datetime.date(2024, 1, 1)})
+        path, raw = small_config(tmp_path, seeds=[0], **overrides)
+        assert "started: 2024-01-01" in path.read_text()
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert code == 2, err
+        assert "config error:" in err and "JSON" in err
+        assert spawns == []
+        assert not list(Path(raw["output_dir"]).glob("*.csv"))
+
     @pytest.mark.parametrize(
         "overrides,key",
         [
@@ -865,6 +882,17 @@ class TestCli:
         code, out, err = run_cli(["summarize", "--dir", str(tmp_path)])
         assert code == 0, err
         assert f"{'gp_ts':<26}    1  n/a   n/a" in out.splitlines()
+
+    def test_summarize_row_with_extra_fields_exits_3(self, tmp_path):
+        (tmp_path / "run_gp_ts_seed0.csv").write_text(
+            "seed,policy,interaction,arm_rho,val_loss,reward,cumulative_reward,"
+            "gp_lengthscales,gp_output_scale,gp_noise_variance,gp_mean_constant\n"
+            "0,gp_ts,0,,10.0,,0.0,,,,\n"
+            "0,gp_ts,1,0.1,9.0,1.0,1.0,,,,,9\n"
+        )
+        code, _, err = run_cli(["summarize", "--dir", str(tmp_path)])
+        assert code == 3, err
+        assert "data error:" in err and "run_gp_ts_seed0.csv: line 3: expected 11 fields, got 12" in err
 
     def test_summarize_empty_dir_exits_3(self, tmp_path):
         code, _, _ = run_cli(["summarize", "--dir", str(tmp_path)])
@@ -1087,8 +1115,10 @@ sys.stdin.read()
     [
         ({"synthetic": {"rate": 0.2}, "b": 1}, '{"synthetic": {"rate": 0.2}, "b": 1, "seed": 7}'),
         ({"b": 1, "seed": 5, "a": 2}, '{"b": 1, "seed": 5, "a": 2}'),
+        # JSON has no NaN, but Python's encoder writes one, as it always has
+        ({"x": math.nan}, '{"x": NaN, "seed": 7}'),
     ],
-    ids=["seed_appended", "seed_given"],
+    ids=["seed_appended", "seed_given", "nan"],
 )
 def test_bridge_init_line(tmp_path, config, sent):
     # the user's keys in their order, then the run's seed unless the config gives one
