@@ -50,6 +50,7 @@ import socket
 import subprocess
 import threading
 import time
+from collections.abc import Mapping, Sequence
 
 from .environments import Arm, SyntheticPretrainEnv, SyntheticPretrainSpec
 from .errors import BridgeError, InvalidArgumentError, ProtocolError, is_finite, is_integer
@@ -206,10 +207,11 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
     ``transport`` is either an argv list (the trainer is spawned and
     spoken to over stdio) or a string ``"tcp:HOST:PORT"``, with an IPv6
     host in brackets (``"tcp:[::1]:9000"``); anything else, or a
-    ``timeout_s`` outside [0, ``threading.TIMEOUT_MAX``], or a ``config``
-    that JSON cannot encode, raises ``InvalidArgumentError`` before a
-    trainer is spawned or reached. The Init handshake is performed lazily
-    by the returned environment's ``init()``.
+    ``timeout_s`` outside [0, ``threading.TIMEOUT_MAX``], a ``config``
+    that is neither None nor a mapping JSON can encode, or ``arm_names``
+    that are not a sequence of strings, raises ``InvalidArgumentError``
+    before a trainer is spawned or reached. The Init handshake is
+    performed lazily by the returned environment's ``init()``.
     """
     # select() overflows past Python's longest blocking timeout; NaN fails too
     if isinstance(timeout_s, bool) or not (
@@ -219,10 +221,18 @@ def bridge_connect(transport, arm_names, config=None, timeout_s: float = 0.0) ->
             f"timeout_s must be a number of seconds in [0, {threading.TIMEOUT_MAX}],"
             f" got {timeout_s!r}"
         )
+    if not (config is None or isinstance(config, Mapping)):
+        raise InvalidArgumentError(f"the trainer config must be a mapping, got {config!r:.200}")
     try:
         json.dumps(config)
     except (TypeError, ValueError) as exc:  # a type JSON lacks, or a cycle
         raise InvalidArgumentError(f"the trainer config cannot be sent as JSON: {exc}") from exc
+    if isinstance(arm_names, str) or not (
+        isinstance(arm_names, Sequence) and all(isinstance(n, str) for n in arm_names)
+    ):
+        raise InvalidArgumentError(
+            f"arm_names must be a sequence of strings, got {arm_names!r:.200}"
+        )
     if isinstance(transport, list) and transport and all(isinstance(a, str) for a in transport):
         try:
             proc = subprocess.Popen(transport, stdin=subprocess.PIPE, stdout=subprocess.PIPE)

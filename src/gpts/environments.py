@@ -364,6 +364,10 @@ def load_replay_csv(path) -> ReplaySpec:
                     table[(arm_index, t)] = loss
     except OSError as exc:
         raise DataError(f"cannot read replay CSV {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode replay CSV {path}: {exc}") from exc
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"malformed replay CSV {path}: {exc}") from exc
     if initial_loss is None:

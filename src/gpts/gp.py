@@ -14,10 +14,12 @@ over B hyperparameter points: the likelihood and the posterior take it
 with one point, and the fit (``fit_type2_mle``) with each round's points
 of its Nelder-Mead searches (``_nelder_mead``, ``_lockstep``). Every
 Cholesky factor, of the likelihood and of a joint sample, goes through
-one jitter ladder (``_jittered_cholesky``) and LAPACK's ``potrf`` and
-``trtrs``, which ``_load_lapack`` loads without importing scipy.linalg.
-On an arm space, the prior Gram matrix is gathered from a table of the
-distinct distances that ``gp`` keeps per space (``_SpaceRecord``).
+one jitter ladder (``_jittered_cholesky``) and LAPACK's ``potrf``; the
+triangular solves take ``trtrs`` and a joint sample's covariance BLAS
+``syrk``, all three loaded by ``_load_lapack`` without importing
+scipy.linalg. On an arm space, the prior Gram matrix is gathered from a
+table of the distinct distances that ``gp`` keeps per space
+(``_SpaceRecord``).
 
 Inputs far apart in lengthscale units overflow some intermediate values
 to inf: a squared scaled distance, the spread of the heuristic start.
@@ -362,14 +364,14 @@ class _SpaceRecord:
     fastest), and the m x m ``index``, in the smallest unsigned type that
     holds c - 1, gives each arm pair's. A grid has few distinct distances
     per dimension (21 on a 9-value one), so a stationary kernel need only
-    be evaluated on the table. ``buffers``, None until the space's first
-    ``sample_joint``, are the two m x m float64 arrays that each draw
-    builds and factors the covariance in. At ``environments.MAX_ARMS``
-    arms they take 1.6 GB, and the index 191 MiB (uint16) to 381 MiB
-    (uint32: 100 x 100, or 9990 values spaced 1/9991).
+    be evaluated on the table. ``buffer``, None until the space's first
+    ``sample_joint``, is the one m x m float64 array that each draw
+    gathers the Gram matrix, builds the covariance and factors it in. At
+    ``environments.MAX_ARMS`` arms it takes 0.8 GB, and the index 191 MiB
+    (uint16) to 381 MiB (uint32: 100 x 100, or 9990 values spaced 1/9991).
     """
 
-    __slots__ = ("table", "index", "buffers")
+    __slots__ = ("table", "index", "buffer")
 
     def __init__(self, space: ArmSpace):
         distinct = [_distinct_distances(v) for v in space.values]
@@ -389,7 +391,7 @@ class _SpaceRecord:
             block += _distance_digits(values, dists, dtype)[None, :, None, :]
             index = block.reshape(k * n, k * n)
         index.setflags(write=False)
-        self.index, self.buffers = index, None
+        self.index, self.buffer = index, None
 
 
 _SPACE_RECORDS = weakref.WeakKeyDictionary()
@@ -428,20 +430,42 @@ def _gathered_gram(hp: GpHyperparams, space: ArmSpace,
 # factorization
 
 _FLAPACK = "scipy.linalg._flapack"
+_FBLAS = "scipy.linalg._fblas"
+
+
+def _load_by_file(name: str, path: list):
+    """The extension module ``name`` loaded from its file in ``path``, or
+    None if the file is not found or does not load on its own (a platform
+    whose extensions need the DLL directories scipy's ``__init__`` adds).
+    sys.modules is left as it was: CPython files a single-phase extension
+    there as it creates it, and a later ``import scipy.linalg`` loads its
+    own module, with the same functions."""
+    spec = importlib.machinery.PathFinder.find_spec(name, path)
+    if spec is None:
+        return None
+    filed = name in sys.modules
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except ImportError:
+        return None
+    finally:
+        if not filed:
+            sys.modules.pop(name, None)
 
 
 def _load_lapack():
-    """scipy's ``dpotrf`` and ``dtrtrs``, from its ``_flapack`` extension
-    loaded by file, without importing ``scipy`` or ``scipy.linalg``, or
-    from ``scipy.linalg.lapack`` if the file is not found or does not load
-    on its own (a platform whose extensions need the DLL directories
-    scipy's ``__init__`` adds). sys.modules is left as it was: CPython
-    files a single-phase extension there as it creates it, and a later
-    ``import scipy.linalg`` loads its own module, with the same functions.
+    """scipy's LAPACK ``dpotrf`` and ``dtrtrs`` and BLAS ``dsyrk``, from
+    its ``_flapack`` and ``_fblas`` extensions loaded by file
+    (``_load_by_file``), without importing ``scipy`` or ``scipy.linalg``;
+    an extension that does not load so is taken from ``scipy.linalg.lapack``
+    or ``scipy.linalg.blas``.
 
-    This pair factors and solves every matrix of the module. It is called
-    directly, as scipy's ``cholesky`` and ``solve_triangular`` call it
-    inside their argument checking, so it gives the same bits at a
+    ``potrf`` and ``trtrs`` factor and solve every matrix of the module,
+    and ``syrk`` builds a joint sample's covariance. They are called
+    directly, as scipy's ``cholesky`` and ``solve_triangular`` call them
+    inside their argument checking, so they give the same bits at a
     fraction of the overhead for small factors. Importing ``scipy.linalg``
     (scipy 1.17, numpy 2.4) would cost every process that runs the GP
     stack about 0.2 s and 25 MB, mostly in the numpy modules it loads
@@ -450,24 +474,15 @@ def _load_lapack():
     scipy_spec = importlib.util.find_spec("scipy")
     linalg = [os.path.join(path, "linalg")
               for path in getattr(scipy_spec, "submodule_search_locations", None) or ()]
-    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, linalg)
-    if spec is not None:
-        filed = _FLAPACK in sys.modules
-        try:
-            flapack = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(flapack)
-            return flapack.dpotrf, flapack.dtrtrs
-        except ImportError:
-            pass
-        finally:
-            if not filed:
-                sys.modules.pop(_FLAPACK, None)
-    from scipy.linalg import lapack
-
-    return lapack.dpotrf, lapack.dtrtrs
+    flapack, fblas = _load_by_file(_FLAPACK, linalg), _load_by_file(_FBLAS, linalg)
+    if flapack is None:
+        from scipy.linalg import lapack as flapack
+    if fblas is None:
+        from scipy.linalg import blas as fblas
+    return flapack.dpotrf, flapack.dtrtrs, fblas.dsyrk
 
 
-dpotrf, dtrtrs = _load_lapack()
+dpotrf, dtrtrs, dsyrk = _load_lapack()
 
 
 def _noisy_gram(family: str, lengthscales, output_scale, noises,
@@ -488,8 +503,9 @@ def _factored_in_place(A: np.ndarray) -> bool:
     its lower Cholesky factor; a failed attempt leaves A half-factored.
 
     LAPACK takes Fortran order, in which A's memory is A^T = A. ``potrf``
-    factors that as U^T U, and U in Fortran order is L = U^T in C order,
-    so A becomes L with no copy; ``clean`` zeroes the other triangle.
+    factors that as U^T U, reading its upper triangle, which is A's lower
+    one, and U in Fortran order is L = U^T in C order, so A becomes L with
+    no copy; ``clean`` zeroes the other triangle.
 
     A NaN pivot fails as a non-positive one does. Reference LAPACK stops
     at it; OpenBLAS's ``potrf`` factors on through it with ``info = 0``.
@@ -922,6 +938,21 @@ def fit_type2_mle(
 # ---------------------------------------------------------------------------
 # posterior
 
+def _mirror_lower(A: np.ndarray) -> None:
+    """Copy the square A's lower triangle onto its strict upper one, 64
+    rows at a time: the block's part right of the diagonal block is the
+    transpose of the column block below, and the diagonal block takes its
+    own lower triangle through a small mask, so that no m x m index or
+    mask array exists."""
+    rows = 64
+    upper = np.tri(rows, k=-1, dtype=bool).T
+    for start in range(0, len(A), rows):
+        stop = start + rows
+        A[start:stop, stop:] = A[stop:, start:stop].T
+        block = A[start:stop, start:stop]
+        np.copyto(block, block.T, where=upper[: len(block), : len(block)])
+
+
 class PosteriorGp:
     """A fitted GP posterior with cached sufficient statistics.
 
@@ -962,26 +993,27 @@ class PosteriorGp:
             self.chol_factor = L
             self.alpha = alpha
 
-    def predict(self, queries, _buffers=None) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, queries, _buffer=None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean vector and covariance matrix at the queries: an
         (m, d) array of points, or an ``environments.ArmSpace``, whose
         arms are the points and whose prior Gram matrix is gathered
         (``_gathered_gram``), with the same bits as ``kernel_matrix``.
 
-        The covariance is exactly symmetric without symmetrizing: the prior
-        Gram matrix is, and numpy computes ``V.T @ V`` with BLAS ``syrk``,
-        which fills one triangle and mirrors it. Its diagonal is clamped at
-        zero. ``sample_joint`` passes an arm space's two m x m ``_buffers``:
-        the Gram matrix, and so the covariance, is built in the first and
-        ``V.T @ V`` in the second.
+        The covariance K_qq - V^T V is built in the Gram matrix's array by
+        one BLAS ``syrk`` (alpha -1, beta 1), which updates its lower
+        triangle alone. Its diagonal is clamped at zero, and the lower
+        triangle is mirrored into the upper one (``_mirror_lower``), so the
+        covariance is exactly symmetric. ``sample_joint`` passes an arm
+        space's m x m ``_buffer``: the Gram matrix, and so the covariance,
+        is built in it, and its upper triangle is left as it is, since the
+        draw's factorization reads the lower one alone.
         """
         hp = self.hyperparams
-        gram_out, vtv_out = _buffers or (None, None)
         with np.errstate(over="ignore"):
             if isinstance(queries, ArmSpace):
                 # checked first: _sqdist would drop a missing dimension silently
                 Q = _as_matrix(queries.array, hp.dim)
-                Kqq = _gathered_gram(hp, queries, out=gram_out)
+                Kqq = _gathered_gram(hp, queries, out=_buffer)
             else:
                 Q = _as_matrix(queries, hp.dim)
                 if Q.shape[0] == 0:
@@ -993,9 +1025,12 @@ class PosteriorGp:
             Ks = kernel_matrix(hp, self.inputs, Q)
             mean = prior_mean + Ks.T @ self.alpha
             V = _solve_chol(self.chol_factor, Ks)
-            cov = Kqq
-            cov -= np.matmul(V.T, V, out=vtv_out)
+            # BLAS takes Fortran order, in which Kqq's memory is Kqq^T = Kqq:
+            # syrk's upper triangle of it is Kqq's lower one
+            cov = dsyrk(-1.0, V, beta=1.0, c=Kqq.T, trans=1, overwrite_c=1).T
             np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
+            if _buffer is None:
+                _mirror_lower(cov)
             return mean, cov
 
     def sample_joint(self, queries, rng: np.random.Generator) -> np.ndarray:
@@ -1006,25 +1041,25 @@ class PosteriorGp:
         1e-12 up to 1e-2 times its largest variance (or times 1, if that
         is smaller), so that a large posterior has a ladder too.
 
-        An arm space's covariance is built and factored in the ``buffers``
+        An arm space's covariance is built and factored in the ``buffer``
         of its ``_SpaceRecord``, so a draw allocates no m x m array after
         the space's first: arrays that large (4.25 MB at 729 arms) are
         mapped afresh by the allocator each time, and every page of a fresh
-        one faults once. The buffers never leave this method, whose draw is
-        a new vector. Draws on one space share its buffers, so they must
-        not run in several threads at once."""
+        one faults once. The buffer never leaves this method, whose draw is
+        a new vector. Draws on one space share its buffer, so they must not
+        run in several threads at once."""
         if not isinstance(queries, ArmSpace):
             mean, cov = self.predict(queries)
             fill = cov.copy
         else:
             record = _space_record(queries)
-            if record.buffers is None:
-                record.buffers = (np.empty(record.index.shape), np.empty(record.index.shape))
-            mean, cov = self.predict(queries, record.buffers)
+            if record.buffer is None:
+                record.buffer = np.empty(record.index.shape)
+            mean, cov = self.predict(queries, record.buffer)
             # no copy: the first attempt factors the covariance where it
             # stands, and as a failed one leaves it half-factored, each
             # later attempt rebuilds it, bit for bit
-            rebuilt = (self.predict(queries, record.buffers)[1] for _ in itertools.count())
+            rebuilt = (self.predict(queries, record.buffer)[1] for _ in itertools.count())
             fill = itertools.chain([cov], rebuilt).__next__
         scale = float(np.max(np.diag(cov)))
         if scale < 1e-14:

@@ -110,6 +110,10 @@ def _read_run_csv(path: Path) -> dict:
                 rows.append(dict(zip(header, fields)))
     except OSError as exc:
         raise DataError(f"cannot read run CSV {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode run CSV {path}: {exc}") from exc
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"run CSV {path} is empty")
     try:

@@ -258,7 +258,7 @@ class TestRunPolicy:
         assert not gp._SPACE_RECORDS
         bandit.run_policy(space, bandit.PolicySpec(bandit.GP_TS),
                           SyntheticPretrainEnv(SyntheticPretrainSpec()), T=1, u=10)
-        assert gp._SPACE_RECORDS[space].buffers is not None
+        assert gp._SPACE_RECORDS[space].buffer is not None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gp_ts_on_far_apart_arms_warns_of_no_overflow(self):

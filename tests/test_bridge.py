@@ -489,6 +489,21 @@ class TestTransportSpec:
         with pytest.raises(InvalidArgumentError, match="timeout_s"):
             bridge.bridge_connect(MOCK_CMD, ["rho"], timeout_s=timeout_s)
 
+    @pytest.mark.parametrize(
+        "arm_names,config,message",
+        [(["rho"], [1, 2], "config must be a mapping"),
+         (5, None, "arm_names must be a sequence of strings"),
+         ("rho", None, "arm_names must be a sequence of strings"),
+         (["rho", 3], None, "arm_names must be a sequence of strings")],
+        ids=["config_list", "arm_names_int", "arm_names_str", "arm_name_int"],
+    )
+    def test_bad_arguments_spawn_no_trainer(self, arm_names, config, message, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(bridge.subprocess, "Popen", lambda *a, **k: spawned.append(a))
+        with pytest.raises(InvalidArgumentError, match=message):
+            bridge.bridge_connect(MOCK_CMD, arm_names, config=config)
+        assert spawned == []
+
     def test_longest_timeout_is_accepted_by_select(self):
         read_fd, write_fd = os.pipe()
         t = bridge._LineTransport(read_fd, write_fd, lambda: None)

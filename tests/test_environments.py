@@ -168,6 +168,19 @@ class TestReplay:
         with pytest.raises(DataError, match=line):
             envs.load_replay_csv(path)
 
+    @pytest.mark.parametrize(
+        "loss,message",
+        [(b"\xff", "cannot decode replay CSV"),
+         (b"1" * 200_000, "line 3: field larger than field limit")],
+        ids=["not_utf8", "field_over_limit"],
+    )
+    def test_unreadable_field_errors(self, tmp_path, loss, message):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"arm_index,interaction,val_loss\n-1,0,10.0\n3,1," + loss + b"\n")
+        with pytest.raises(DataError, match=message) as info:
+            envs.load_replay_csv(path)
+        assert str(path) in str(info.value)
+
     def test_bad_header_errors(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("a,b,c\n1,2,3\n")

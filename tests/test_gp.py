@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
@@ -437,7 +437,7 @@ class TestPosterior:
         assert np.all(np.diag(cov) >= 0.0)
 
     def test_covariance_exactly_symmetric_on_729_arms(self):
-        # predict does not symmetrize; this holds while V.T @ V goes to syrk
+        # syrk updates one triangle of the covariance; predict mirrors it
         rng = np.random.default_rng(12)
         grid = np.array(list(itertools.product(np.linspace(0.1, 0.9, 9), repeat=3)))
         X = grid[rng.integers(0, len(grid), 40)]
@@ -471,9 +471,11 @@ class TestSampleJoint:
         assert abs(sample[0] - mean[0]) < 5 * math.sqrt(cov[0, 0]) + 1e-12
 
     def test_729_arm_sample_memory_bound(self):
-        # the covariance is built and factored in place: the peak stays
-        # below three m x m arrays (the covariance, its jittered copy and
-        # headroom)
+        # the covariance is built in the Gram matrix's array, and mirrored
+        # with no m x m index array: a draw over points peaks at two m x m
+        # arrays (the covariance and its jittered copy) and little else;
+        # the first draw over an arm space, whose one buffer is factored in
+        # place, below two (the buffer, and the distance index it builds)
         rng = np.random.default_rng(4)
         grid = grid_points(3)
         X = grid[rng.integers(0, len(grid), 20)]
@@ -484,14 +486,14 @@ class TestSampleJoint:
         dim = environments.GridDim(0.0, 1.0, 0.1)
         space = environments.ArmSpace((dim,) * 3, (tuple(np.linspace(0.1, 0.9, 9).tolist()),) * 3)
         assert np.array_equal(space.array, grid)
-        for queries in (grid, space):
+        for queries, bound in ((grid, 2.06), (space, 2.0)):
             tracemalloc.start()
             try:
                 post.sample_joint(queries, np.random.default_rng(0))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 3 * m * m * 8
+            assert peak < bound * m * m * 8
 
     def test_monte_carlo_mean(self):
         hp = make_hp(ls=(0.3,), out=1.0, noise=0.1)
@@ -503,6 +505,23 @@ class TestSampleJoint:
         samples = np.array([post.sample_joint(Q, rng) for _ in range(n)])
         se = np.sqrt(np.diag(cov) / n)
         assert np.all(np.abs(samples.mean(axis=0) - mean) < 3 * se + 1e-12)
+
+    def test_monte_carlo_moments_on_an_arm_space(self):
+        # a draw over an arm space takes the covariance syrk built in its
+        # buffer, and the factor of its lower triangle: each arm's sample
+        # mean and variance against predict's (z-bound 4 over 24 checks)
+        space = environments.make_grid([dict(lower=0.0, upper=1.0, step=0.2),
+                                        dict(lower=0.0, upper=1.0, step=0.25)])
+        post = posterior_on(space, np.random.default_rng(7), 4)
+        mean, cov = post.predict(space)
+        var = np.diag(cov)
+        assert len(space) == 12 and np.all(var > 1e-3)
+        rng = np.random.default_rng(6)
+        n = 10_000
+        samples = np.array([post.sample_joint(space, rng) for _ in range(n)])
+        assert np.all(np.abs(samples.mean(axis=0) - mean) < 4 * np.sqrt(var / n))
+        var_se = var * math.sqrt(2 / (n - 1))
+        assert np.all(np.abs(samples.var(axis=0, ddof=1) - var) < 4 * var_se)
 
 
 # make_grid specs in 1, 2, 3 and 5 dimensions, with inexact steps and
@@ -653,8 +672,8 @@ def posterior_on(space, rng, k, family=gp.MATERN52):
 
 
 class TestSampleBuffers:
-    # a draw over an arm space builds and factors its covariance in two
-    # buffers kept with the space; a draw over its array of points uses
+    # a draw over an arm space builds and factors its covariance in one
+    # buffer kept with the space; a draw over its array of points uses
     # fresh arrays and is the reference
     def test_second_draw_allocates_less_than_one_matrix(self):
         space = environments.make_grid([dict(lower=0.0, upper=1.0, step=1 / 21)] * 2)
@@ -718,7 +737,7 @@ class TestSampleBuffers:
         monkeypatch.setattr(gp, "_SPACE_RECORDS", weakref.WeakKeyDictionary())
         space = environments.make_grid(LATTICES["2d"])
         posterior_on(space, np.random.default_rng(6), 2).predict(space)
-        assert gp._SPACE_RECORDS[space].buffers is None
+        assert gp._SPACE_RECORDS[space].buffer is None
 
     def test_buffers_go_with_their_space(self):
         # a grid no other test builds, so that no equal space holds the record
@@ -727,11 +746,11 @@ class TestSampleBuffers:
         posterior_on(space, np.random.default_rng(5), 2).sample_joint(space, np.random.default_rng(0))
         record = gp._SPACE_RECORDS[space]
         assert gp._space_record(environments.make_grid(grid)) is record  # equal spaces share it
-        arrays = [weakref.ref(a) for a in (record.index, *record.buffers)]
-        assert [a().shape for a in arrays] == [(len(space), len(space))] * 3
+        arrays = [weakref.ref(a) for a in (record.index, record.buffer)]
+        assert [a().shape for a in arrays] == [(len(space), len(space))] * 2
         del space, record
         gc.collect()
-        assert [a() for a in arrays] == [None] * 3
+        assert [a() for a in arrays] == [None] * 2
 
 
 class TestFit:
@@ -1000,8 +1019,9 @@ def ref_posterior(hp, data, Q):
     Ks = gp.kernel_matrix(hp, data.distinct_inputs, Q)
     mean = np.full(len(Q), hp.mean_constant) + Ks.T @ alpha
     V = solve_triangular(L, Ks, lower=True)
-    cov = gp.kernel_matrix(hp, Q) - V.T @ V
-    cov = 0.5 * (cov + cov.T)
+    # BLAS syrk's K_QQ - V^T V, in its upper triangle, mirrored
+    C = blas.dsyrk(-1.0, V, beta=1.0, c=gp.kernel_matrix(hp, Q), trans=1)
+    cov = np.where(np.tri(len(Q), dtype=bool), C.T, C)
     diag = np.diag(cov).copy()
     np.fill_diagonal(cov, np.maximum(diag, 0.0))
     return alpha, mean, cov
@@ -1023,39 +1043,63 @@ def bit_identity_cases(family, n, seed):
 class TestLapackLoader:
     def test_routines_are_scipys_own(self):
         assert gp.dpotrf is lapack.dpotrf and gp.dtrtrs is lapack.dtrtrs
-        loaded = sys.modules[gp._FLAPACK]
-        dpotrf, dtrtrs = gp._load_lapack()
-        assert dpotrf is lapack.dpotrf and dtrtrs is lapack.dtrtrs
-        assert sys.modules[gp._FLAPACK] is loaded
+        assert gp.dsyrk is blas.dsyrk
+        loaded = sys.modules[gp._FLAPACK], sys.modules[gp._FBLAS]
+        assert gp._load_lapack() == (lapack.dpotrf, lapack.dtrtrs, blas.dsyrk)
+        assert (sys.modules[gp._FLAPACK], sys.modules[gp._FBLAS]) == loaded
 
-    def find_spec_returning(self, monkeypatch, spec):
+    def test_sys_modules_unchanged(self, monkeypatch):
+        # neither extension filed, as in a process that has not imported
+        # scipy.linalg: loading them files neither
+        for name in (gp._FLAPACK, gp._FBLAS):
+            monkeypatch.delitem(sys.modules, name)
+        before = dict(sys.modules)
+        assert gp._load_lapack() == (lapack.dpotrf, lapack.dtrtrs, blas.dsyrk)
+        assert sys.modules == before
+
+    def find_spec_returning(self, monkeypatch, name, spec):
         find_spec = importlib.machinery.PathFinder.find_spec
         monkeypatch.setattr(
             importlib.machinery.PathFinder, "find_spec",
-            lambda name, path=None, target=None:
-                spec if name == gp._FLAPACK else find_spec(name, path, target),
+            lambda found, path=None, target=None:
+                spec if found == name else find_spec(found, path, target),
         )
 
     def test_missing_extension_falls_back_to_scipy_linalg(self, monkeypatch):
-        self.find_spec_returning(monkeypatch, None)
-        assert gp._load_lapack() == (lapack.dpotrf, lapack.dtrtrs)
+        self.find_spec_returning(monkeypatch, gp._FLAPACK, None)
+        assert gp._load_lapack() == (lapack.dpotrf, lapack.dtrtrs, blas.dsyrk)
         # the fallback's own objects, so not a load that merely matched them
         monkeypatch.setattr(lapack, "dpotrf", "potrf")
         monkeypatch.setattr(lapack, "dtrtrs", "trtrs")
-        assert gp._load_lapack() == ("potrf", "trtrs")
+        assert gp._load_lapack() == ("potrf", "trtrs", blas.dsyrk)
 
-    def test_extension_that_does_not_load_falls_back(self, monkeypatch):
+    def test_missing_blas_extension_falls_back_to_scipy_linalg(self, monkeypatch):
+        self.find_spec_returning(monkeypatch, gp._FBLAS, None)
+        monkeypatch.setattr(blas, "dsyrk", "syrk")
+        assert gp._load_lapack() == (lapack.dpotrf, lapack.dtrtrs, "syrk")
+
+    def unloadable(self, monkeypatch, name):
+        # the extension's file is found, but loading it raises ImportError;
+        # returns what _load_lapack returns, and checks sys.modules
         class UnloadableLoader:
             def create_module(self, spec):
                 raise ImportError("DLL load failed")
 
-        spec = importlib.machinery.ModuleSpec(gp._FLAPACK, UnloadableLoader())
-        self.find_spec_returning(monkeypatch, spec)
+        spec = importlib.machinery.ModuleSpec(name, UnloadableLoader())
+        self.find_spec_returning(monkeypatch, name, spec)
         monkeypatch.setattr(lapack, "dpotrf", "potrf")
         monkeypatch.setattr(lapack, "dtrtrs", "trtrs")
-        loaded = sys.modules[gp._FLAPACK]
-        assert gp._load_lapack() == ("potrf", "trtrs")
-        assert sys.modules[gp._FLAPACK] is loaded
+        monkeypatch.setattr(blas, "dsyrk", "syrk")
+        loaded = sys.modules[name]
+        routines = gp._load_lapack()
+        assert sys.modules[name] is loaded
+        return routines
+
+    def test_extension_that_does_not_load_falls_back(self, monkeypatch):
+        assert self.unloadable(monkeypatch, gp._FLAPACK) == ("potrf", "trtrs", gp.dsyrk)
+
+    def test_blas_extension_that_does_not_load_falls_back(self, monkeypatch):
+        assert self.unloadable(monkeypatch, gp._FBLAS) == (gp.dpotrf, gp.dtrtrs, "syrk")
 
 
 class TestLapackSolvesBitIdentical:

@@ -894,6 +894,24 @@ class TestCli:
         assert code == 3, err
         assert "data error:" in err and "run_gp_ts_seed0.csv: line 3: expected 11 fields, got 12" in err
 
+    @pytest.mark.parametrize(
+        "arm,message",
+        [(b"\xff", "cannot decode run CSV"),
+         (b"1" * 200_000, "line 3: field larger than field limit")],
+        ids=["not_utf8", "field_over_limit"],
+    )
+    def test_summarize_unreadable_field_exits_3(self, tmp_path, arm, message):
+        path = tmp_path / "run_gp_ts_seed0.csv"
+        path.write_bytes(
+            b"seed,policy,interaction,arm_rho,val_loss,reward,cumulative_reward,"
+            b"gp_lengthscales,gp_output_scale,gp_noise_variance,gp_mean_constant\n"
+            b"0,gp_ts,0,,10.0,,0.0,,,,\n"
+            b"0,gp_ts,1," + arm + b",9.0,1.0,1.0,,,,\n"
+        )
+        code, _, err = run_cli(["summarize", "--dir", str(tmp_path)])
+        assert code == 3, err
+        assert "data error:" in err and message in err and str(path) in err
+
     def test_summarize_empty_dir_exits_3(self, tmp_path):
         code, _, _ = run_cli(["summarize", "--dir", str(tmp_path)])
         assert code == 3
