@@ -24,12 +24,12 @@ table of the distinct distances that ``gp`` keeps per space
 Inputs far apart in lengthscale units overflow some intermediate values
 to inf: a squared scaled distance, the spread of the heuristic start.
 The Matern clamp and the moment caps make those harmless, so
-``kernel_matrix``, ``fit_type2_mle``, ``PosteriorGp`` and ``predict``
-ignore floating-point overflow (not invalid values), each once per call
-rather than once per likelihood evaluation, since entering an
-``np.errstate`` takes about 2 us. So does ``RegressionData`` for its
-within-input sum of squares, whose overflow leaves the fit at its warm
-start.
+``kernel_matrix``, ``log_marginal_likelihood``, ``fit_type2_mle``,
+``PosteriorGp`` and ``predict`` ignore floating-point overflow (not
+invalid values), each once per call rather than once per likelihood
+evaluation, since entering an ``np.errstate`` takes about 2 us. So does
+``RegressionData`` for its within-input sum of squares, whose overflow
+leaves the fit at its warm start.
 """
 
 from __future__ import annotations
@@ -155,19 +155,21 @@ class RegressionData:
     pass by equality of the row tuples (0.0 and -0.0 are one input, kept
     as first seen); ``counts`` and ``means`` the number of observations at
     each and their mean target; ``within_ss`` the sum of squared
-    deviations of the targets from their input's mean, and
-    ``log_count_sum`` the sum of the log counts. Targets at one input
-    more than about 1e154 apart overflow ``within_ss`` to inf, which makes
-    the likelihood -inf at every hyperparameter, so the fit keeps its warm
-    start. An input whose targets sum past the float range has an infinite
-    mean, which ``PosteriorGp`` refuses. ``diffs`` holds the (d, k, k)
-    differences x_j - x'_j of the distinct inputs, one k x k array per
-    dimension, computed once so that each factorization only scales,
-    squares and sums them.
+    deviations of the targets from their input's mean; ``half_dof``,
+    ``half_T_log_2pi`` and ``half_log_count_sum`` the likelihood's terms
+    of the record alone, (T - k)/2, T/2 log(2 pi) and 1/2 sum(log n).
+    Targets at one input more than about 1e154 apart overflow
+    ``within_ss`` to inf, which makes the likelihood -inf at every
+    hyperparameter, so the fit keeps its warm start. An input whose
+    targets sum past the float range has an infinite mean, which
+    ``PosteriorGp`` refuses. ``diffs`` holds the (d, k, k) differences
+    x_j - x'_j of the distinct inputs, one k x k array per dimension,
+    computed once so that each factorization only scales, squares and
+    sums them.
     """
 
     __slots__ = ("inputs", "targets", "distinct_inputs", "diffs", "counts", "means",
-                 "within_ss", "log_count_sum")
+                 "within_ss", "half_dof", "half_T_log_2pi", "half_log_count_sum")
 
     def __init__(self, inputs, targets):
         # copies: freezing the caller's own arrays would be a side effect
@@ -195,7 +197,9 @@ class RegressionData:
         self.means = np.bincount(inverse, weights=y) / self.counts
         with np.errstate(over="ignore"):
             self.within_ss = float(np.sum((y - self.means[inverse]) ** 2))
-        self.log_count_sum = float(np.sum(np.log(self.counts)))
+        self.half_dof = 0.5 * (len(y) - len(U))
+        self.half_T_log_2pi = 0.5 * len(y) * math.log(2.0 * math.pi)
+        self.half_log_count_sum = 0.5 * float(np.sum(np.log(self.counts)))
         for array in (X, y, U, self.diffs, self.counts, self.means):
             array.setflags(write=False)
 
@@ -599,20 +603,11 @@ def _solve_chol(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.nd
     return x
 
 
-def _record_terms(data: RegressionData) -> tuple:
-    """What ``_collapsed_lml`` takes from the record alone: the means, k,
-    (T - k)/2, the within-input sum of squares S, T/2 log(2 pi) and 1/2
-    sum(log n). The fit takes them once for all its likelihood calls."""
-    T, k = len(data), data.counts.shape[0]
-    return (data.means, k, 0.5 * (T - k), data.within_ss, 0.5 * T * math.log(2.0 * math.pi),
-            0.5 * data.log_count_sum)
-
-
-def _collapsed_lml(L: np.ndarray, noises, mean_constants, terms: tuple) -> list:
-    """Exact log marginal likelihood of all T observations for each slice
-    of a (B, k, k) stack L of factors of K_UU + noise * diag(1/n), from the
-    noise each was factored at, its prior mean constant and the record's
-    ``_record_terms``:
+def _collapsed_lml(L: np.ndarray, noises, mean_constants, data: RegressionData) -> list:
+    """Exact log marginal likelihood of the record's T observations for
+    each slice of a (B, k, k) stack L of factors of K_UU + noise *
+    diag(1/n), from the noise each was factored at and its prior mean
+    constant:
 
         log N(means - mean constant; 0, K_UU + noise diag(1/n))
             - S / (2 noise) - (T - k)/2 log(2 pi noise) - 1/2 sum(log n)
@@ -621,18 +616,19 @@ def _collapsed_lml(L: np.ndarray, noises, mean_constants, terms: tuple) -> list:
     logs of all the stack's diagonals are taken in one call, and each row
     summed as ``sum()`` sums one; each slice then takes one triangular
     solve and one BLAS ``ddot``. The terms are those of the formula, in
-    its order.
+    its order; S and the terms of the record alone are the record's.
     """
-    means, k, half_dof, within_ss, const_T, const_n = terms
+    k = data.counts.shape[0]
     log_dets = np.add.reduce(np.log(L.reshape(len(L), k * k)[:, :: k + 1]), 1).tolist()
     lmls = []
     for factor, noise, mean_constant, log_det in zip(L, noises, mean_constants, log_dets):
         if noise is None:
             lmls.append(None)
             continue
-        v = _solve_chol(factor, means - mean_constant)
-        lmls.append(-0.5 * (float(v.dot(v)) + within_ss / noise) - log_det
-                    - half_dof * math.log(noise) - const_T - const_n)
+        v = _solve_chol(factor, data.means - mean_constant)
+        lmls.append(-0.5 * (float(v.dot(v)) + data.within_ss / noise) - log_det
+                    - data.half_dof * math.log(noise) - data.half_T_log_2pi
+                    - data.half_log_count_sum)
     return lmls
 
 
@@ -644,8 +640,9 @@ def log_marginal_likelihood(hp: GpHyperparams, data: RegressionData) -> float:
     """Exact Gaussian log marginal likelihood of the targets under the prior."""
     if len(data) == 0:
         raise InvalidArgumentError("log marginal likelihood needs at least one observation")
-    L, noise = _factor_point(hp, data)
-    return _collapsed_lml(L[None], [noise], [hp.mean_constant], _record_terms(data))[0]
+    with np.errstate(over="ignore"):
+        L, noise = _factor_point(hp, data)
+    return _collapsed_lml(L[None], [noise], [hp.mean_constant], data)[0]
 
 
 def _pack(hp: GpHyperparams) -> np.ndarray:
@@ -692,12 +689,11 @@ def _fit_objective(data: RegressionData, template: GpHyperparams):
     the top of the ladder scores ``_FAILED_FIT_VALUE``.
     """
     family = template.kernel
-    terms = _record_terms(data)
 
     def neg_lml(vecs: np.ndarray) -> list:
         lengthscales, output_scales, noises, mean_constants = _unpacked_values(vecs, template)
         L, noises = _factor(family, lengthscales, output_scales, noises, data)
-        lmls = _collapsed_lml(L, noises, mean_constants, terms)
+        lmls = _collapsed_lml(L, noises, mean_constants, data)
         return [_FAILED_FIT_VALUE if lml is None else -lml for lml in lmls]
 
     return neg_lml
@@ -845,27 +841,19 @@ def _nelder_mead(x0: np.ndarray, max_evals: int):
 
 
 def _lockstep(objective, starts, max_evals: int, per_call: int) -> list:
-    """Run a ``_nelder_mead`` search of ``max_evals`` from each start, as
-    many at once as one call of ``objective`` can serve: each round, the
-    points every live search waits for go to ``objective`` together, as
-    (B, n) stacks of at most ``per_call`` rows, and each search is sent its
-    own values. A round needs at most n + 1 points of a search, so at most
-    ``per_call // (n + 1)`` searches are live (at least one, whose points
-    then take several calls); a search that finishes makes room for the
-    next start. Returns each search's (x, value), in start order. At a
-    handful of distinct inputs a likelihood evaluation is mostly per-call
-    overhead, which the searches then share.
+    """Run a ``_nelder_mead`` search of ``max_evals`` from each start, all
+    at once: each round, the points every live search waits for go to
+    ``objective`` as (B, n) stacks of at most ``per_call`` rows, and each
+    search is sent its own values. Returns each search's (x, value), in
+    start order. At a handful of distinct inputs a likelihood evaluation
+    is mostly per-call overhead, which the searches then share.
     """
-    room = max(1, per_call // (len(starts[0]) + 1))
-    queued = enumerate(starts)
     live = []  # (start index, search, the points it waits for)
+    for i, x0 in enumerate(starts):
+        search = _nelder_mead(x0, max_evals)
+        live.append((i, search, next(search)))
     results = [None] * len(starts)
-    while True:
-        for i, x0 in itertools.islice(queued, room - len(live)):
-            search = _nelder_mead(x0, max_evals)
-            live.append((i, search, next(search)))
-        if not live:
-            return results
+    while live:
         points = [x for _, _, wanted in live for x in wanted]
         values = []
         for first in range(0, len(points), per_call):
@@ -880,6 +868,7 @@ def _lockstep(objective, starts, max_evals: int, per_call: int) -> list:
             except StopIteration as stop:
                 results[i] = stop.value
         live = waiting
+    return results
 
 
 def fit_type2_mle(
@@ -896,14 +885,15 @@ def fit_type2_mle(
     with the same iterates, so that the GP stack does not import
     ``scipy.optimize``; it stops on the simplex spread (_NM_XATOL,
     _NM_FATOL) or after ``budget.max_evals`` evaluations. The searches
-    run in lockstep (``_lockstep``): each round's points go to the
-    stacked objective in one call of at most ``_BLOCK_ELEMENTS`` matrix
-    entries (k^2 per point, at least one point), and every search takes
-    the steps it would take alone. Never returns hyperparameters with a
-    lower marginal likelihood than ``init``; for fewer than two
-    observations ``init`` is returned unchanged. A candidate replaces the
-    incumbent only on strict improvement, so ties resolve to the earliest
-    restart. Finite targets whose mean overflows raise ``NumericalError``.
+    run in lockstep (``_lockstep``), every one from the first round: each
+    round's points of all of them go to the stacked objective in calls of
+    at most ``_BLOCK_ELEMENTS`` matrix entries (k^2 per point, at least
+    one point), and every search takes the steps it would take alone.
+    Never returns hyperparameters with a lower marginal likelihood than
+    ``init``; for fewer than two observations ``init`` is returned
+    unchanged. A candidate replaces the incumbent only on strict
+    improvement, so ties resolve to the earliest restart. Finite targets
+    whose mean overflows raise ``NumericalError``.
     """
     if len(data) < 2:
         return init
@@ -1052,6 +1042,8 @@ class PosteriorGp:
             mean, cov = self.predict(queries)
             fill = cov.copy
         else:
+            # checked before the space's record is built and kept
+            _as_matrix(queries.array, self.hyperparams.dim)
             record = _space_record(queries)
             if record.buffer is None:
                 record.buffer = np.empty(record.index.shape)

@@ -32,6 +32,8 @@ __all__ = [
 
 # Offset separating environment seeds from policy seeds by default.
 DEFAULT_ENV_SEED_OFFSET = 10_000
+# Directory the run and summary CSVs go to by default.
+DEFAULT_OUTPUT_DIR = "runs"
 
 
 @dataclass
@@ -94,7 +96,7 @@ def default_config_dict() -> dict:
         "u": 100,
         "seeds": [0, 1, 2, 3, 4],
         "env_seed_offset": DEFAULT_ENV_SEED_OFFSET,
-        "output_dir": "runs",
+        "output_dir": DEFAULT_OUTPUT_DIR,
         "gp": {
             "lengthscale": theta.lengthscales[0],
             "output_scale": theta.output_scale,
@@ -121,7 +123,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             T=raw.pop("T"),
             u=raw.pop("u"),
             seeds=list(raw.pop("seeds")),
-            output_dir=Path(raw.pop("output_dir", "runs")),
+            output_dir=Path(raw.pop("output_dir", DEFAULT_OUTPUT_DIR)),
             gp_init=_gp_init_from_config(raw.pop("gp", {}), space.ndim),
             fit_budget=gp.FitBudget(**raw.pop("fit", {})),
             env_seed_offset=raw.pop("env_seed_offset", DEFAULT_ENV_SEED_OFFSET),

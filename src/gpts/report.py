@@ -93,7 +93,11 @@ def write_summary_csv(path, curves: dict[str, list[list[float]]]) -> None:
             for t in range(len(series[0])):
                 vals = [c[t] for c in series]
                 mean = sum(vals) / len(vals)
-                sd = math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
+                try:
+                    sd = math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
+                except OverflowError:  # hypot squares none; pstdev overflows on Python 3.10
+                    root_n = math.sqrt(len(vals))
+                    sd = math.hypot(*((v - mean) / root_n for v in vals))
                 writer.writerow([label, t, _fmt(mean), _fmt(sd), len(vals)])
 
 

@@ -11,6 +11,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -246,7 +247,8 @@ class TestReplicates:
         assert data.inputs.shape == data.distinct_inputs.shape == (0, 3)
         assert data.diffs.shape == (3, 0, 0)
         assert data.counts.shape == data.means.shape == (0,)
-        assert data.within_ss == 0.0 and data.log_count_sum == 0.0
+        assert data.within_ss == data.half_dof == data.half_T_log_2pi == 0.0
+        assert data.half_log_count_sum == 0.0
         assert gp.RegressionData([], []).inputs.shape == (0, 1)
 
     def test_record_does_not_share_the_callers_arrays(self):
@@ -320,6 +322,18 @@ class TestLogMarginalLikelihood:
     def test_empty_data_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gp.log_marginal_likelihood(make_hp(), gp.RegressionData.empty(1))
+
+    def test_inputs_far_apart_overflow_silently(self):
+        # the squared scaled distances overflow to inf, where the Matern
+        # kernel is exactly 0, as in kernel_matrix, the fit and the posterior
+        hp = gp.GpHyperparams(lengthscales=(0.1,))
+        data = gp.RegressionData([[0.0], [1e200], [2e200]], [0.1, 0.2, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = gp.log_marginal_likelihood(hp, data)
+        var = hp.output_scale + hp.noise_variance
+        expected = sum(-0.5 * (y * y / var + math.log(2 * math.pi * var)) for y in (0.1, 0.2, 0.3))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     @BOTH_KERNELS
     def test_factor_from_cached_differences_is_bit_identical(self, family):
@@ -561,6 +575,16 @@ class TestLatticeGram:
                 post.predict(space)
             with pytest.raises(InvalidArgumentError, match="kernel expects 2"):
                 post.sample_joint(space, np.random.default_rng(0))
+
+    def test_space_of_another_dimension_builds_no_record(self, monkeypatch):
+        # the dimension is checked before the 729-arm space's distance
+        # table, index and buffer are built and kept
+        monkeypatch.setattr(gp, "_SPACE_RECORDS", weakref.WeakKeyDictionary())
+        post = gp.PosteriorGp(make_hp(), gp.RegressionData.empty(1))
+        space = environments.make_grid(LATTICES["3d"])
+        with pytest.raises(InvalidArgumentError, match="points have dimension 3, kernel expects 1"):
+            post.sample_joint(space, np.random.default_rng(0))
+        assert len(gp._SPACE_RECORDS) == 0
 
 
 def parent_sample_joint(mean, cov, rng):
@@ -966,7 +990,7 @@ def ref_collapsed_lml(L, noise, resid, data):
         - np.sum(np.log(np.diag(L)))
         - 0.5 * (T - k) * math.log(noise)
         - 0.5 * T * math.log(2.0 * math.pi)
-        - 0.5 * data.log_count_sum
+        - 0.5 * np.sum(np.log(data.counts))
     )
 
 
@@ -1433,8 +1457,7 @@ class TestLockstepFit:
 
     def test_stack_is_bounded_by_the_input(self, monkeypatch):
         # 60 distinct 3-D inputs: 3600 entries a point, so a call holds at
-        # most nine points, and only one search (seven simplex points) is
-        # live at a time
+        # most nine points, and the live searches' points fill it
         rng = np.random.default_rng(60)
         data = gp.RegressionData(rng.uniform(0, 1, (60, 3)), rng.normal(size=60))
         init, budget = make_hp(ls=(0.3, 0.3, 0.3)), gp.FitBudget(restarts=50, seed=2)
@@ -1447,9 +1470,20 @@ class TestLockstepFit:
 
         monkeypatch.setattr(gp, "_kernel_from_sqdist", spying)
         fitted = gp.fit_type2_mle(data, init, budget)
-        assert max(sizes) <= gp._BLOCK_ELEMENTS and max(sizes) == 7 * 3600
-        # one point per call, so one search after another
+        assert max(sizes) <= gp._BLOCK_ELEMENTS and max(sizes) == 9 * 3600
+        # one point per call: the same fit
         sizes.clear()
         monkeypatch.setattr(gp, "_BLOCK_ELEMENTS", 1)
         assert gp.fit_type2_mle(data, init, budget) == fitted
         assert set(sizes) == {3600}
+
+    def test_two_restarts_share_their_calls(self, monkeypatch):
+        # 60 distinct 3-D inputs, nine points a call: both initial simplices
+        # (seven points each) go out in two calls, and each later round's
+        # points of both searches in one
+        calls = self.spy(monkeypatch)
+        rng = np.random.default_rng(60)
+        data = gp.RegressionData(rng.uniform(0, 1, (60, 3)), rng.normal(size=60))
+        gp.fit_type2_mle(data, make_hp(ls=(0.3, 0.3, 0.3)))
+        assert calls[:2] == [9, 5]
+        assert (len(calls), sum(calls)) == (55, 120)

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -195,6 +196,27 @@ class TestRunExperiment:
             sd = (sum((v - mean) ** 2 for v in vals) / len(vals)) ** 0.5
             assert abs(float(row["mean_val_loss"]) - mean) <= 1e-12
             assert abs(float(row["sd_val_loss"]) - sd) <= 1e-12
+
+    def test_summary_of_losses_whose_squares_overflow(self, tmp_path):
+        # losses near 1e200: the squared deviations from the mean overflow
+        # as Python floats, the population sd does not
+        path, raw = small_config(
+            tmp_path, T=3, policies=[{"kind": "uniform_random"}],
+            environment={"kind": "synthetic", "synthetic": {"initial_loss": 1e200}})
+        code, _, err = run_cli(["run", "--config", str(path)])
+        assert (code, err) == (0, "")
+        out = Path(raw["output_dir"])
+        curves = [[float(r["val_loss"]) for r in csv.DictReader(p.open())]
+                  for p in sorted(out.glob("run_*.csv"))]
+        rows = list(csv.DictReader((out / "summary.csv").open()))
+        assert [int(r["interaction"]) for r in rows] == [0, 1, 2, 3]
+        # the reference scales by an exact power of two: Python 3.10's
+        # pstdev overflows on the losses themselves
+        scale = 2.0**600
+        for row, vals in zip(rows, zip(*curves)):
+            sd = statistics.pstdev([v / scale for v in vals]) * scale
+            assert float(row["sd_val_loss"]) == pytest.approx(sd, rel=1e-15)
+        assert float(rows[1]["sd_val_loss"]) > 1e154
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path, raw = small_config(tmp_path)
